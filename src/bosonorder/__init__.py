@@ -3,11 +3,10 @@ Stirling/Bell combinatorics it produces, and brute-force oracles for both."""
 
 from .algebra import (ANNIHILATION, CREATION, BosonWord, Letter, NormalForm,
                       StringType, apply_crossing, extract_stirling,
-                      normal_order, type_from_word, word_from_type,
-                      xd_action_on_monomial)
-from .combinat import (DEFAULT_ENUM_CAP, Bug, Colony, IncreasingForest,
-                       Settlement, bugs_of, colony_to_dot, colony_to_forest,
-                       colony_to_text, count_colonies_by_free_legs,
+                      normal_order, type_from_word, word_from_type)
+from .combinat import (DEFAULT_ENUM_CAP, Colony, IncreasingForest, Settlement,
+                       colony_to_dot, colony_to_forest, colony_to_text,
+                       count_colonies_by_free_legs,
                        count_increasing_forests, count_surjective_settlements,
                        empty_cells, enumerate_colonies, enumerate_settlements,
                        forest_to_colony, free_legs, iter_settlements,
@@ -32,9 +31,9 @@ from .stirling import (DEFAULT_MAX_TERMS, ApproxValue, BellPolynomial,
 __all__ = [
     "ANNIHILATION", "CREATION", "BosonWord", "Letter", "NormalForm",
     "StringType", "apply_crossing", "extract_stirling", "normal_order",
-    "type_from_word", "word_from_type", "xd_action_on_monomial",
-    "DEFAULT_ENUM_CAP", "Bug", "Colony", "IncreasingForest", "Settlement",
-    "bugs_of", "colony_to_dot", "colony_to_forest", "colony_to_text",
+    "type_from_word", "word_from_type",
+    "DEFAULT_ENUM_CAP", "Colony", "IncreasingForest", "Settlement",
+    "colony_to_dot", "colony_to_forest", "colony_to_text",
     "count_colonies_by_free_legs", "count_increasing_forests",
     "count_surjective_settlements", "empty_cells", "enumerate_colonies",
     "enumerate_settlements", "forest_to_colony", "free_legs",

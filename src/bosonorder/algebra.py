@@ -112,6 +112,12 @@ class StringType:
     def has_nonnegative_prefixes(self) -> bool:
         return min(self.prefix_excesses) >= 0
 
+    def require_nonnegative_prefixes(self) -> None:
+        """Raise NonCanonicalPrefix unless every prefix excess is >= 0."""
+        if not self.has_nonnegative_prefixes():
+            raise NonCanonicalPrefix(
+                f"prefix excesses {self.prefix_excesses} contain a negative entry")
+
 
 @dataclass(frozen=True, eq=True)
 class NormalForm:
@@ -160,13 +166,7 @@ def apply_crossing(k: int, l: int) -> list[tuple[int, int]]:
     """
     if k < 0 or l < 0:
         raise ValueError("exponents must be nonnegative")
-    out = []
-    for p in range(min(k, l) + 1):
-        c = math.comb(k, p)
-        for i in range(p):
-            c *= l - i
-        out.append((p, c))
-    return out
+    return [(p, math.comb(k, p) * math.perm(l, p)) for p in range(min(k, l) + 1)]
 
 
 def _collapse(acc: dict[tuple[int, int], int], excess: int) -> NormalForm:
@@ -189,45 +189,6 @@ def _runs(letters: tuple[Letter, ...]) -> tuple[tuple[Letter, int], ...]:
         else:
             runs.append([l, 1])
     return tuple((l, c) for l, c in runs)
-
-
-def _merge(runs: tuple[tuple[Letter, int], ...]) -> tuple[tuple[Letter, int], ...]:
-    merged: list[list] = []
-    for l, c in runs:
-        if merged and merged[-1][0] is l:
-            merged[-1][1] += c
-        else:
-            merged.append([l, c])
-    return tuple((l, c) for l, c in merged)
-
-
-def _rewrite_blockwise(word: BosonWord) -> dict[tuple[int, int], int]:
-    # worklist over run-length encoded terms; each step clears one whole
-    # a-block / a+-block boundary with one crossing expansion
-    acc: dict[tuple[int, int], int] = {}
-    stack: list[tuple[tuple[tuple[Letter, int], ...], int]] = [(_runs(word.letters), 1)]
-    while stack:
-        runs, coeff = stack.pop()
-        pos = next(
-            (t for t in range(len(runs) - 1)
-             if runs[t][0] is ANNIHILATION and runs[t + 1][0] is CREATION),
-            None,
-        )
-        if pos is None:
-            i = sum(c for l, c in runs if l is CREATION)
-            j = sum(c for l, c in runs if l is ANNIHILATION)
-            acc[(i, j)] = acc.get((i, j), 0) + coeff
-            continue
-        k, l = runs[pos][1], runs[pos + 1][1]
-        for p, w in apply_crossing(k, l):
-            middle = []
-            if l - p:
-                middle.append((CREATION, l - p))
-            if k - p:
-                middle.append((ANNIHILATION, k - p))
-            stack.append((_merge(runs[:pos] + tuple(middle) + runs[pos + 2:]),
-                          coeff * w))
-    return acc
 
 
 def _rewrite_letterwise(word: BosonWord) -> dict[tuple[int, int], int]:
@@ -259,18 +220,23 @@ def _rewrite_letterwise(word: BosonWord) -> dict[tuple[int, int], int]:
 def normal_order(word: BosonWord, method: str = "blockwise") -> NormalForm:
     """Rewrite a word into its normal form with exact integer coefficients.
 
-    ``method="blockwise"`` clears one block boundary per step and is the
-    default; ``method="letterwise"`` applies the commutation relation one
-    letter pair at a time and exists as an independent cross-check.
-    Both are confluent: the result is the same dictionary.
+    ``method="blockwise"`` is the default: it folds ``NormalForm.multiply``
+    left to right over the word's runs, each run (a+)^l or a^k being the
+    one-term normal form of excess +l or -k, so every step clears one block
+    boundary with the crossing formula and merges equal monomials at once.
+    ``method="letterwise"`` applies the commutation relation one letter pair
+    at a time; it is exponential and exists only as an independent oracle.
+    Both give the same normal form.
     """
     if method == "blockwise":
-        acc = _rewrite_blockwise(word)
-    elif method == "letterwise":
-        acc = _rewrite_letterwise(word)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return _collapse(acc, word.excess)
+        form = NormalForm(0, {0: 1})
+        for letter, count in _runs(word.letters):
+            run = NormalForm(count if letter is CREATION else -count, {0: 1})
+            form = form.multiply(run)
+        return form
+    if method == "letterwise":
+        return _collapse(_rewrite_letterwise(word), word.excess)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def word_from_type(t: StringType) -> BosonWord:
@@ -313,24 +279,3 @@ def extract_stirling(form: NormalForm) -> tuple[int, dict[int, int]]:
             f"excess {form.excess} < 0: no creation prefix to factor out")
     return form.excess, dict(form.coeffs)
 
-
-def xd_action_on_monomial(t: StringType, m: int) -> tuple[int, int]:
-    """Push x^m through the differential model X^r_n D^s_n ... X^r_1 D^s_1.
-
-    Returns (coefficient, exponent): the image is coefficient * x^exponent
-    with coefficient = prod_j (m + d_{j-1})^falling(s_j) and exponent
-    m + d_n.  Requires every prefix excess to be nonnegative, otherwise some
-    intermediate monomial would have negative degree.
-    """
-    if m < 0:
-        raise ValueError("monomial degree must be nonnegative")
-    ds = t.prefix_excesses
-    if min(ds) < 0:
-        raise NonCanonicalPrefix(
-            f"prefix excesses {ds} contain a negative entry")
-    coeff = 1
-    for j in range(t.n):
-        base = m + ds[j]
-        for i in range(t.s[j]):
-            coeff *= base - i
-    return coeff, m + ds[-1]

@@ -94,6 +94,11 @@ class CheckResult:
     detail: str = ""
 
 
+def _closed_form_table(t: StringType) -> dict[int, int]:
+    return {k: v for k in range(t.s[0], t.total_s + 1)
+            if (v := stirling_closed_form(t, k))}
+
+
 def run_selfcheck(t: StringType, m_max: int = 4, x_samples: int = 8,
                   enum_cap: int = DEFAULT_ENUM_CAP) -> list[CheckResult]:
     """Cross-verify every computation path on one type.
@@ -113,9 +118,7 @@ def run_selfcheck(t: StringType, m_max: int = 4, x_samples: int = 8,
     if t.excess >= 0:
         _, legs["rewriting"] = extract_stirling(normal_order(word_from_type(t)))
     if t.has_nonnegative_prefixes():
-        legs["closed-form"] = {
-            k: v for k in range(t.s[0], t.total_s + 1)
-            if (v := stirling_closed_form(t, k))}
+        legs["closed-form"] = _closed_form_table(t)
     mismatched = {name: vals for name, vals in legs.items() if vals != table}
     if mismatched:
         results.append(CheckResult("stirling tables agree", "fail",
@@ -176,10 +179,13 @@ def _default_enum_cap() -> int:
     if raw is None:
         return DEFAULT_ENUM_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
+        cap = 0
+    if cap < 1:
         raise ParseError(
-            f"BOSON_ORDER_ENUM_CAP must be an integer, got {raw!r}", 0)
+            f"BOSON_ORDER_ENUM_CAP must be a positive integer, got {raw!r}", 0)
+    return cap
 
 
 def _make_common(allow_csv: bool) -> argparse.ArgumentParser:
@@ -327,9 +333,7 @@ def _stirling_values(args, parser) -> tuple[Optional[StringType], int,
     elif method == "recurrence":
         d, values = t.excess, dict(stirling_recurrence(t).values)
     elif method == "closed-form":
-        d = t.excess
-        values = {k: v for k in range(t.s[0], t.total_s + 1)
-                  if (v := stirling_closed_form(t, k))}
+        d, values = t.excess, _closed_form_table(t)
     else:
         d = t.excess
         values = count_colonies_by_free_legs(t, enum_cap=_cap(args))
@@ -379,8 +383,6 @@ def _cmd_dobinski(args, parser):
         raise ParseError(f"cannot read {args.x!r} as a rational number", 0)
     if x < 0:
         raise ParseError("x must be nonnegative", 0)
-    if args.digits < 1:
-        parser.error("--digits must be positive")
     approx = dobinski_eval(t, x, args.digits, args.max_terms)
     if args.format == "json":
         payload = {
@@ -523,6 +525,10 @@ def _emit(text: str, out: Optional[str]) -> None:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for flag in ("digits", "max_terms", "enum_cap"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            parser.error(f"--{flag.replace('_', '-')} must be positive")
     try:
         text, code = _HANDLERS[args.subcommand](args, parser)
     except (ParseError, LengthMismatch) as exc:

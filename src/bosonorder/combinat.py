@@ -26,38 +26,6 @@ Placement = Optional[CellRef]
 
 
 @dataclass(frozen=True)
-class Bug:
-    """One (r, s) bug: r linearly ordered body cells and s labelled feet.
-
-    Foot labels continue the previous bug's segment, so bug 1 owns labels
-    1..s_1, bug 2 the next s_2 integers, and so on.
-    """
-
-    index: int
-    r: int
-    s: int
-    first_foot: int
-
-    def __post_init__(self):
-        if self.index < 1 or self.r < 1 or self.s < 1 or self.first_foot < 1:
-            raise ValueError("bug fields are positive integers")
-
-    @property
-    def foot_labels(self) -> range:
-        return range(self.first_foot, self.first_foot + self.s)
-
-
-def bugs_of(t: StringType) -> tuple[Bug, ...]:
-    """The bug sequence of a type, with consecutive foot label segments."""
-    out = []
-    start = 0
-    for j in range(t.n):
-        out.append(Bug(j + 1, t.r[j], t.s[j], start + 1))
-        start += t.s[j]
-    return tuple(out)
-
-
-@dataclass(frozen=True)
 class Colony:
     """A placement of every bug's feet; placement[j-1][f] is the target of
     foot f of bug j.  Feet may only grab cells of strictly earlier bugs,
@@ -89,9 +57,18 @@ class Colony:
                 seen.add(ref)
 
 
+def _ground_feet(placement: tuple[tuple[Placement, ...], ...]) -> int:
+    return sum(1 for feet in placement for ref in feet if ref is None)
+
+
+def _require_under_cap(predicted: int, enum_cap: int, what: str) -> None:
+    if predicted > enum_cap:
+        raise TooLarge(f"{predicted} {what} exceed the cap of {enum_cap}")
+
+
 def free_legs(colony: Colony) -> int:
     """Number of feet standing on the ground."""
-    return sum(1 for feet in colony.placement for ref in feet if ref is None)
+    return _ground_feet(colony.placement)
 
 
 def empty_cells(colony: Colony) -> int:
@@ -142,31 +119,23 @@ def _placement_stream(t: StringType) -> Iterator[tuple[tuple[Placement, ...], ..
 def enumerate_colonies(t: StringType,
                        enum_cap: int = DEFAULT_ENUM_CAP) -> Iterator[Colony]:
     """Every colony of the type, exactly once, in canonical order."""
-    predicted = bell_number(t)
-    if predicted > enum_cap:
-        raise TooLarge(f"{predicted} colonies exceed the cap of {enum_cap}")
+    _require_under_cap(bell_number(t), enum_cap, "colonies")
     return (Colony(t, placement) for placement in _placement_stream(t))
 
 
-def count_colonies_by_free_legs(t: StringType, method: str = "enumerate",
-                                enum_cap: int = DEFAULT_ENUM_CAP) -> dict[int, int]:
-    """Histogram of colonies by free-leg count.
-
-    method="enumerate" walks every placement; method="recurrence" delegates
-    to the coefficient recurrence for inputs too large to enumerate.
-    """
-    if method == "recurrence":
-        return dict(stirling_recurrence(t).values)
-    if method != "enumerate":
-        raise ValueError(f"unknown method {method!r}")
-    predicted = bell_number(t)
-    if predicted > enum_cap:
-        raise TooLarge(f"{predicted} colonies exceed the cap of {enum_cap}")
+def _free_leg_histogram(t: StringType) -> dict[int, int]:
     counts: dict[int, int] = {}
     for placement in _placement_stream(t):
-        k = sum(1 for feet in placement for ref in feet if ref is None)
+        k = _ground_feet(placement)
         counts[k] = counts.get(k, 0) + 1
     return dict(sorted(counts.items()))
+
+
+def count_colonies_by_free_legs(t: StringType,
+                                enum_cap: int = DEFAULT_ENUM_CAP) -> dict[int, int]:
+    """Histogram of colonies by free-leg count, walking every placement."""
+    _require_under_cap(bell_number(t), enum_cap, "colonies")
+    return _free_leg_histogram(t)
 
 
 @dataclass(frozen=True)
@@ -201,9 +170,7 @@ def iter_settlements(t: StringType, m: int,
     """Every m-settlement as a structure; guarded by the predicted count."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    predicted = settlement_product(t, m)
-    if predicted > enum_cap:
-        raise TooLarge(f"{predicted} settlements exceed the cap of {enum_cap}")
+    _require_under_cap(settlement_product(t, m), enum_cap, "settlements")
     colonies = enumerate_colonies(t, enum_cap)
     return (Settlement(colony, m, assignment)
             for colony in colonies
@@ -212,48 +179,26 @@ def iter_settlements(t: StringType, m: int,
 
 def enumerate_settlements(t: StringType, m: int,
                           enum_cap: int = DEFAULT_ENUM_CAP) -> int:
-    """Count m-settlements by walking colonies and injective ground maps.
-
-    Injection counts are obtained by brute iteration once per distinct
-    free-leg count, then reused across colonies of the same shape class.
-    """
+    """Count m-settlements by walking colonies: a colony with k free legs
+    has (m)_k injective ground maps."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if bell_number(t) > enum_cap:
-        raise TooLarge(f"{bell_number(t)} colonies exceed the cap of {enum_cap}")
-    predicted = settlement_product(t, m)
-    if predicted > enum_cap:
-        raise TooLarge(f"{predicted} settlements exceed the cap of {enum_cap}")
-    injections: dict[int, int] = {}
-    total = 0
-    for placement in _placement_stream(t):
-        k = sum(1 for feet in placement for ref in feet if ref is None)
-        if k not in injections:
-            injections[k] = sum(1 for _ in permutations(range(m), k))
-        total += injections[k]
-    return total
+    _require_under_cap(bell_number(t), enum_cap, "colonies")
+    _require_under_cap(settlement_product(t, m), enum_cap, "settlements")
+    return sum(v * math.perm(m, k) for k, v in _free_leg_histogram(t).items())
 
 
 def count_surjective_settlements(t: StringType, m: int,
                                  enum_cap: int = DEFAULT_ENUM_CAP) -> int:
-    """Count settlements covering all m ground cells: colonies with exactly
-    m free legs, times the bijections counted by brute iteration."""
+    """Count settlements covering all m ground cells: enumerated colonies
+    with exactly m free legs, times the m! bijections."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if bell_number(t) > enum_cap:
-        raise TooLarge(f"{bell_number(t)} colonies exceed the cap of {enum_cap}")
-    predicted = stirling_recurrence(t).values.get(m, 0) * math.factorial(m)
-    if predicted > enum_cap:
-        raise TooLarge(f"{predicted} settlements exceed the cap of {enum_cap}")
-    matching = 0
-    for placement in _placement_stream(t):
-        k = sum(1 for feet in placement for ref in feet if ref is None)
-        if k == m:
-            matching += 1
-    if matching == 0:
-        return 0
-    bijections = sum(1 for _ in permutations(range(m)))
-    return matching * bijections
+    table = stirling_recurrence(t)
+    _require_under_cap(table.bell(), enum_cap, "colonies")
+    _require_under_cap(table.values.get(m, 0) * math.factorial(m), enum_cap,
+                       "settlements")
+    return _free_leg_histogram(t).get(m, 0) * math.factorial(m)
 
 
 @dataclass(frozen=True)
@@ -316,9 +261,8 @@ def count_increasing_forests(r: int, n: int,
         raise ValueError("vertex count must be nonnegative")
     if n == 0:
         return 1
-    predicted = bell_number(StringType.uniform(r, 1, n))
-    if predicted > enum_cap:
-        raise TooLarge(f"{predicted} forests exceed the cap of {enum_cap}")
+    _require_under_cap(bell_number(StringType.uniform(r, 1, n)), enum_cap,
+                       "forests")
     total = 0
     stack: list[tuple[int, tuple[tuple[int, int], ...]]] = [(1, ())]
     while stack:

@@ -160,9 +160,7 @@ def stirling_closed_form(t: StringType, k: int) -> int:
     divisibility is asserted.  Needs every prefix excess nonnegative because
     the derivation pushes monomials through the word.
     """
-    ds = t.prefix_excesses
-    if min(ds) < 0:
-        raise NonCanonicalPrefix(f"prefix excesses {ds} contain a negative entry")
+    t.require_nonnegative_prefixes()
     if not t.s[0] <= k <= t.total_s:
         raise OutOfRange(f"k={k} outside [{t.s[0]}, {t.total_s}]")
     total = 0
@@ -218,9 +216,7 @@ def dobinski_terms(t: StringType, x) -> Iterator[Fraction]:
     x = Fraction(x)
     if x < 0:
         raise ValueError("x must be nonnegative")
-    ds = t.prefix_excesses
-    if min(ds) < 0:
-        raise NonCanonicalPrefix(f"prefix excesses {ds} contain a negative entry")
+    t.require_nonnegative_prefixes()
 
     def gen():
         m = t.s[0]
@@ -250,11 +246,7 @@ def dobinski_eval(t: StringType, x, target_digits: int,
     if target_digits < 1:
         raise ValueError("target_digits must be positive")
     x = Fraction(x)
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    ds = t.prefix_excesses
-    if min(ds) < 0:
-        raise NonCanonicalPrefix(f"prefix excesses {ds} contain a negative entry")
+    terms = dobinski_terms(t, x)  # validates x and the prefix excesses
     if x == 0:
         return ApproxValue(Decimal(0), target_digits, 1)
 
@@ -262,7 +254,6 @@ def dobinski_eval(t: StringType, x, target_digits: int,
     tol = Fraction(1, 10 ** (target_digits + 2))
     partial = Fraction(0)
     used = 0
-    terms = dobinski_terms(t, x)
     for term in terms:
         used += 1
         partial += term
@@ -318,9 +309,8 @@ def falling_factorial_expansion(t: StringType) -> dict[int, int]:
     recurrence, so comparing the result against stirling_recurrence checks
     the polynomial identity coefficient by coefficient.
     """
+    t.require_nonnegative_prefixes()
     ds = t.prefix_excesses
-    if min(ds) < 0:
-        raise NonCanonicalPrefix(f"prefix excesses {ds} contain a negative entry")
     poly = [1]
     for j in range(t.n):
         for i in range(t.s[j]):
@@ -344,9 +334,7 @@ def falling_factorial_expansion(t: StringType) -> dict[int, int]:
 
 def check_polynomial_identity(t: StringType, x: int) -> bool:
     """Test prod_j (x+d_{j-1})_(s_j) == sum_k S(k) (x)_k at one integer x."""
-    ds = t.prefix_excesses
-    if min(ds) < 0:
-        raise NonCanonicalPrefix(f"prefix excesses {ds} contain a negative entry")
+    t.require_nonnegative_prefixes()
     lhs = _prefix_product(t, x)
     table = stirling_recurrence(t)
     rhs = sum(v * falling_factorial(x, k) for k, v in table.values.items())
@@ -381,9 +369,7 @@ def coherent_expectation(t: StringType, z, target_digits: int) -> ComplexApproxV
     """
     if target_digits < 1:
         raise ValueError("target_digits must be positive")
-    ds = t.prefix_excesses
-    if min(ds) < 0:
-        raise NonCanonicalPrefix(f"prefix excesses {ds} contain a negative entry")
+    t.require_nonnegative_prefixes()
     zr, zi = _gaussian_parts(z)
     re, im = coherent_expectation_exact(t, zr, zi)
     with localcontext() as ctx:

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from bosonorder import (ANNIHILATION, CREATION, BosonWord, NegativeExcess,
                         NonCanonicalPrefix, NormalForm, StringType,
-                        apply_crossing, extract_stirling, normal_order,
-                        settlement_product, type_from_word, word_from_type,
-                        xd_action_on_monomial)
+                        apply_crossing, extract_stirling, falling_factorial,
+                        normal_order, settlement_product, stirling_recurrence,
+                        type_from_word, word_from_type)
 
 AD, A = CREATION, ANNIHILATION
 
@@ -73,13 +73,20 @@ class TestNormalOrder:
             normal_order(BosonWord(), method="magic")
 
     def test_methods_agree_exhaustively(self):
-        # every word of length <= 7: the one-commutator-at-a-time rewriter
-        # and the blockwise engine must reach the same normal form
-        for size in range(8):
+        # every word of length <= 10: the one-commutator-at-a-time rewriter
+        # and the fold over runs must reach the same normal form
+        for size in range(11):
             for letters in itertools.product((AD, A), repeat=size):
                 w = BosonWord(letters)
                 assert (normal_order(w, "letterwise")
                         == normal_order(w, "blockwise"))
+
+    @pytest.mark.parametrize("t", [StringType.uniform(2, 1, 14),
+                                   StringType.uniform(3, 2, 60)])
+    def test_many_factors_match_recurrence(self, t):
+        d, values = extract_stirling(normal_order(word_from_type(t)))
+        assert d == t.excess
+        assert values == stirling_recurrence(t).values
 
     @given(words_st)
     @settings(deadline=None)
@@ -158,6 +165,11 @@ class TestWordsAndTypes:
         assert t.has_nonnegative_prefixes()
         assert not StringType((1, 3), (2, 1)).has_nonnegative_prefixes()
 
+    def test_require_nonnegative_prefixes(self):
+        StringType((3, 2, 1, 3), (2, 2, 2, 3)).require_nonnegative_prefixes()
+        with pytest.raises(NonCanonicalPrefix, match="contain a negative entry"):
+            StringType((1, 3), (2, 1)).require_nonnegative_prefixes()
+
     def test_uniform(self):
         assert StringType.uniform(2, 1, 3) == StringType((2, 2, 2), (1, 1, 1))
 
@@ -174,22 +186,19 @@ class TestExtractStirling:
 
 
 class TestXdAction:
-    def test_needs_nonnegative_prefixes(self):
-        with pytest.raises(NonCanonicalPrefix):
-            xd_action_on_monomial(StringType((1, 3), (2, 1)), 4)
+    # In the representation ad -> x, a -> d/dx the normal form of a word sends
+    # x^m to (sum_k S(k) (m)_k) x^(m+d); settlement_product is that number.
+    @staticmethod
+    def act(t, m):
+        form = normal_order(word_from_type(t))
+        return sum(c * falling_factorial(m, s) for _, s, c in form.monomials())
 
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
-            xd_action_on_monomial(StringType((1,), (1,)), -1)
+            settlement_product(StringType((1,), (1,)), -1)
 
     def test_annihilates_low_monomial(self):
         # the four-factor example: degree 2 input dies on the last D^3 block
         t = StringType((3, 2, 1, 3), (2, 2, 2, 3))
-        assert xd_action_on_monomial(t, 2) == (0, 2)
-
-    def test_matches_settlement_product(self, sweep_types):
-        for t in sweep_types[::7]:
-            for m in range(5):
-                coeff, exponent = xd_action_on_monomial(t, m)
-                assert coeff == settlement_product(t, m)
-                assert exponent == m + t.excess
+        assert self.act(t, 2) == settlement_product(t, 2) == 0
+        assert self.act(t, 3) == settlement_product(t, 3) > 0

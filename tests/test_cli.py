@@ -251,6 +251,21 @@ class TestSubprocess:
                        env_overrides={"BOSON_ORDER_ENUM_CAP": "lots"})
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("argv, env", [
+        (("colonies", "--r", "1,1", "--s", "1,1", "--enum-cap", "-5"), None),
+        (("colonies", "--r", "1,1", "--s", "1,1", "--enum-cap", "0"), None),
+        (("dobinski", "--r", "1", "--s", "1", "--max-terms", "0"), None),
+        (("dobinski", "--r", "1", "--s", "1", "--digits", "0"), None),
+        (("colonies", "--r", "1,1", "--s", "1,1"), {"BOSON_ORDER_ENUM_CAP": "0"}),
+        (("colonies", "--r", "1,1", "--s", "1,1"), {"BOSON_ORDER_ENUM_CAP": "-3"}),
+    ], ids=["enum-cap-negative", "enum-cap-zero", "max-terms-zero",
+            "digits-zero", "env-cap-zero", "env-cap-negative"])
+    def test_nonpositive_limits_are_usage_errors(self, argv, env):
+        proc = run_cli(*argv, env_overrides=env)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "positive" in proc.stderr
+
     def test_out_writes_file(self, tmp_path):
         target = tmp_path / "table.csv"
         proc = run_cli("stirling", "--r", "2,2", "--s", "1,1",

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from bosonorder import (Colony, IncreasingForest, NotUnary, Settlement,
-                        StringType, TooLarge, bell_number, bugs_of,
+                        StringType, TooLarge, bell_number,
                         colony_to_dot, colony_to_forest, colony_to_text,
                         count_colonies_by_free_legs,
                         count_increasing_forests,
@@ -14,23 +14,6 @@ from bosonorder import (Colony, IncreasingForest, NotUnary, Settlement,
                         settlement_to_text, stirling_recurrence)
 
 SHOWCASE = StringType((3, 2, 1, 3), (2, 2, 2, 3))
-
-
-class TestBugs:
-    def test_foot_label_segments(self):
-        bugs = bugs_of(SHOWCASE)
-        assert [b.first_foot for b in bugs] == [1, 3, 5, 7]
-        assert list(bugs[3].foot_labels) == [7, 8, 9]
-
-    def test_fields(self):
-        bugs = bugs_of(StringType((2, 1), (1, 3)))
-        assert (bugs[0].r, bugs[0].s) == (2, 1)
-        assert (bugs[1].index, bugs[1].first_foot) == (2, 2)
-
-    def test_validation(self):
-        from bosonorder.combinat import Bug
-        with pytest.raises(ValueError):
-            Bug(0, 1, 1, 1)
 
 
 class TestColonies:
@@ -65,11 +48,7 @@ class TestColonies:
     def test_free_leg_histogram(self, sweep_types):
         for t in sweep_types[::4]:
             assert count_colonies_by_free_legs(t) \
-                == count_colonies_by_free_legs(t, method="recurrence")
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            count_colonies_by_free_legs(SHOWCASE, method="table")
+                == stirling_recurrence(t).values
 
 
 class TestColonyValidation:

@@ -259,6 +259,7 @@ class TestSettlementProduct:
         assert settlement_product(StringType.uniform(2, 1, 3), 0) == 0
 
     def test_vanishes_below_reach(self):
+        # x^2 pushed through the four-factor word dies on the last D^3 block
         assert settlement_product(SHOWCASE, 2) == 0
 
     def test_rejects_negative_m(self):
