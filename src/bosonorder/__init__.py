@@ -15,9 +15,8 @@ from .errors import (BosonOrderError, LengthMismatch, NegativeExcess,
                      NegativeExponent, NonCanonicalPrefix,
                      NonzeroConstantTerm, NotUnary, OutOfRange, ParseError,
                      PrecisionUnreachable, TooLarge)
-from .series import (EGF, OGF, PowerSeries, bell_r1_numeric, bell_r1_terms,
-                     forest_egf, series_add, series_derivative, series_exp,
-                     series_mul, series_pow, tree_series,
+from .series import (EGF, PowerSeries, bell_r1_numeric, bell_r1_terms,
+                     forest_egf, series_exp, tree_series,
                      tree_series_closed_form)
 from .stirling import (DEFAULT_MAX_TERMS, ApproxValue, BellPolynomial,
                        ComplexApproxValue, StirlingTable, bell_number,
@@ -41,9 +40,8 @@ __all__ = [
     "BosonOrderError", "LengthMismatch", "NegativeExcess", "NegativeExponent",
     "NonCanonicalPrefix", "NonzeroConstantTerm", "NotUnary", "OutOfRange",
     "ParseError", "PrecisionUnreachable", "TooLarge",
-    "EGF", "OGF", "PowerSeries", "bell_r1_numeric", "bell_r1_terms",
-    "forest_egf", "series_add", "series_derivative", "series_exp",
-    "series_mul", "series_pow", "tree_series", "tree_series_closed_form",
+    "EGF", "PowerSeries", "bell_r1_numeric", "bell_r1_terms", "forest_egf",
+    "series_exp", "tree_series", "tree_series_closed_form",
     "DEFAULT_MAX_TERMS", "ApproxValue", "BellPolynomial", "ComplexApproxValue",
     "StirlingTable", "bell_number", "bell_poly_recursion", "bell_polynomial",
     "check_polynomial_identity", "coherent_expectation",

@@ -336,7 +336,7 @@ def _stirling_values(args, parser) -> tuple[Optional[StringType], int,
         d, values = t.excess, _closed_form_table(t)
     else:
         d = t.excess
-        values = count_colonies_by_free_legs(t, enum_cap=_cap(args))
+        values = count_colonies_by_free_legs(t, enum_cap=args.enum_cap)
     return t, d, values, method
 
 
@@ -398,7 +398,7 @@ def _cmd_dobinski(args, parser):
 
 def _cmd_colonies(args, parser):
     _, t = _resolve_input(args, parser, need_type=True)
-    colonies = list(enumerate_colonies(t, _cap(args)))
+    colonies = list(enumerate_colonies(t, args.enum_cap))
     if args.dot:
         return "\n\n".join(colony_to_dot(c) for c in colonies), 0
     counts: dict[int, int] = {}
@@ -425,7 +425,7 @@ def _cmd_settlements(args, parser):
     if args.method == "product":
         count = settlement_product(t, args.m)
     else:
-        count = enumerate_settlements(t, args.m, _cap(args))
+        count = enumerate_settlements(t, args.m, args.enum_cap)
     if args.format == "json":
         payload = {
             "type": _type_payload(t),
@@ -442,7 +442,7 @@ def _cmd_forests(args, parser):
         parser.error("--arity must be at least 1")
     if args.n < 0:
         parser.error("--n must be nonnegative")
-    count = count_increasing_forests(args.arity, args.n, _cap(args))
+    count = count_increasing_forests(args.arity, args.n, args.enum_cap)
     if args.format == "json":
         payload = {"arity": args.arity, "n": args.n, "count": str(count)}
         return json.dumps(payload, indent=2), 0
@@ -458,7 +458,7 @@ def _cmd_series(args, parser):
     builder = {"tree": tree_series, "tree-closed": tree_series_closed_form,
                "forest": forest_egf}[args.kind]
     series = builder(args.arity, args.order)
-    counts = [series.egf_count(n) for n in range(series.order + 1)]
+    counts = series.counts
     if args.format == "json":
         payload = {
             "kind": args.kind,
@@ -480,7 +480,7 @@ def _cmd_selfcheck(args, parser):
         parser.error("--m-max must be nonnegative")
     if args.x_samples < 1:
         parser.error("--x-samples must be positive")
-    results = run_selfcheck(t, args.m_max, args.x_samples, _cap(args))
+    results = run_selfcheck(t, args.m_max, args.x_samples, args.enum_cap)
     failed = any(r.status == "fail" for r in results)
     if args.format == "json":
         payload = {
@@ -494,10 +494,6 @@ def _cmd_selfcheck(args, parser):
             f"{r.status.upper()} {r.name}" + (f": {r.detail}" if r.detail else "")
             for r in results)
     return text, 1 if failed else 0
-
-
-def _cap(args) -> int:
-    return args.enum_cap if args.enum_cap is not None else _default_enum_cap()
 
 
 _HANDLERS = {
@@ -530,6 +526,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         if value is not None and value < 1:
             parser.error(f"--{flag.replace('_', '-')} must be positive")
     try:
+        if args.enum_cap is None:
+            args.enum_cap = _default_enum_cap()
         text, code = _HANDLERS[args.subcommand](args, parser)
     except (ParseError, LengthMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,163 +1,114 @@
-"""Truncated formal power series over exact rationals, and the tree/forest
-generating functions of the single-leg uniform case.
+"""Truncated exponential generating functions stored as integer counts, and
+the tree/forest series of the single-leg uniform case.
 
-Coefficients are always stored as ordinary coefficients a_0..a_N; a series
-flagged EGF counts n! * a_n objects at size n.  All arithmetic is exact.
+A series of order N holds the counts n! * a_n for n = 0..N as Python ints;
+the ordinary coefficients a_n are read back as fractions on demand.  Products
+of such series are binomial convolutions of their counts, so every
+construction below runs in integers without a single division.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator
 
 from .errors import NonzeroConstantTerm, PrecisionUnreachable
-from .stirling import DEFAULT_MAX_TERMS, ApproxValue
+from .stirling import (DEFAULT_MAX_TERMS, ApproxValue, _ratio_tail_met,
+                       _rounded_times_exp)
 
-OGF = "ogf"
 EGF = "egf"
 
 
 @dataclass(frozen=True)
 class PowerSeries:
-    """Coefficients a_0..a_N plus a bookkeeping flag for how to read them."""
+    """Truncated EGF sum_n counts[n] x^n / n!: counts[n] objects at size n."""
 
-    coeffs: tuple[Fraction, ...]
-    convention: str = OGF
+    counts: tuple[int, ...]
+    convention = EGF
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs",
-                           tuple(Fraction(c) for c in self.coeffs))
-        if not self.coeffs:
+        object.__setattr__(self, "counts",
+                           tuple(map(operator.index, self.counts)))
+        if not self.counts:
             raise ValueError("a series carries at least its constant term")
-        if self.convention not in (OGF, EGF):
-            raise ValueError(f"unknown convention {self.convention!r}")
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.counts) - 1
 
-    def coefficient(self, n: int) -> Fraction:
-        if not 0 <= n <= self.order:
-            raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
-        return self.coeffs[n]
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Ordinary coefficients a_n = counts[n] / n!."""
+        facts = accumulate(range(1, len(self.counts)), operator.mul, initial=1)
+        return tuple(Fraction(c, f) for c, f in zip(self.counts, facts))
 
-    def egf_count(self, n: int) -> Fraction:
-        """n! * a_n, the object count at size n for an EGF-flagged series."""
-        if self.convention != EGF:
-            raise ValueError("counts only make sense under the EGF convention")
-        return math.factorial(n) * self.coefficient(n)
-
-
-def _align(f: PowerSeries, g: PowerSeries):
-    if f.convention != g.convention:
-        raise ValueError("cannot mix OGF and EGF series")
-    n = min(f.order, g.order) + 1
-    return f.coeffs[:n], g.coeffs[:n], f.convention
+    def egf_count(self, n: int) -> int:
+        """n! * a_n, the object count at size n."""
+        if n < 0:
+            raise IndexError(f"no count at negative size {n}")
+        return self.counts[n]
 
 
-def series_add(f: PowerSeries, g: PowerSeries) -> PowerSeries:
-    a, b, conv = _align(f, g)
-    return PowerSeries(tuple(x + y for x, y in zip(a, b)), conv)
-
-
-def series_mul(f: PowerSeries, g: PowerSeries) -> PowerSeries:
-    a, b, conv = _align(f, g)
-    n = len(a)
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j in range(n - i):
-            out[i + j] += x * b[j]
-    return PowerSeries(tuple(out), conv)
-
-
-def series_pow(f: PowerSeries, k: int) -> PowerSeries:
-    if k < 0:
-        raise ValueError("negative powers are not defined here")
-    acc = PowerSeries((Fraction(1),) + (Fraction(0),) * f.order, f.convention)
-    for _ in range(k):
-        acc = series_mul(acc, f)
-    return acc
-
-
-def series_derivative(f: PowerSeries) -> PowerSeries:
-    """Formal d/dx; drops one order."""
-    if f.order == 0:
-        return PowerSeries((Fraction(0),), f.convention)
-    return PowerSeries(tuple((n + 1) * c for n, c in enumerate(f.coeffs[1:])),
-                       f.convention)
+def _binomial_weights(f, n: int) -> list[int]:
+    # C(n,i) f_i for i = 0..n; their dot product with g_n, ..., g_0 is the
+    # n-th count of the product of the EGFs with counts f and g
+    return [math.comb(n, i) * f[i] for i in range(n + 1)]
 
 
 def series_exp(f: PowerSeries) -> PowerSeries:
-    """exp of a series with zero constant term, via g' = f'g: no logs, no
-    floats, one rational division per coefficient."""
-    if f.coeffs[0] != 0:
-        raise NonzeroConstantTerm(f"constant term {f.coeffs[0]} is not zero")
-    n = f.order
-    g = [Fraction(1)] + [Fraction(0)] * n
-    for m in range(n):
-        acc = Fraction(0)
-        for i in range(m + 1):
-            acc += (i + 1) * f.coeffs[i + 1] * g[m - i]
-        g[m + 1] = acc / (m + 1)
-    return PowerSeries(tuple(g), f.convention)
-
-
-def _power_coefficient(coeffs: list[Fraction], r: int, n: int) -> Fraction:
-    # [x^n] (sum_i coeffs[i] x^i)^r, using only coefficients up to index n
-    base = list(coeffs[:n + 1]) + [Fraction(0)] * max(0, n + 1 - len(coeffs))
-    cur = [Fraction(1)] + [Fraction(0)] * n
-    for _ in range(r):
-        nxt = [Fraction(0)] * (n + 1)
-        for i, x in enumerate(cur):
-            if not x:
-                continue
-            for j in range(n + 1 - i):
-                nxt[i + j] += x * base[j]
-        cur = nxt
-    return cur[n]
+    """exp of a series with zero constant term, via g' = f'g: in counts,
+    g_(n+1) = sum_i C(n,i) f_(i+1) g_(n-i)."""
+    if f.counts[0]:
+        raise NonzeroConstantTerm(f"constant term {f.counts[0]} is not zero")
+    derivative = f.counts[1:]
+    g = [1]
+    for n in range(f.order):
+        g.append(sum(map(operator.mul, _binomial_weights(derivative, n),
+                         reversed(g))))
+    return PowerSeries(tuple(g))
 
 
 def tree_series(r: int, order: int) -> PowerSeries:
-    """EGF of increasing r-ary planar trees, built from y' = y^r, y(0) = 1."""
+    """EGF of increasing r-ary planar trees, built from y' = y^r, y(0) = 1.
+
+    In counts the equation reads t_(n+1) = (y^r)_n; one running row per power
+    y^k, k = 2..r, extends each row by one binomial convolution with y."""
     if r < 2:
         raise ValueError("the tree equation needs r >= 2; r = 1 is the "
                          "ordinary Bell case handled elsewhere")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    a = [Fraction(1)]
+    t = [1]
+    powers = [t] + [[] for _ in range(r - 1)]  # counts of y^1 .. y^r so far
     for n in range(order):
-        a.append(_power_coefficient(a, r, n) / (n + 1))
-    return PowerSeries(tuple(a), EGF)
+        weights = _binomial_weights(t, n)
+        for lower, row in zip(powers, powers[1:]):
+            row.append(sum(map(operator.mul, weights, reversed(lower))))
+        t.append(powers[-1][n])
+    return PowerSeries(tuple(t))
 
 
 def tree_series_closed_form(r: int, order: int) -> PowerSeries:
-    """Same series from the binomial expansion of (1-(r-1)x)^(1/(1-r))."""
+    """Same series from the binomial expansion of (1-(r-1)x)^(1/(1-r)): its
+    n-th count n! C(-1/(r-1), n) (-(r-1))^n is prod_{j<n} (1 + j(r-1))."""
     if r < 2:
         raise ValueError("closed form is singular at r = 1")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    alpha = Fraction(-1, r - 1)
-    beta = -(r - 1)
-    coeffs = []
-    binom = Fraction(1)
-    power = 1
-    for n in range(order + 1):
-        coeffs.append(binom * power)
-        binom = binom * (alpha - n) / (n + 1)
-        power *= beta
-    return PowerSeries(tuple(coeffs), EGF)
+    counts = [1]
+    for j in range(order):
+        counts.append(counts[-1] * (1 + j * (r - 1)))
+    return PowerSeries(tuple(counts))
 
 
 def forest_egf(r: int, order: int) -> PowerSeries:
     """EGF of increasing r-ary planar forests: exp(T_r(x) - 1)."""
     t = tree_series(r, order)
-    shifted = PowerSeries((t.coeffs[0] - 1,) + t.coeffs[1:], t.convention)
-    return series_exp(shifted)
+    return series_exp(PowerSeries((0,) + t.counts[1:]))
 
 
 def bell_r1_terms(r: int, n: int) -> Iterator[Fraction]:
@@ -191,31 +142,24 @@ def bell_r1_numeric(r: int, n: int, target_digits: int,
                     max_terms: int = DEFAULT_MAX_TERMS) -> ApproxValue:
     """Numeric single-leg uniform Bell number from the explicit k-sum.
 
-    Terms are positive and eventually decay super-geometrically (factorial
-    beats polynomial); summation stops after the relative term size has been
-    below 10^-(target_digits+2) for 3 consecutive k, a deliberately
-    conservative rule since the series carries no printed error bound.
+    (r-1)^(n-1) times the k-th term is p(k)/k! for the type uniform(r,1,n),
+    whose s-exponents sum to n, so the Dobinski ratio bound applies with
+    x = 1: term_(k+1)/term_k <= 1/(k+1-n) once k+1 > n.  Summation stops, as
+    in dobinski_eval, when that ratio is at most 1/2 and the geometric tail
+    bound 2 * term / (k+1-n) is below 10^-(target_digits+2) of the partial
+    sum.
     """
     if target_digits < 1:
         raise ValueError("target_digits must be positive")
     tol = Fraction(1, 10 ** (target_digits + 2))
     partial = Fraction(0)
-    streak = 0
-    used = 0
-    for term in bell_r1_terms(r, n):
-        used += 1
+    for k, term in enumerate(bell_r1_terms(r, n), start=1):
         partial += term
-        streak = streak + 1 if term < tol * partial else 0
-        if streak >= 3:
+        if _ratio_tail_met(term, partial, Fraction(1), k + 1 - n, tol):
             break
-        if used >= max_terms:
+        if k >= max_terms:
             raise PrecisionUnreachable(
                 f"tail bound still unmet after {max_terms} terms")
     exact = partial * (r - 1) ** (n - 1)
-    with localcontext() as ctx:
-        ctx.prec = target_digits + 10
-        value = (Decimal(exact.numerator) / Decimal(exact.denominator)
-                 * Decimal(-1).exp())
-        ctx.prec = target_digits
-        value = +value
-    return ApproxValue(value, target_digits, used)
+    return ApproxValue(_rounded_times_exp(exact, Fraction(1), target_digits),
+                       target_digits, k)

@@ -253,28 +253,38 @@ def dobinski_eval(t: StringType, x, target_digits: int,
     total_s = t.total_s
     tol = Fraction(1, 10 ** (target_digits + 2))
     partial = Fraction(0)
-    used = 0
-    for term in terms:
-        used += 1
+    for used, term in enumerate(terms, start=1):
         partial += term
-        m = t.s[0] + used - 1
-        room = m + 1 - total_s
-        if room > 0 and partial > 0:
-            ratio = x / room
-            if ratio <= Fraction(1, 2) and 2 * term * ratio < tol * partial:
-                break
+        room = t.s[0] + used - total_s  # m + 1 - sum(s) at m = s_1 + used - 1
+        if _ratio_tail_met(term, partial, x, room, tol):
+            break
         if used >= max_terms:
             raise PrecisionUnreachable(
                 f"tail bound still unmet after {max_terms} terms")
+    return ApproxValue(_rounded_times_exp(partial, x, target_digits),
+                       target_digits, used)
 
+
+def _ratio_tail_met(term: Fraction, partial: Fraction, x: Fraction,
+                    room: int, tol: Fraction) -> bool:
+    # every later term ratio is at most x/room, so once that is <= 1/2 the
+    # tail after `term` is at most 2 * term * x/room; compare with tol
+    if room <= 0 or partial <= 0:
+        return False
+    ratio = x / room
+    return ratio <= Fraction(1, 2) and 2 * term * ratio < tol * partial
+
+
+def _rounded_times_exp(partial: Fraction, x: Fraction,
+                       target_digits: int) -> Decimal:
+    # partial * e^(-x) with ten guard digits, then rounded to target_digits
     with localcontext() as ctx:
         ctx.prec = target_digits + 10
         s_dec = Decimal(partial.numerator) / Decimal(partial.denominator)
         x_dec = Decimal(x.numerator) / Decimal(x.denominator)
         value = s_dec * (-x_dec).exp()
         ctx.prec = target_digits
-        value = +value
-    return ApproxValue(value, target_digits, used)
+        return +value
 
 
 def settlement_product(t: StringType, m: int) -> int:
@@ -352,10 +362,15 @@ def _gaussian_parts(z) -> tuple[Fraction, Fraction]:
 def coherent_expectation_exact(t: StringType, zr: Fraction,
                                zi: Fraction) -> tuple[Fraction, Fraction]:
     """conj(z)^(d_n) * B(|z|^2) as exact rational real/imaginary parts."""
-    mod2 = zr * zr + zi * zi
-    b = bell_polynomial(t).evaluate(mod2)
+    return _conj_power_times(bell_polynomial(t), t.excess, zr, zi)
+
+
+def _conj_power_times(poly: BellPolynomial, excess: int, zr: Fraction,
+                      zi: Fraction) -> tuple[Fraction, Fraction]:
+    # conj(z)^excess * poly(|z|^2), exact real and imaginary parts
+    b = poly.evaluate(zr * zr + zi * zi)
     re, im = Fraction(1), Fraction(0)
-    for _ in range(t.excess):
+    for _ in range(excess):
         re, im = re * zr + im * zi, im * zr - re * zi
     return re * b, im * b
 
@@ -371,10 +386,11 @@ def coherent_expectation(t: StringType, z, target_digits: int) -> ComplexApproxV
         raise ValueError("target_digits must be positive")
     t.require_nonnegative_prefixes()
     zr, zi = _gaussian_parts(z)
-    re, im = coherent_expectation_exact(t, zr, zi)
+    poly = bell_polynomial(t)
+    re, im = _conj_power_times(poly, t.excess, zr, zi)
     with localcontext() as ctx:
         ctx.prec = target_digits
         re_dec = Decimal(re.numerator) / Decimal(re.denominator)
         im_dec = Decimal(im.numerator) / Decimal(im.denominator)
-    terms = sum(1 for c in bell_polynomial(t).coeffs if c)
+    terms = sum(1 for c in poly.coeffs if c)
     return ComplexApproxValue(re_dec, im_dec, target_digits, max(terms, 1))

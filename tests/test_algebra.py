@@ -81,6 +81,13 @@ class TestNormalOrder:
                 assert (normal_order(w, "letterwise")
                         == normal_order(w, "blockwise"))
 
+    @given(st.lists(st.sampled_from([AD, A]), min_size=11, max_size=14))
+    @settings(deadline=None, max_examples=100)
+    def test_methods_agree_on_random_long_words(self, letters):
+        # beyond the exhaustive range: either letter first, any excess sign
+        w = BosonWord(tuple(letters))
+        assert normal_order(w, "letterwise") == normal_order(w, "blockwise")
+
     @pytest.mark.parametrize("t", [StringType.uniform(2, 1, 14),
                                    StringType.uniform(3, 2, 60)])
     def test_many_factors_match_recurrence(self, t):

@@ -14,6 +14,60 @@ from bosonorder.cli import (main, parse_type, parse_word, run_selfcheck,
 
 SHOWCASE = StringType((3, 2, 1, 3), (2, 2, 2, 3))
 
+SERIES_TREE_3_6 = """\
+{
+  "kind": "tree",
+  "arity": 3,
+  "order": 6,
+  "convention": "egf",
+  "coefficients": [
+    "1",
+    "1",
+    "3/2",
+    "5/2",
+    "35/8",
+    "63/8",
+    "231/16"
+  ],
+  "counts": [
+    "1",
+    "1",
+    "3",
+    "15",
+    "105",
+    "945",
+    "10395"
+  ]
+}
+"""
+
+SERIES_FOREST_3_6 = """\
+{
+  "kind": "forest",
+  "arity": 3,
+  "order": 6,
+  "convention": "egf",
+  "coefficients": [
+    "1",
+    "1",
+    "2",
+    "25/6",
+    "211/24",
+    "559/30",
+    "28471/720"
+  ],
+  "counts": [
+    "1",
+    "1",
+    "4",
+    "25",
+    "211",
+    "2236",
+    "28471"
+  ]
+}
+"""
+
 
 def run_cli(*argv, env_overrides=None):
     env = dict(os.environ)
@@ -191,6 +245,14 @@ class TestMainInProcess:
         assert payload["counts"] == ["1", "1", "3", "13", "73", "501"]
         assert payload["convention"] == "egf"
 
+    @pytest.mark.parametrize("kind", ["tree", "tree-closed", "forest"])
+    def test_series_json_golden(self, kind, capsys):
+        assert main(["series", "--kind", kind, "--arity", "3",
+                     "--order", "6", "--format", "json"]) == 0
+        expected = SERIES_FOREST_3_6 if kind == "forest" \
+            else SERIES_TREE_3_6.replace('"tree"', f'"{kind}"')
+        assert capsys.readouterr().out == expected
+
     def test_colonies_listing(self, capsys):
         assert main(["colonies", "--r", "1,1", "--s", "1,1"]) == 0
         out = capsys.readouterr().out
@@ -258,8 +320,11 @@ class TestSubprocess:
         (("dobinski", "--r", "1", "--s", "1", "--digits", "0"), None),
         (("colonies", "--r", "1,1", "--s", "1,1"), {"BOSON_ORDER_ENUM_CAP": "0"}),
         (("colonies", "--r", "1,1", "--s", "1,1"), {"BOSON_ORDER_ENUM_CAP": "-3"}),
+        # refused on subcommands that never enumerate, too
+        (("bell", "--r", "1,1", "--s", "1,1"), {"BOSON_ORDER_ENUM_CAP": "lots"}),
     ], ids=["enum-cap-negative", "enum-cap-zero", "max-terms-zero",
-            "digits-zero", "env-cap-zero", "env-cap-negative"])
+            "digits-zero", "env-cap-zero", "env-cap-negative",
+            "env-cap-not-a-number-on-bell"])
     def test_nonpositive_limits_are_usage_errors(self, argv, env):
         proc = run_cli(*argv, env_overrides=env)
         assert proc.returncode == 2

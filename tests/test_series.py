@@ -1,95 +1,67 @@
-from decimal import Decimal
+import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
-from bosonorder import (EGF, OGF, NonzeroConstantTerm, PowerSeries,
+from bosonorder import (EGF, NonzeroConstantTerm, PowerSeries,
                         PrecisionUnreachable, StringType, bell_number,
                         bell_r1_numeric, bell_r1_terms, forest_egf,
-                        series_add, series_derivative, series_exp, series_mul,
-                        series_pow, tree_series, tree_series_closed_form)
+                        series_exp, tree_series, tree_series_closed_form)
 
 
-def ogf(*cs):
-    return PowerSeries(tuple(Fraction(c) for c in cs), OGF)
+def product_counts(f, g):
+    # counts of the product of two EGFs: sum_i C(n,i) f_i g_(n-i)
+    return [sum(math.comb(n, i) * f[i] * g[n - i] for i in range(n + 1))
+            for n in range(min(len(f), len(g)))]
 
 
 class TestPowerSeries:
     def test_construction_coerces_to_fractions(self):
-        f = ogf(1, 2)
-        assert f.coeffs == (Fraction(1), Fraction(2))
-        assert f.order == 1
+        f = PowerSeries((1, 2, 6))
+        assert f.coeffs == (Fraction(1), Fraction(2), Fraction(3))
+        assert all(isinstance(c, Fraction) for c in f.coeffs)
+        assert f.order == 2 and f.convention == EGF
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             PowerSeries(())
 
-    def test_rejects_unknown_convention(self):
-        with pytest.raises(ValueError):
-            PowerSeries((Fraction(1),), "gf")
+    def test_rejects_fractional_counts(self):
+        with pytest.raises(TypeError):
+            PowerSeries((1, Fraction(1, 2)))
 
-    def test_coefficient_bounds(self):
-        f = ogf(1, 2, 3)
-        assert f.coefficient(2) == 3
-        with pytest.raises(IndexError):
-            f.coefficient(3)
-        with pytest.raises(IndexError):
-            f.coefficient(-1)
-
-    def test_egf_count_requires_flag(self):
-        g = PowerSeries((Fraction(1), Fraction(1, 2)), EGF)
-        assert g.egf_count(1) == Fraction(1, 2)
-        with pytest.raises(ValueError):
-            ogf(1, 1).egf_count(1)
-
-
-class TestArithmetic:
-    def test_add(self):
-        assert series_add(ogf(1, 2), ogf(3, 4)).coeffs == (4, 6)
-
-    def test_mul_square(self):
-        f = ogf(1, 1, 0)
-        assert series_mul(f, f).coeffs == (1, 2, 1)
-
-    def test_truncates_to_smaller_order(self):
-        out = series_mul(ogf(1, 1), ogf(1, 1, 1, 1))
-        assert out.order == 1 and out.coeffs == (1, 2)
-
-    def test_rejects_convention_mix(self):
-        with pytest.raises(ValueError):
-            series_add(ogf(1), PowerSeries((Fraction(1),), EGF))
-
-    def test_pow(self):
-        f = ogf(1, 1, 0, 0)
-        assert series_pow(f, 3).coeffs == (1, 3, 3, 1)
-        assert series_pow(f, 0).coeffs == (1, 0, 0, 0)
-        with pytest.raises(ValueError):
-            series_pow(f, -1)
-
-    def test_derivative(self):
-        assert series_derivative(ogf(5, 1, 3, 2)).coeffs == (1, 6, 6)
-        assert series_derivative(ogf(7)).coeffs == (0,)
+    def test_egf_count_is_stored_count(self):
+        f = PowerSeries((1, 3, 13))
+        assert [f.egf_count(n) for n in range(3)] == [1, 3, 13]
+        assert f.coeffs == (1, 3, Fraction(13, 2))
+        for n in (-1, 3):
+            with pytest.raises(IndexError):
+                f.egf_count(n)
 
 
 class TestExp:
     def test_exp_zero(self):
-        assert series_exp(ogf(0, 0, 0)).coeffs == (1, 0, 0)
+        assert series_exp(PowerSeries((0, 0, 0))).counts == (1, 0, 0)
 
     def test_exp_x(self):
-        out = series_exp(PowerSeries((0, 1, 0, 0, 0), EGF))
+        # exp(x) counts one set at every size
+        out = series_exp(PowerSeries((0, 1, 0, 0, 0)))
+        assert out.counts == (1, 1, 1, 1, 1)
         assert out.coeffs == (1, 1, Fraction(1, 2), Fraction(1, 6),
                               Fraction(1, 24))
 
     def test_rejects_nonzero_constant(self):
         with pytest.raises(NonzeroConstantTerm):
-            series_exp(ogf(1, 1))
+            series_exp(PowerSeries((1, 1)))
 
     def test_fragmented_permutations(self):
-        # exp(x/(1-x)) counts partitions into ordered blocks
-        inner = PowerSeries(tuple(Fraction(int(n > 0)) for n in range(9)), EGF)
-        out = series_exp(inner)
-        got = [out.egf_count(n) for n in range(9)]
-        assert got == [1, 1, 3, 13, 73, 501, 4051, 37633, 394353]
+        # exp(x/(1-x)) counts partitions into ordered blocks; x/(1-x) has
+        # n! linear orders at each size n >= 1
+        inner = PowerSeries((0,) + tuple(math.factorial(n)
+                                         for n in range(1, 9)))
+        assert series_exp(inner).counts \
+            == (1, 1, 3, 13, 73, 501, 4051, 37633, 394353)
 
 
 class TestTreeSeries:
@@ -107,15 +79,17 @@ class TestTreeSeries:
             == [1, 1, 4, 28, 280, 3640, 58240]
 
     def test_satisfies_defining_equation(self):
+        # y' = y^r: the counts of y' are the counts of y shifted by one
         for r in (2, 3, 4):
-            y = tree_series(r, 12)
-            lhs = series_derivative(y)
-            rhs = series_pow(y, r)
-            assert lhs.coeffs == rhs.coeffs[:lhs.order + 1]
+            y = list(tree_series(r, 12).counts)
+            power = y
+            for _ in range(r - 1):
+                power = product_counts(power, y)
+            assert y[1:] == power[:-1]
 
     def test_closed_form_agrees(self):
-        for r in (2, 3, 4, 7):
-            assert tree_series_closed_form(r, 10) == tree_series(r, 10)
+        for r in (2, 3, 4, 5, 7):
+            assert tree_series_closed_form(r, 160) == tree_series(r, 160), r
 
     def test_rejects_unary(self):
         with pytest.raises(ValueError):
@@ -179,6 +153,16 @@ class TestExplicitSum:
                 out = bell_r1_numeric(r, n, 20)
                 assert abs(out.value - expected) / expected \
                     < Decimal("1e-15")
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 7, 19, 40])
+    @pytest.mark.parametrize("digits", [5, 20, 60])
+    def test_rounds_exact_bell_number(self, r, n, digits):
+        exact = bell_number(StringType.uniform(r, 1, n))
+        with localcontext() as ctx:
+            ctx.prec = digits
+            rounded = +Decimal(exact)
+        assert bell_r1_numeric(r, n, digits).value == rounded
 
     def test_term_cap(self):
         with pytest.raises(PrecisionUnreachable):
