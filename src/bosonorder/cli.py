@@ -32,6 +32,10 @@ from .stirling import (DEFAULT_MAX_TERMS, check_polynomial_identity,
 
 _TOKEN = re.compile(r"(ad|a)(?:\^([0-9]+))?")
 
+# --digits above this is refused as a usage error before a 10^(digits+2)
+# tolerance or a Decimal context of that size is built
+MAX_DIGITS = 100_000
+
 
 def _byte_offset(text: str, index: int) -> int:
     return len(text[:index].encode("utf-8"))
@@ -196,7 +200,8 @@ def _make_common(allow_csv: bool) -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="PATH",
                         help="write output to a file instead of stdout")
     common.add_argument("--digits", type=int, default=50,
-                        help="significant digits for numeric results")
+                        help="significant digits for numeric results "
+                             f"(at most {MAX_DIGITS})")
     common.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS,
                         dest="max_terms",
                         help="series term cap before giving up")
@@ -525,6 +530,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         value = getattr(args, flag)
         if value is not None and value < 1:
             parser.error(f"--{flag.replace('_', '-')} must be positive")
+    if args.digits > MAX_DIGITS:
+        parser.error(f"--digits must be at most {MAX_DIGITS}")
     try:
         if args.enum_cap is None:
             args.enum_cap = _default_enum_cap()

@@ -16,9 +16,9 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterator
 
-from .errors import NonzeroConstantTerm, PrecisionUnreachable
-from .stirling import (DEFAULT_MAX_TERMS, ApproxValue, _ratio_tail_met,
-                       _rounded_times_exp)
+from .errors import NonzeroConstantTerm
+from .stirling import (DEFAULT_MAX_TERMS, ApproxValue, _dobinski_sum,
+                       _term_denominators)
 
 EGF = "egf"
 
@@ -111,6 +111,15 @@ def forest_egf(r: int, order: int) -> PowerSeries:
     return series_exp(PowerSeries((0,) + t.counts[1:]))
 
 
+def _bell_r1_numerators(r: int, n: int) -> Iterator[int]:
+    # q(k) = prod_{i<n} (i(r-1) + k) for k = 1, 2, ...: the p(k) of the type
+    # uniform(r,1,n), so q(k)/k! is (r-1)^(n-1) times the k-th term below
+    k = 1
+    while True:
+        yield math.prod(range(k, k + n * (r - 1), r - 1))
+        k += 1
+
+
 def bell_r1_terms(r: int, n: int) -> Iterator[Fraction]:
     """Exact terms of the infinite single-leg sum, for k = 1, 2, ...
 
@@ -122,44 +131,24 @@ def bell_r1_terms(r: int, n: int) -> Iterator[Fraction]:
         raise ValueError("needs r >= 2")
     if n < 1:
         raise ValueError("needs n >= 1")
-
-    def gen():
-        fact = 1
-        k = 1
-        while True:
-            q = Fraction(k, r - 1)
-            ratio = Fraction(1)
-            for i in range(1, n):
-                ratio *= i + q
-            yield ratio / fact
-            fact *= k
-            k += 1
-
-    return gen()
+    return map(Fraction, _bell_r1_numerators(r, n),
+               _term_denominators(1, 1, (r - 1) ** (n - 1)))
 
 
 def bell_r1_numeric(r: int, n: int, target_digits: int,
                     max_terms: int = DEFAULT_MAX_TERMS) -> ApproxValue:
     """Numeric single-leg uniform Bell number from the explicit k-sum.
 
-    (r-1)^(n-1) times the k-th term is p(k)/k! for the type uniform(r,1,n),
-    whose s-exponents sum to n, so the Dobinski ratio bound applies with
-    x = 1: term_(k+1)/term_k <= 1/(k+1-n) once k+1 > n.  Summation stops, as
-    in dobinski_eval, when that ratio is at most 1/2 and the geometric tail
-    bound 2 * term / (k+1-n) is below 10^-(target_digits+2) of the partial
-    sum.
+    (r-1)^(n-1) times the k-th term is q(k)/k! with the integer
+    q(k) = prod_{i<n}(i(r-1) + k), the Dobinski term p(k)/k! at x = 1 of the
+    type uniform(r,1,n), whose s-exponents sum to n.  So the sum runs in
+    dobinski_eval's integer accumulator and stops on its proven bound:
+    term_(k+1)/term_k <= 1/(k+1-n) once k+1 > n, and summation ends when
+    that ratio is at most 1/2 and the geometric tail bound
+    2 * term / (k+1-n) is below 10^-(target_digits+2) of the partial sum.
     """
     if target_digits < 1:
         raise ValueError("target_digits must be positive")
-    tol = Fraction(1, 10 ** (target_digits + 2))
-    partial = Fraction(0)
-    for k, term in enumerate(bell_r1_terms(r, n), start=1):
-        partial += term
-        if _ratio_tail_met(term, partial, Fraction(1), k + 1 - n, tol):
-            break
-        if k >= max_terms:
-            raise PrecisionUnreachable(
-                f"tail bound still unmet after {max_terms} terms")
-    exact = partial * (r - 1) ** (n - 1)
-    return ApproxValue(_rounded_times_exp(exact, Fraction(1), target_digits),
-                       target_digits, k)
+    bell_r1_terms(r, n)  # validates r and n
+    return _dobinski_sum(_bell_r1_numerators(r, n), 1, n, Fraction(1),
+                         target_digits, max_terms)

@@ -3,8 +3,8 @@
 The same coefficient table is reachable four ways: direct rewriting (algebra
 module), the bug-colony recurrence, an inclusion-exclusion closed form, and
 brute enumeration (combinat module).  Everything here is exact: integers are
-Python ints, series terms are fractions, and decimal output is produced only
-at the final rounding step.
+Python ints, series partial sums are integer numerators over a known
+denominator, and decimal output is produced only at the final rounding step.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Iterator, Mapping
+from itertools import accumulate, count
+from typing import Iterable, Iterator, Mapping
 
 from .algebra import StringType
 from .errors import (NegativeExponent, NonCanonicalPrefix, OutOfRange,
@@ -99,26 +100,37 @@ class ApproxValue:
 
 @dataclass(frozen=True)
 class ComplexApproxValue:
-    """Rounded complex result; real/imag are decimals at the same precision."""
+    """Rounded complex result; real/imag are decimals at the same precision.
+
+    coefficients_used counts the nonzero Bell-polynomial coefficients the
+    exact evaluation combined (at least 1); no series is summed.
+    """
 
     real: Decimal
     imag: Decimal
     precision_digits: int
-    terms_used: int
+    coefficients_used: int
 
     def __post_init__(self):
         if self.precision_digits < 1:
             raise ValueError("precision_digits must be positive")
-        if self.terms_used < 1:
-            raise ValueError("terms_used must be positive")
+        if self.coefficients_used < 1:
+            raise ValueError("coefficients_used must be positive")
 
 
 def _prefix_product(t: StringType, x: int) -> int:
-    # prod_j (x + d_{j-1})_(s_j), the signed product, any integer x
-    ds = t.prefix_excesses
+    # prod_j (x + d_{j-1})_(s_j), the signed product, any integer x; a
+    # nonnegative base is an injection count and goes to math.perm
     out = 1
-    for j in range(t.n):
-        out *= falling_factorial(x + ds[j], t.s[j])
+    for d, s in zip(t.prefix_excesses, t.s):
+        base = x + d
+        if base < 0:
+            out *= falling_factorial(base, s)
+        else:
+            f = math.perm(base, s)
+            if not f:
+                return 0
+            out *= f
     return out
 
 
@@ -127,20 +139,22 @@ def stirling_recurrence(t: StringType) -> StirlingTable:
 
     Appending a factor with s' annihilators to a word of excess d sends
     S(k) to sum_j C(s',j) (d+k-j)_(s'-j) S(k-j): j new annihilators survive,
-    the rest land on existing creation slots.  The falling factorial is used
-    in its signed form on purpose; whenever its base would be negative the
-    multiplying table entry is zero, so no clamping is needed (and clamping
-    would hide genuine indexing bugs).
+    the rest land on existing creation slots.  For a nonzero entry S(m),
+    d + m is the number of creators not yet consumed by an annihilator, so
+    it is never negative, for any type; the injection count (d+m)_(s'-j) is
+    math.perm, which raises rather than clamps if that invariant ever broke.
     """
     values: dict[int, int] = {t.s[0]: 1}
     ds = t.prefix_excesses
     for i in range(1, t.n):
         d_prev = ds[i]
         s_next = t.s[i]
+        binoms = [math.comb(s_next, j) for j in range(s_next + 1)]
         new: dict[int, int] = {}
         for m, v in values.items():
-            for j in range(s_next + 1):
-                w = math.comb(s_next, j) * falling_factorial(d_prev + m, s_next - j)
+            free = d_prev + m
+            for j, c in enumerate(binoms):
+                w = c * math.perm(free, s_next - j)
                 if w:
                     new[m + j] = new.get(m + j, 0) + v * w
         values = new
@@ -210,6 +224,23 @@ def bell_poly_recursion(prev: BellPolynomial, d_prev: int, r_next: int,
     return BellPolynomial(tuple(c))
 
 
+def _dobinski_numerators(t: StringType, p: int) -> Iterator[int]:
+    # p(m) * p^m for m = s_1, s_1 + 1, ...; over q^m m! they are the terms
+    # p(m) x^m / m! at x = p/q
+    m = t.s[0]
+    ppow = p ** m
+    while True:
+        yield _prefix_product(t, m) * ppow
+        m += 1
+        ppow *= p
+
+
+def _term_denominators(m0: int, q: int, base: int) -> Iterator[int]:
+    # base * q^m m! for m = m0, m0 + 1, ...
+    return accumulate(count(m0 + 1), lambda den, m: den * q * m,
+                      initial=base * q ** m0 * math.factorial(m0))
+
+
 def dobinski_terms(t: StringType, x) -> Iterator[Fraction]:
     """Exact terms p(m) x^m / m! of the infinite-series Bell representation,
     starting at m = s_1, where p(m) = prod_j (m+d_{j-1})_(s_j)."""
@@ -217,62 +248,58 @@ def dobinski_terms(t: StringType, x) -> Iterator[Fraction]:
     if x < 0:
         raise ValueError("x must be nonnegative")
     t.require_nonnegative_prefixes()
-
-    def gen():
-        m = t.s[0]
-        xpow = x ** m
-        fact = math.factorial(m)
-        while True:
-            yield Fraction(_prefix_product(t, m) * xpow.numerator,
-                           xpow.denominator * fact)
-            m += 1
-            xpow *= x
-            fact *= m
-
-    return gen()
+    return map(Fraction, _dobinski_numerators(t, x.numerator),
+               _term_denominators(t.s[0], x.denominator, 1))
 
 
 def dobinski_eval(t: StringType, x, target_digits: int,
                   max_terms: int = DEFAULT_MAX_TERMS) -> ApproxValue:
     """Numerically sum e^(-x) sum_{m>=s_1} p(m) x^m / m!.
 
-    Terms are exact rationals; summation stops once the tail is provably
-    below 10^-(target_digits+2) of the partial sum.  The tail test uses the
-    ratio bound term_{m+1}/term_m <= x/(m+1-sum(s)), valid as soon as
-    m+1 > sum(s), and requires the ratio <= 1/2 so the geometric tail is at
-    most twice the next term.  Only the final multiplication by e^(-x) runs
-    in decimal arithmetic, with ten guard digits.
+    With x = P/Q the partial sum is held exactly as an integer numerator
+    over Q^m m!, so each term costs a small-int multiply and no gcd;
+    summation stops once the tail is provably below 10^-(target_digits+2)
+    of the partial sum.  The tail test uses the ratio bound
+    term_{m+1}/term_m <= x/(m+1-sum(s)), valid as soon as m+1 > sum(s), and
+    requires the ratio <= 1/2 so the geometric tail is at most twice the
+    next term.  Only the final multiplication by e^(-x) runs in decimal
+    arithmetic, with ten guard digits.
     """
     if target_digits < 1:
         raise ValueError("target_digits must be positive")
     x = Fraction(x)
-    terms = dobinski_terms(t, x)  # validates x and the prefix excesses
+    dobinski_terms(t, x)  # validates x and the prefix excesses
     if x == 0:
         return ApproxValue(Decimal(0), target_digits, 1)
+    return _dobinski_sum(_dobinski_numerators(t, x.numerator), t.s[0],
+                         t.total_s, x, target_digits, max_terms)
 
-    total_s = t.total_s
-    tol = Fraction(1, 10 ** (target_digits + 2))
-    partial = Fraction(0)
-    for used, term in enumerate(terms, start=1):
-        partial += term
-        room = t.s[0] + used - total_s  # m + 1 - sum(s) at m = s_1 + used - 1
-        if _ratio_tail_met(term, partial, x, room, tol):
+
+def _dobinski_sum(numerators: Iterable[int], m0: int, total_s: int,
+                  x: Fraction, target_digits: int,
+                  max_terms: int) -> ApproxValue:
+    # e^(-x) sum_{m>=m0} num_m / (q^m m!) for x = p/q > 0.  The partial sum
+    # is acc / (q^m m!), so adding term m is acc = acc*q*m + num_m.  Every
+    # later term ratio is at most x/room, room = m+1-total_s; once that is
+    # <= 1/2 the tail after term m is at most 2 * term * x/room, and the sum
+    # stops when that is below 10^-(target_digits+2) of the partial sum.
+    # Both conditions are multiplied through by q^m m!, q, room and
+    # 10^(target_digits+2), all positive once the first holds (p > 0), so
+    # they are compared in integers.
+    p, q = x.numerator, x.denominator
+    two_scale_p = 2 * 10 ** (target_digits + 2) * p
+    acc = 0
+    for m, num in zip(count(m0), numerators):
+        acc = acc * (q * m) + num
+        q_room = q * (m + 1 - total_s)
+        if 2 * p <= q_room and two_scale_p * num < acc * q_room:
             break
-        if used >= max_terms:
+        if m - m0 + 1 >= max_terms:
             raise PrecisionUnreachable(
                 f"tail bound still unmet after {max_terms} terms")
+    partial = Fraction(acc, q ** m * math.factorial(m))
     return ApproxValue(_rounded_times_exp(partial, x, target_digits),
-                       target_digits, used)
-
-
-def _ratio_tail_met(term: Fraction, partial: Fraction, x: Fraction,
-                    room: int, tol: Fraction) -> bool:
-    # every later term ratio is at most x/room, so once that is <= 1/2 the
-    # tail after `term` is at most 2 * term * x/room; compare with tol
-    if room <= 0 or partial <= 0:
-        return False
-    ratio = x / room
-    return ratio <= Fraction(1, 2) and 2 * term * ratio < tol * partial
+                       target_digits, m - m0 + 1)
 
 
 def _rounded_times_exp(partial: Fraction, x: Fraction,

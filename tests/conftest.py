@@ -26,6 +26,13 @@ def sweep_types():
     return all_small_types()
 
 
+@pytest.fixture(scope="session")
+def every_small_type():
+    """All 819 types of at most 3 factors with exponents 1..3, negative
+    prefix excesses included."""
+    return all_small_types(nonneg_prefixes_only=False)
+
+
 def pytest_configure(config):
     config._acceptance_lines = []
 

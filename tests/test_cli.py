@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from bosonorder import (ANNIHILATION, CREATION, BosonWord, LengthMismatch,
                         ParseError, StringType)
-from bosonorder.cli import (main, parse_type, parse_word, run_selfcheck,
-                            word_to_text)
+from bosonorder.cli import (MAX_DIGITS, main, parse_type, parse_word,
+                            run_selfcheck, word_to_text)
 
 SHOWCASE = StringType((3, 2, 1, 3), (2, 2, 2, 3))
 
@@ -330,6 +330,20 @@ class TestSubprocess:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "positive" in proc.stderr
+
+    @pytest.mark.parametrize("sub", ["dobinski", "bell", "series"])
+    def test_digits_above_limit_is_usage_error(self, sub):
+        args = ("--arity", "2") if sub == "series" else ("--r", "1", "--s", "1")
+        proc = run_cli(sub, *args, "--digits", str(MAX_DIGITS + 1))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert f"at most {MAX_DIGITS}" in proc.stderr
+
+    def test_digits_at_limit_is_accepted(self):
+        # bell never reads --digits, so the boundary costs nothing here
+        proc = run_cli("bell", "--r", "1,1", "--s", "1,1",
+                       "--digits", str(MAX_DIGITS))
+        assert proc.returncode == 0 and proc.stdout == "2\n"
 
     def test_out_writes_file(self, tmp_path):
         target = tmp_path / "table.csv"

@@ -1,5 +1,6 @@
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,13 @@ from bosonorder import (ApproxValue, BellPolynomial, ComplexApproxValue,
                         NonCanonicalPrefix, OutOfRange,
                         PrecisionUnreachable, StirlingTable, StringType,
                         bell_number, bell_poly_recursion, bell_polynomial,
+                        bell_r1_numeric, bell_r1_terms,
                         check_polynomial_identity, coherent_expectation,
                         coherent_expectation_exact, dobinski_eval,
-                        dobinski_terms, falling_factorial,
-                        falling_factorial_expansion, settlement_product,
-                        stirling_closed_form, stirling_recurrence)
+                        dobinski_terms, extract_stirling, falling_factorial,
+                        falling_factorial_expansion, normal_order,
+                        settlement_product, stirling_closed_form,
+                        stirling_recurrence, word_from_type)
 
 SHOWCASE = StringType((3, 2, 1, 3), (2, 2, 2, 3))
 
@@ -69,6 +72,18 @@ class TestRecurrence:
             assert keys[-1] == t.total_s
             assert table.values[t.total_s] == 1
             assert all(v > 0 for v in table.values.values())
+
+    def test_matches_independent_routes_on_every_small_type(
+            self, every_small_type):
+        # negative prefix excesses included: the recurrence's injection
+        # counts never see a negative base, or math.perm would raise here
+        for t in every_small_type:
+            table = dict(stirling_recurrence(t).values)
+            if t.has_nonnegative_prefixes():
+                assert table == falling_factorial_expansion(t)
+            if t.excess >= 0:
+                form = normal_order(word_from_type(t), method="letterwise")
+                assert table == extract_stirling(form)[1]
 
     def test_lowest_key_can_exceed_s1(self):
         # the third bug has nowhere near enough earlier cells, so no colony
@@ -249,6 +264,71 @@ class TestDobinski:
             dobinski_eval(StringType.uniform(1, 1, 3), 1, 30, max_terms=3)
 
 
+def _reference_sum(terms, m0, total_s, x, digits, max_terms):
+    # the documented stop rule in Fractions: after term m, stop once
+    # x/room <= 1/2 and 2 * term * x/room < 10^-(digits+2) * partial, with
+    # room = m + 1 - total_s; None when max_terms pass without stopping
+    tol = Fraction(1, 10 ** (digits + 2))
+    partial = Fraction(0)
+    for m, term in zip(count(m0), terms):
+        partial += term
+        used = m - m0 + 1
+        room = m + 1 - total_s
+        if room > 0 and partial > 0 and x / room <= Fraction(1, 2) \
+                and 2 * term * x / room < tol * partial:
+            with localcontext() as ctx:
+                ctx.prec = digits + 10
+                value = (Decimal(partial.numerator)
+                         / Decimal(partial.denominator)
+                         * (-(Decimal(x.numerator) / x.denominator)).exp())
+                ctx.prec = digits
+                return +value, used
+        if used >= max_terms:
+            return None, used
+
+
+class TestIntegerKernelParity:
+    """dobinski_eval and bell_r1_numeric sum in integers; a Fraction sum of
+    the public terms under the documented rule gives the same value and
+    the same stop point."""
+
+    TYPES = (StringType.uniform(1, 1, 3), StringType((2, 1), (1, 1)),
+             StringType((3, 1), (1, 2)), StringType.uniform(2, 2, 2))
+
+    def _check(self, approx_fn, terms, m0, total_s, x, digits):
+        value, used = _reference_sum(terms, m0, total_s, x, digits, 10 ** 6)
+        approx = approx_fn(10 ** 6)
+        assert (approx.value, approx.terms_used) == (value, used)
+        # refused one term short of the stop point, answered at it
+        if used > 1:
+            with pytest.raises(PrecisionUnreachable):
+                approx_fn(used - 1)
+        assert approx_fn(used).terms_used == used
+
+    @pytest.mark.parametrize("digits, x_max", [(5, 400), (30, 400),
+                                               (200, 60), (1000, 10)])
+    @pytest.mark.parametrize("q", [1, 2, 3, 7])
+    def test_dobinski(self, digits, x_max, q):
+        for i, t in enumerate(self.TYPES):
+            for x in (Fraction(1, q), Fraction(x_max * (i + 1) // 4 + 1, q)):
+                self._check(
+                    lambda cap, t=t, x=x: dobinski_eval(t, x, digits, cap),
+                    dobinski_terms(t, x), t.s[0], t.total_s, x, digits)
+
+    def test_dobinski_at_zero(self):
+        for t in self.TYPES:
+            assert dobinski_eval(t, 0, 7) == ApproxValue(Decimal(0), 7, 1)
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    @pytest.mark.parametrize("digits", [5, 60, 300])
+    def test_bell_r1(self, r, digits):
+        for n in (1, 2, 3, 5, 9, 17, 28, 40):
+            self._check(
+                lambda cap, n=n: bell_r1_numeric(r, n, digits, cap),
+                (term * (r - 1) ** (n - 1) for term in bell_r1_terms(r, n)),
+                1, n, Fraction(1), digits)
+
+
 class TestSettlementProduct:
     def test_single_bug(self):
         for m in range(6):
@@ -339,3 +419,8 @@ class TestApproxCarriers:
             ApproxValue(Decimal(1), 5, 0)
         with pytest.raises(ValueError):
             ComplexApproxValue(Decimal(0), Decimal(0), 5, 0)
+
+    def test_coherent_counts_coefficients(self):
+        # B(x) = x + 3x^2 + x^3 has three nonzero coefficients
+        out = coherent_expectation(StringType.uniform(1, 1, 3), 1, 10)
+        assert out.coefficients_used == 3
