@@ -4,13 +4,12 @@ Stirling/Bell combinatorics it produces, and brute-force oracles for both."""
 from .algebra import (ANNIHILATION, CREATION, BosonWord, Letter, NormalForm,
                       StringType, apply_crossing, extract_stirling,
                       normal_order, type_from_word, word_from_type)
-from .combinat import (DEFAULT_ENUM_CAP, Colony, IncreasingForest, Settlement,
+from .combinat import (DEFAULT_ENUM_CAP, Colony, IncreasingForest,
                        colony_to_dot, colony_to_forest, colony_to_text,
                        count_colonies_by_free_legs,
                        count_increasing_forests, count_surjective_settlements,
                        empty_cells, enumerate_colonies, enumerate_settlements,
-                       forest_to_colony, free_legs, iter_settlements,
-                       settlement_to_text)
+                       forest_to_colony, free_legs)
 from .errors import (BosonOrderError, LengthMismatch, NegativeExcess,
                      NegativeExponent, NonCanonicalPrefix,
                      NonzeroConstantTerm, NotUnary, OutOfRange, ParseError,
@@ -31,12 +30,11 @@ __all__ = [
     "ANNIHILATION", "CREATION", "BosonWord", "Letter", "NormalForm",
     "StringType", "apply_crossing", "extract_stirling", "normal_order",
     "type_from_word", "word_from_type",
-    "DEFAULT_ENUM_CAP", "Colony", "IncreasingForest", "Settlement",
+    "DEFAULT_ENUM_CAP", "Colony", "IncreasingForest",
     "colony_to_dot", "colony_to_forest", "colony_to_text",
     "count_colonies_by_free_legs", "count_increasing_forests",
     "count_surjective_settlements", "empty_cells", "enumerate_colonies",
     "enumerate_settlements", "forest_to_colony", "free_legs",
-    "iter_settlements", "settlement_to_text",
     "BosonOrderError", "LengthMismatch", "NegativeExcess", "NegativeExponent",
     "NonCanonicalPrefix", "NonzeroConstantTerm", "NotUnary", "OutOfRange",
     "ParseError", "PrecisionUnreachable", "TooLarge",

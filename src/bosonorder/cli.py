@@ -406,10 +406,11 @@ def _cmd_colonies(args, parser):
     colonies = list(enumerate_colonies(t, args.enum_cap))
     if args.dot:
         return "\n\n".join(colony_to_dot(c) for c in colonies), 0
-    counts: dict[int, int] = {}
-    for c in colonies:
-        counts[free_legs(c)] = counts.get(free_legs(c), 0) + 1
     if args.format == "json":
+        counts: dict[int, int] = {}
+        for c in colonies:
+            k = free_legs(c)
+            counts[k] = counts.get(k, 0) + 1
         payload = {
             "type": _type_payload(t),
             "count": len(colonies),

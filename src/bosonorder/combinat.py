@@ -4,13 +4,17 @@ Everything here enumerates structures directly from their definitions and is
 deliberately independent of the algebraic formulas it is used to verify.
 Counts are exact; enumeration order is canonical and deterministic so golden
 outputs stay byte-stable.
+
+Colonies come from one iterative depth-first walk over integer cell ids
+with a bitmask of occupied cells.  It does not recurse, so no type is too
+deep for it, and it visits every colony one by one: the histograms and
+settlement counts are tallies over those leaves, never a shortcut.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterator, Optional
 
 from .algebra import StringType
@@ -57,10 +61,6 @@ class Colony:
                 seen.add(ref)
 
 
-def _ground_feet(placement: tuple[tuple[Placement, ...], ...]) -> int:
-    return sum(1 for feet in placement for ref in feet if ref is None)
-
-
 def _require_under_cap(predicted: int, enum_cap: int, what: str) -> None:
     if predicted > enum_cap:
         raise TooLarge(f"{predicted} {what} exceed the cap of {enum_cap}")
@@ -68,7 +68,7 @@ def _require_under_cap(predicted: int, enum_cap: int, what: str) -> None:
 
 def free_legs(colony: Colony) -> int:
     """Number of feet standing on the ground."""
-    return _ground_feet(colony.placement)
+    return sum(1 for feet in colony.placement for ref in feet if ref is None)
 
 
 def empty_cells(colony: Colony) -> int:
@@ -78,57 +78,113 @@ def empty_cells(colony: Colony) -> int:
     return colony.type.total_r - len(occupied)
 
 
-def _placement_stream(t: StringType) -> Iterator[tuple[tuple[Placement, ...], ...]]:
-    # DFS in canonical order: bugs by index, feet by label, options ground
-    # first then cells sorted by (bug, cell)
-    n = t.n
-
-    def place_bug(j: int, acc: list, occupied: set) -> Iterator:
-        if j > n:
-            yield tuple(acc)
+def _walk(t: StringType, held: list[int], changed: list[int]) -> Iterator[int]:
+    # Depth-first walk over the flattened feet, one level per foot, without
+    # recursion.  Cells are numbered 0..total_r-1 in (bug, cell) order and
+    # foot f may take ground or any free cell of an earlier bug, i.e. an id
+    # below the cell count of the bugs before its own.  A cell is held as
+    # its bit 1 << id (ground as 0), the occupied cells as one int mask.
+    # Options go ground first, then ascending id, so leaves come in the
+    # lexicographic order of the flattened choices.  At every leaf the
+    # yielded value is the number of feet on the ground, held[f] is foot
+    # f's choice and changed[0] the first foot whose choice differs from
+    # the previous leaf.
+    reach = []
+    below = 0
+    for r, s in zip(t.r, t.s):
+        reach += [(1 << below) - 1] * s
+        below += r
+    last = len(held) - 1
+    rest = [0] * len(held)
+    occupied = 0
+    ground = 0
+    level = 0
+    changed[0] = 0
+    while True:
+        # descend on ground feet down to the last level
+        while level < last:
+            rest[level] = reach[level] & ~occupied
+            held[level] = 0
+            ground += 1
+            level += 1
+        held[last] = 0
+        yield ground + 1
+        free = reach[last] & ~occupied
+        changed[0] = last
+        while free:
+            bit = free & -free
+            free ^= bit
+            held[last] = bit
+            yield ground
+        # back up to the deepest level with an option left and take it
+        level = last - 1
+        while level >= 0:
+            bit = held[level]
+            if bit:
+                occupied ^= bit
+            else:
+                ground -= 1
+            free = rest[level]
+            if free:
+                bit = free & -free
+                rest[level] = free ^ bit
+                held[level] = bit
+                occupied |= bit
+                changed[0] = level
+                level += 1
+                break
+            level -= 1
+        else:
             return
-        cells = [(i, c) for i in range(1, j) for c in range(1, t.r[i - 1] + 1)
-                 if (i, c) not in occupied]
-        s_j = t.s[j - 1]
 
-        def place_feet(f: int, chosen: list, used: set) -> Iterator:
-            if f == s_j:
-                yield tuple(chosen)
-                return
-            chosen.append(None)
-            yield from place_feet(f + 1, chosen, used)
-            chosen.pop()
-            for ref in cells:
-                if ref in used:
-                    continue
-                chosen.append(ref)
-                used.add(ref)
-                yield from place_feet(f + 1, chosen, used)
-                used.remove(ref)
-                chosen.pop()
 
-        for combo in place_feet(0, [], set()):
-            acc.append(combo)
-            taken = {ref for ref in combo if ref is not None}
-            yield from place_bug(j + 1, acc, occupied | taken)
-            acc.pop()
+def _colony(t: StringType,
+            placement: tuple[tuple[Placement, ...], ...]) -> Colony:
+    # the walk builds valid colonies only, so skip __post_init__
+    colony = object.__new__(Colony)
+    fields = colony.__dict__
+    fields["type"] = t
+    fields["placement"] = placement
+    return colony
 
-    yield from place_bug(1, [], set())
+
+def _colony_stream(t: StringType) -> Iterator[Colony]:
+    ref: dict[int, Placement] = {0: None}
+    bit = 1
+    for i, r in enumerate(t.r, start=1):
+        for c in range(1, r + 1):
+            ref[bit] = (i, c)
+            bit <<= 1
+    spans = []
+    bug_of = []
+    for j, s in enumerate(t.s):
+        spans.append((len(bug_of), len(bug_of) + s))
+        bug_of += [j] * s
+    held = [0] * t.total_s
+    changed = [0]
+    cell = ref.__getitem__
+    # a bug's feet tuple is rebuilt only when one of its feet moved, so
+    # colonies share the tuples of the bugs they agree on
+    bugs: list[tuple[Placement, ...]] = [()] * t.n
+    for _ in _walk(t, held, changed):
+        for j in range(bug_of[changed[0]], t.n):
+            a, z = spans[j]
+            bugs[j] = tuple(map(cell, held[a:z]))
+        yield _colony(t, tuple(bugs))
 
 
 def enumerate_colonies(t: StringType,
                        enum_cap: int = DEFAULT_ENUM_CAP) -> Iterator[Colony]:
     """Every colony of the type, exactly once, in canonical order."""
     _require_under_cap(bell_number(t), enum_cap, "colonies")
-    return (Colony(t, placement) for placement in _placement_stream(t))
+    return _colony_stream(t)
 
 
 def _free_leg_histogram(t: StringType) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for placement in _placement_stream(t):
-        k = _ground_feet(placement)
-        counts[k] = counts.get(k, 0) + 1
-    return dict(sorted(counts.items()))
+    counts = [0] * (t.total_s + 1)
+    for ground in _walk(t, [0] * t.total_s, [0]):
+        counts[ground] += 1
+    return {k: v for k, v in enumerate(counts) if v}
 
 
 def count_colonies_by_free_legs(t: StringType,
@@ -136,45 +192,6 @@ def count_colonies_by_free_legs(t: StringType,
     """Histogram of colonies by free-leg count, walking every placement."""
     _require_under_cap(bell_number(t), enum_cap, "colonies")
     return _free_leg_histogram(t)
-
-
-@dataclass(frozen=True)
-class Settlement:
-    """A colony whose free feet are placed injectively into ground cells
-    1..ground_cells; assignment lists the cell of each free foot in foot
-    label order.  Surjective means every ground cell is taken."""
-
-    colony: Colony
-    ground_cells: int
-    assignment: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "assignment", tuple(self.assignment))
-        if self.ground_cells < 0:
-            raise ValueError("ground_cells must be nonnegative")
-        if len(self.assignment) != free_legs(self.colony):
-            raise ValueError("one ground cell per free foot required")
-        if len(set(self.assignment)) != len(self.assignment):
-            raise ValueError("ground cells hold at most one foot")
-        for g in self.assignment:
-            if not 1 <= g <= self.ground_cells:
-                raise ValueError(f"no ground cell {g}")
-
-    @property
-    def surjective(self) -> bool:
-        return len(self.assignment) == self.ground_cells
-
-
-def iter_settlements(t: StringType, m: int,
-                     enum_cap: int = DEFAULT_ENUM_CAP) -> Iterator[Settlement]:
-    """Every m-settlement as a structure; guarded by the predicted count."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    _require_under_cap(settlement_product(t, m), enum_cap, "settlements")
-    colonies = enumerate_colonies(t, enum_cap)
-    return (Settlement(colony, m, assignment)
-            for colony in colonies
-            for assignment in permutations(range(1, m + 1), free_legs(colony)))
 
 
 def enumerate_settlements(t: StringType, m: int,
@@ -286,21 +303,6 @@ def colony_to_text(colony: Colony) -> str:
         for ref in feet:
             if ref is None:
                 lines.append(f"foot {label} -> ground")
-            else:
-                lines.append(f"foot {label} -> bug {ref[0]} cell {ref[1]}")
-            label += 1
-    return "\n".join(lines)
-
-
-def settlement_to_text(settlement: Settlement) -> str:
-    """Colony lines with ground feet resolved to their ground cells."""
-    lines = []
-    label = 1
-    free = iter(settlement.assignment)
-    for feet in settlement.colony.placement:
-        for ref in feet:
-            if ref is None:
-                lines.append(f"foot {label} -> ground cell {next(free)}")
             else:
                 lines.append(f"foot {label} -> bug {ref[0]} cell {ref[1]}")
             label += 1

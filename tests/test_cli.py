@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -263,6 +264,28 @@ class TestMainInProcess:
         assert main(["colonies", "--r", "1", "--s", "1", "--dot"]) == 0
         assert "digraph colony" in capsys.readouterr().out
 
+    # SHA-256 of the stdout of `colonies` listings as first released: the
+    # canonical order and every serializer must stay byte-identical
+    @pytest.mark.parametrize("argv, digest", [
+        (["--r", "2,1,2", "--s", "1,2,1"],
+         "69bf591036cb8aa635ddcc7eb524ea39448e058132ef84752e162772e3430b22"),
+        (["--r", "2,1,2", "--s", "1,2,1", "--format", "json"],
+         "ac696e4118778e04ad29948c475f404122d843b1be6a5dd68fa5700616e3fd44"),
+        (["--r", "2,1,2", "--s", "1,2,1", "--dot"],
+         "79a83259b6ec846f068cad29bd511aef23b1e86977fded0087c0f78cac8267f9"),
+        (["--r", "1,1,1,1,1,1", "--s", "1,1,1,1,1,1"],
+         "9d70636eb0f6319d9521ac0a549bf33932f66b929021a7ce0205426122d25d74"),
+        (["--r", "1,1,1,1,1,1", "--s", "1,1,1,1,1,1", "--format", "json"],
+         "33ee17501dd7bd7289df4496d8fa382f53893c73cdb15f693f1aad879288e387"),
+        (["--r", "1,1,1,1,1,1", "--s", "1,1,1,1,1,1", "--dot"],
+         "6eeca738f8f57ac37283521ef2d8a52ca1ad1fbd55abf7272e81d8568283db01"),
+    ], ids=["212-plain", "212-json", "212-dot", "six-plain", "six-json",
+            "six-dot"])
+    def test_colonies_golden_bytes(self, capsys, argv, digest):
+        assert main(["colonies", *argv]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digest
+
     def test_word_and_type_inputs_exclusive(self):
         with pytest.raises(SystemExit) as exc:
             main(["stirling", "--word", "ad a", "--r", "1", "--s", "1"])
@@ -284,6 +307,11 @@ class TestSubprocess:
         lines = proc.stdout.strip().split("\n")
         assert len(lines) == 4
         assert all(line.startswith("PASS") for line in lines)
+
+    def test_colonies_of_one_bug_with_many_feet(self):
+        proc = run_cli("colonies", "--r", "1", "--s", "5000")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith("total 1\n")
 
     def test_json_byte_stable(self):
         args = ("stirling", "--r", "3,2,1,3", "--s", "2,2,2,3",

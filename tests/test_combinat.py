@@ -1,19 +1,42 @@
+import itertools
 import math
 
 import pytest
 
-from bosonorder import (Colony, IncreasingForest, NotUnary, Settlement,
-                        StringType, TooLarge, bell_number,
-                        colony_to_dot, colony_to_forest, colony_to_text,
+from bosonorder import (Colony, IncreasingForest, NotUnary, StringType,
+                        TooLarge, bell_number, colony_to_dot,
+                        colony_to_forest, colony_to_text,
                         count_colonies_by_free_legs,
                         count_increasing_forests,
                         count_surjective_settlements, empty_cells,
                         enumerate_colonies, enumerate_settlements,
                         falling_factorial, forest_to_colony, free_legs,
-                        iter_settlements, settlement_product,
-                        settlement_to_text, stirling_recurrence)
+                        settlement_product, stirling_recurrence)
 
 SHOWCASE = StringType((3, 2, 1, 3), (2, 2, 2, 3))
+
+
+def naive_placements(t):
+    """Every colony placement by brute force over each foot's options
+    (ground, then every cell of an earlier bug), injective choices only,
+    sorted lexicographically with ground before any cell."""
+    options = []
+    for j, s in enumerate(t.s, start=1):
+        cells = [(i, c) for i in range(1, j) for c in range(1, t.r[i - 1] + 1)]
+        options += [[None] + cells] * s
+    flats = [flat for flat in itertools.product(*options)
+             if len({ref for ref in flat if ref is not None})
+             == sum(ref is not None for ref in flat)]
+    flats.sort(key=lambda flat: [(0, 0) if ref is None else ref
+                                 for ref in flat])
+    placements = []
+    for flat in flats:
+        feet, start = [], 0
+        for s in t.s:
+            feet.append(tuple(flat[start:start + s]))
+            start += s
+        placements.append(tuple(feet))
+    return placements
 
 
 class TestColonies:
@@ -45,10 +68,39 @@ class TestColonies:
         with pytest.raises(TooLarge):
             enumerate_colonies(SHOWCASE, enum_cap=1000)
 
-    def test_free_leg_histogram(self, sweep_types):
-        for t in sweep_types[::4]:
-            assert count_colonies_by_free_legs(t) \
-                == stirling_recurrence(t).values
+    def test_free_leg_histogram(self, every_small_type):
+        # the histogram total is the number of leaves the walk visited
+        for t in every_small_type:
+            hist = count_colonies_by_free_legs(t)
+            assert hist == stirling_recurrence(t).values, t
+            assert sum(hist.values()) == bell_number(t)
+
+    def test_order_matches_naive_oracle(self, every_small_type):
+        checked = 0
+        for t in every_small_type:
+            if bell_number(t) > 2000:
+                continue
+            assert [c.placement for c in enumerate_colonies(t)] \
+                == naive_placements(t), t
+            checked += 1
+        assert checked == 810
+
+    def test_walk_colonies_equal_validated_ones(self):
+        for colony in enumerate_colonies(SHOWCASE):
+            assert Colony(colony.type, colony.placement) == colony
+
+
+class TestManyFeet:
+    # one level per foot: the walk must not recurse once per foot
+    def test_one_bug_five_thousand_feet(self):
+        assert count_colonies_by_free_legs(StringType((1,), (5000,))) \
+            == {5000: 1}
+
+    def test_one_cell_under_three_thousand_feet(self):
+        t = StringType((1, 1), (1, 3000))
+        hist = count_colonies_by_free_legs(t)
+        assert sum(hist.values()) == 3001
+        assert hist == stirling_recurrence(t).values
 
 
 class TestColonyValidation:
@@ -90,25 +142,12 @@ class TestColonyValidation:
 
 
 class TestSettlements:
-    def test_structures_for_two_bugs(self):
-        got = list(iter_settlements(StringType.uniform(1, 1, 2), 2))
-        assert len(got) == 4
-        texts = {settlement_to_text(s) for s in got}
-        assert "foot 1 -> ground cell 1\nfoot 2 -> ground cell 2" in texts
-        assert "foot 1 -> ground cell 1\nfoot 2 -> bug 1 cell 1" in texts
-
     def test_counts_match_product(self, sweep_types):
         for t in sweep_types[::6]:
             if not t.has_nonnegative_prefixes():
                 continue
             for m in range(4):
                 assert enumerate_settlements(t, m) == settlement_product(t, m)
-
-    def test_iter_agrees_with_count(self):
-        t = StringType.uniform(2, 1, 2)
-        for m in range(4):
-            assert sum(1 for _ in iter_settlements(t, m)) \
-                == enumerate_settlements(t, m)
 
     def test_stirling_expansion(self):
         # settlements sort by how many ground cells they cover
@@ -119,25 +158,9 @@ class TestSettlements:
                            for k, v in table.items())
             assert enumerate_settlements(t, m) == expected
 
-    def test_validation(self):
-        colony = Colony(StringType((1,), (2,)), ((None, None),))
-        with pytest.raises(ValueError):
-            Settlement(colony, 2, (1, 1))
-        with pytest.raises(ValueError):
-            Settlement(colony, 1, (1, 2))
-        with pytest.raises(ValueError):
-            Settlement(colony, 2, (1,))
-
-    def test_surjective_flag(self):
-        colony = Colony(StringType((1,), (2,)), ((None, None),))
-        assert Settlement(colony, 2, (2, 1)).surjective
-        assert not Settlement(colony, 3, (2, 1)).surjective
-
     def test_cap(self):
         with pytest.raises(TooLarge):
             enumerate_settlements(SHOWCASE, 7, enum_cap=10_000)
-        with pytest.raises(TooLarge):
-            iter_settlements(SHOWCASE, 7, enum_cap=10_000)
 
     def test_rejects_negative_m(self):
         with pytest.raises(ValueError):
@@ -228,12 +251,6 @@ class TestSerialization:
         colony = Colony(StringType.uniform(1, 1, 2), ((None,), ((1, 1),)))
         assert colony_to_text(colony) == \
             "foot 1 -> ground\nfoot 2 -> bug 1 cell 1"
-
-    def test_settlement_text(self):
-        colony = Colony(StringType((1,), (2,)), ((None, None),))
-        settlement = Settlement(colony, 3, (3, 1))
-        assert settlement_to_text(settlement) == \
-            "foot 1 -> ground cell 3\nfoot 2 -> ground cell 1"
 
     def test_dot(self):
         colony = Colony(StringType.uniform(1, 1, 2), ((None,), ((1, 1),)))
