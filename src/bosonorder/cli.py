@@ -26,9 +26,10 @@ from .combinat import (DEFAULT_ENUM_CAP, colony_to_dot, colony_to_text,
                        free_legs)
 from .errors import BosonOrderError, LengthMismatch, ParseError
 from .series import (forest_egf, tree_series, tree_series_closed_form)
-from .stirling import (DEFAULT_MAX_TERMS, check_polynomial_identity,
+from .stirling import (DEFAULT_MAX_TERMS, _difference_quotient,
+                       _settlement_products, check_polynomial_identity,
                        dobinski_eval, falling_factorial, settlement_product,
-                       stirling_closed_form, stirling_recurrence)
+                       stirling_recurrence)
 
 _TOKEN = re.compile(r"(ad|a)(?:\^([0-9]+))?")
 
@@ -99,8 +100,11 @@ class CheckResult:
 
 
 def _closed_form_table(t: StringType) -> dict[int, int]:
+    # the closed form at every k from one vector p(0..total_s): S(k) reads
+    # only p(0..k)
+    p = _settlement_products(t, t.total_s)
     return {k: v for k in range(t.s[0], t.total_s + 1)
-            if (v := stirling_closed_form(t, k))}
+            if (v := _difference_quotient(p[:k + 1]))}
 
 
 def run_selfcheck(t: StringType, m_max: int = 4, x_samples: int = 8,

@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import accumulate, count
+from itertools import accumulate, count, repeat
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping
 
 from .algebra import StringType
@@ -135,35 +136,79 @@ def _prefix_product(t: StringType, x: int) -> int:
 
 
 def stirling_recurrence(t: StringType) -> StirlingTable:
-    """Build the coefficient table factor by factor.
+    """Build the coefficient table one annihilator (leg) at a time.
 
-    Appending a factor with s' annihilators to a word of excess d sends
-    S(k) to sum_j C(s',j) (d+k-j)_(s'-j) S(k-j): j new annihilators survive,
-    the rest land on existing creation slots.  For a nonzero entry S(m),
-    d + m is the number of creators not yet consumed by an annihilator, so
-    it is never negative, for any type; the injection count (d+m)_(s'-j) is
-    math.perm, which raises rather than clamps if that invariant ever broke.
+    The table is a list row with row[i] = S(lo + i), starting from the
+    empty word: S(0) = 1 at excess d = 0.  Each annihilator of each factor,
+    read with d the excess of the factors before it, takes one step
+
+        S'(k) = (d + k) S(k) + S(k - 1),    then d -= 1:
+
+    the new leg lands on one of the d + k creators no earlier leg holds, or
+    it survives as a free leg.  Over a factor's s' legs, d + k drops by one
+    at each landing and stays put at each survival, so a run with j
+    survivals multiplies S(k - j) by (d+k-j)(d+k-j-1)... over its s' - j
+    landings, (d+k-j)_(s'-j) wherever the survivals fall; C(s', j) runs
+    have j survivals, so the factor sends S(k) to
+    sum_j C(s',j) (d+k-j)_(s'-j) S(k-j), the paper's per-factor step.  The
+    step is the operator x^(1-d) (D+1) x^d, which bell_poly_recursion
+    applies in the monomial basis; the two stay separate implementations.
+
+    d + k counts free creators, so it is never negative for a nonzero S(k),
+    for any type.  Zero entries at the low end are dropped after each leg,
+    so the lowest entry is nonzero, and a negative d + lo there means that
+    invariant broke: AssertionError, never a silently clamped count.
     """
-    values: dict[int, int] = {t.s[0]: 1}
-    ds = t.prefix_excesses
-    for i in range(1, t.n):
-        d_prev = ds[i]
-        s_next = t.s[i]
-        binoms = [math.comb(s_next, j) for j in range(s_next + 1)]
-        new: dict[int, int] = {}
-        for m, v in values.items():
-            free = d_prev + m
-            for j, c in enumerate(binoms):
-                w = c * math.perm(free, s_next - j)
-                if w:
-                    new[m + j] = new.get(m + j, 0) + v * w
-        values = new
-    return StirlingTable(t, values)
+    row, lo = [1], 0
+    for d, s in zip(t.prefix_excesses, t.s):
+        for _ in range(s):
+            if d + lo < 0:
+                raise AssertionError(
+                    f"S({lo}) = {row[0]} with {d + lo} free creators")
+            row = list(map(add, map(mul, row + [0], count(d + lo)),
+                           [0] + row))
+            if not row[0]:
+                del row[0]
+                lo += 1
+            d -= 1
+    return StirlingTable(t, dict(zip(count(lo), row)))
 
 
 def bell_number(t: StringType) -> int:
     """Sum of the Stirling table; also the number of colonies of this type."""
     return stirling_recurrence(t).bell()
+
+
+def _settlement_products(t: StringType, top: int) -> list[int]:
+    # [p(0), ..., p(top)] with p(m) = prod_j (m+d_{j-1})_(s_j), factor by
+    # factor: one column (v)_s over v = 0..top+max(d) per distinct s, and
+    # each factor multiplies p by the slice of its column at offset d.  A
+    # negative d would wrap the slice, hence the guard
+    t.require_nonnegative_prefixes()
+    ds = t.prefix_excesses[:-1]
+    width = top + max(ds) + 1
+    columns: dict[int, list[int]] = {}
+    p = [1] * (top + 1)
+    for d, s in zip(ds, t.s):
+        if s not in columns:
+            columns[s] = [math.perm(v, s) for v in range(width)]
+        p = list(map(mul, p, columns[s][d:d + top + 1]))
+    return p
+
+
+def _difference_quotient(p: list[int]) -> int:
+    # Delta^k p(0) / k! for k = len(p) - 1: the signed-binomial sum
+    # sum_m C(k,m) (-1)^(k-m) p(m), kept integral and divided by k! once;
+    # exact divisibility is asserted
+    k = len(p) - 1
+    binomials = list(map(math.comb, repeat(k), range(k + 1)))
+    plus, minus = k % 2, 1 - k % 2
+    total = (sum(map(mul, p[plus::2], binomials[plus::2]))
+             - sum(map(mul, p[minus::2], binomials[minus::2])))
+    quotient, remainder = divmod(total, math.factorial(k))
+    if remainder:
+        raise AssertionError(f"alternating sum {total} not divisible by {k}!")
+    return quotient
 
 
 def stirling_closed_form(t: StringType, k: int) -> int:
@@ -177,14 +222,7 @@ def stirling_closed_form(t: StringType, k: int) -> int:
     t.require_nonnegative_prefixes()
     if not t.s[0] <= k <= t.total_s:
         raise OutOfRange(f"k={k} outside [{t.s[0]}, {t.total_s}]")
-    total = 0
-    for m in range(k + 1):
-        sign = -1 if (k - m) % 2 else 1
-        total += sign * math.comb(k, m) * _prefix_product(t, m)
-    quotient, remainder = divmod(total, math.factorial(k))
-    if remainder:
-        raise AssertionError(f"alternating sum {total} not divisible by {k}!")
-    return quotient
+    return _difference_quotient(_settlement_products(t, k))
 
 
 def bell_polynomial(t: StringType) -> BellPolynomial:

@@ -15,6 +15,11 @@ from bosonorder.cli import (MAX_DIGITS, main, parse_type, parse_word,
 
 SHOWCASE = StringType((3, 2, 1, 3), (2, 2, 2, 3))
 
+# a 30-factor type with nonnegative prefix excesses, so every table method
+# accepts it
+THIRTY_R = "3,2,3,1,3,3,1,2,1,2,2,3,1,1,2,1,3,1,1,1,1,3,3,2,3,2,3,1,2,1"
+THIRTY_S = "1,2,2,1,2,1,2,2,1,2,2,2,1,1,1,2,1,1,2,2,1,1,2,2,2,2,2,1,1,1"
+
 SERIES_TREE_3_6 = """\
 {
   "kind": "tree",
@@ -283,6 +288,29 @@ class TestMainInProcess:
             "six-dot"])
     def test_colonies_golden_bytes(self, capsys, argv, digest):
         assert main(["colonies", *argv]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digest
+
+    # SHA-256 of the stdout of the table subcommands on one 30-factor type
+    # as recorded before the leg-by-leg and column-sliced kernels: the
+    # tables and their serializers must stay byte-identical
+    @pytest.mark.parametrize("argv, digest", [
+        (["stirling", "--method", "recurrence"],
+         "4607b6fc4fb33e4637b9b6c98eb146524bd59a6ffd766db0a7783c1873c297d1"),
+        (["stirling", "--method", "recurrence", "--format", "json"],
+         "b9bf92c3d2a0abc8a58ed45a88814ed56e435e71a85ac010836b0893c8ca5a25"),
+        (["stirling", "--method", "closed-form"],
+         "4607b6fc4fb33e4637b9b6c98eb146524bd59a6ffd766db0a7783c1873c297d1"),
+        (["stirling", "--method", "closed-form", "--format", "json"],
+         "d5b22d2b73202cae7bd3b99b7303b7646892f6a63a1c85161eed945230ded337"),
+        (["bell"],
+         "336cdee75194c8367e2d7c3ae68a1b63e14eb4df7cc482cea8e787698b22f6d0"),
+        (["bell", "--format", "json"],
+         "7efd50dc83a3f29738f0d8066bad44fa977370124c0b6d9e743985cb313b10d2"),
+    ], ids=["recurrence-plain", "recurrence-json", "closed-form-plain",
+            "closed-form-json", "bell-plain", "bell-json"])
+    def test_table_golden_bytes(self, capsys, argv, digest):
+        assert main([*argv, "--r", THIRTY_R, "--s", THIRTY_S]) == 0
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == digest
 

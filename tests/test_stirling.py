@@ -1,6 +1,9 @@
+import math
+import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import count
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,8 @@ from bosonorder import (ApproxValue, BellPolynomial, ComplexApproxValue,
                         falling_factorial_expansion, normal_order,
                         settlement_product, stirling_closed_form,
                         stirling_recurrence, word_from_type)
+from bosonorder.cli import _closed_form_table
+from bosonorder.stirling import _difference_quotient
 
 SHOWCASE = StringType((3, 2, 1, 3), (2, 2, 2, 3))
 
@@ -37,6 +42,37 @@ KNOWN_TABLES = {
     ((3, 2, 1, 3), (2, 2, 2, 3)): {3: 864, 4: 3936, 5: 4632, 6: 2076,
                                    7: 404, 8: 34, 9: 1},
 }
+
+
+def factor_by_factor_table(t):
+    """Reference recurrence, one whole factor per step: S(k) goes to
+    sum_j C(s',j) (d+k-j)_(s'-j) S(k-j), with math.perm raising on a
+    negative base."""
+    values = {t.s[0]: 1}
+    for d, s in zip(t.prefix_excesses[1:], t.s[1:]):
+        new = {}
+        for m, v in values.items():
+            for j in range(s + 1):
+                w = math.comb(s, j) * math.perm(d + m, s - j)
+                if w:
+                    new[m + j] = new.get(m + j, 0) + v * w
+        values = new
+    return values
+
+
+def seeded_types(seed, how_many, sizes, r_choices, s_choices):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(how_many):
+        n = rng.randint(*sizes)
+        out.append(StringType(tuple(rng.choice(r_choices) for _ in range(n)),
+                              tuple(rng.choice(s_choices) for _ in range(n))))
+    return out
+
+
+# the big-exact shape: 20-40 factors of ad^2 a^2 or ad^3 a^2
+CLOSED_FORM_TYPES = ([StringType.uniform(2, 2, n) for n in (10, 20, 40)]
+                     + seeded_types(40, 20, (20, 40), (2, 3), (2,)))
 
 
 class TestFallingFactorial:
@@ -75,8 +111,8 @@ class TestRecurrence:
 
     def test_matches_independent_routes_on_every_small_type(
             self, every_small_type):
-        # negative prefix excesses included: the recurrence's injection
-        # counts never see a negative base, or math.perm would raise here
+        # negative prefix excesses included: d + k free creators is never
+        # negative for a nonzero entry, or the leg step's guard would raise
         for t in every_small_type:
             table = dict(stirling_recurrence(t).values)
             if t.has_nonnegative_prefixes():
@@ -90,6 +126,26 @@ class TestRecurrence:
         # attains s_1 free legs and the table starts above s_1
         table = stirling_recurrence(StringType((1, 3), (1, 3)))
         assert 1 not in table.values and min(table.values) == 3
+
+    def test_matches_factor_by_factor_reference(self, every_small_type):
+        for t in every_small_type:
+            assert dict(stirling_recurrence(t).values) \
+                == factor_by_factor_table(t), t
+
+    @pytest.mark.parametrize("t", seeded_types(160, 60, (40, 160),
+                                               (1, 2, 3), (1, 2, 3)),
+                             ids=lambda t: f"n{t.n}d{min(t.prefix_excesses)}")
+    def test_large_types_match_factor_by_factor_reference(self, t):
+        # 53 of these 60 types dip to a negative prefix excess
+        assert dict(stirling_recurrence(t).values) \
+            == factor_by_factor_table(t)
+
+    def test_broken_free_creator_invariant_raises(self):
+        # no StringType has these excesses: after one free leg, the second
+        # factor would see 1 - 5 free creators
+        fake = SimpleNamespace(prefix_excesses=(0, -5, -6), s=(1, 1))
+        with pytest.raises(AssertionError):
+            stirling_recurrence(fake)
 
 
 class TestStirlingTableType:
@@ -147,6 +203,26 @@ class TestClosedForm:
         table = stirling_recurrence(t).values
         for k in range(t.s[0], t.total_s + 1):
             assert stirling_closed_form(t, k) == table.get(k, 0)
+
+    @pytest.mark.parametrize("t", CLOSED_FORM_TYPES,
+                             ids=lambda t: f"n{t.n}r{sum(t.r)}")
+    def test_every_k_and_full_table_match_recurrence(self, t):
+        table = dict(stirling_recurrence(t).values)
+        assert {k: stirling_closed_form(t, k)
+                for k in range(t.s[0], t.total_s + 1)} \
+            == {k: table.get(k, 0) for k in range(t.s[0], t.total_s + 1)}
+        assert _closed_form_table(t) == table
+
+    def test_full_table_needs_nonnegative_prefixes(self):
+        with pytest.raises(NonCanonicalPrefix):
+            _closed_form_table(StringType((1, 3), (2, 1)))
+
+    def test_indivisible_difference_is_refused(self):
+        # (m)_2 at m = 0, 1, 2 has second difference 2 = 2!; a second
+        # difference of 1 cannot come from an integer table entry
+        assert _difference_quotient([0, 0, 2]) == 1
+        with pytest.raises(AssertionError):
+            _difference_quotient([0, 0, 1])
 
 
 class TestBellNumbers:
