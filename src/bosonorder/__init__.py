@@ -20,8 +20,8 @@ from .series import (EGF, PowerSeries, bell_r1_numeric, bell_r1_terms,
 from .stirling import (DEFAULT_MAX_TERMS, ApproxValue, BellPolynomial,
                        ComplexApproxValue, StirlingTable, bell_number,
                        bell_poly_recursion, bell_polynomial,
-                       check_polynomial_identity, coherent_expectation,
-                       coherent_expectation_exact, dobinski_eval,
+                       check_polynomial_identity, closed_form_table,
+                       coherent_expectation, dobinski_eval,
                        dobinski_terms, falling_factorial,
                        falling_factorial_expansion, settlement_product,
                        stirling_closed_form, stirling_recurrence)
@@ -42,8 +42,8 @@ __all__ = [
     "series_exp", "tree_series", "tree_series_closed_form",
     "DEFAULT_MAX_TERMS", "ApproxValue", "BellPolynomial", "ComplexApproxValue",
     "StirlingTable", "bell_number", "bell_poly_recursion", "bell_polynomial",
-    "check_polynomial_identity", "coherent_expectation",
-    "coherent_expectation_exact", "dobinski_eval", "dobinski_terms",
+    "check_polynomial_identity", "closed_form_table", "coherent_expectation",
+    "dobinski_eval", "dobinski_terms",
     "falling_factorial", "falling_factorial_expansion", "settlement_product",
     "stirling_closed_form", "stirling_recurrence",
 ]

@@ -6,6 +6,9 @@ with every creation operator on the left; all coefficients are exact Python
 integers.  Words of constant excess i - j collapse further to a prefix
 (a+)^d times a diagonal sum over (a+)^k a^k, which is where the generalized
 Stirling coefficients come from.
+
+A word is stored as its runs (a+)^l and a^k, so it costs O(runs) whatever
+the exponents; ``BosonWord.letters`` is a view that expands them.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping
+from itertools import chain, repeat
+from operator import index
+from typing import Iterable, Iterator, Mapping
 
 from .errors import NegativeExcess, NonCanonicalPrefix
 
@@ -30,32 +35,54 @@ CREATION = Letter.CREATION
 ANNIHILATION = Letter.ANNIHILATION
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BosonWord:
     """A finite product of generators, leftmost letter written (and acting) last.
 
-    The empty word is the identity operator.
+    The only state is ``runs``, the maximal ``(letter, count)`` runs from left
+    to right: equal neighbours merge on construction, so equality and hashing
+    are those of the letter sequence.  The empty word is the identity.
     """
 
-    letters: tuple[Letter, ...] = ()
+    runs: tuple[tuple[Letter, int], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for l in self.letters:
-            if not isinstance(l, Letter):
-                raise TypeError(f"not a generator: {l!r}")
+    def __init__(self, letters: Iterable[Letter] = ()):
+        self._merge((l, 1) for l in letters)
+
+    @classmethod
+    def from_runs(cls, runs: Iterable[tuple[Letter, int]]) -> "BosonWord":
+        """The word of these ``(letter, count)`` runs, left to right."""
+        word = cls.__new__(cls)
+        word._merge(runs)
+        return word
+
+    def _merge(self, runs: Iterable[tuple[Letter, int]]) -> None:
+        merged: list[tuple[Letter, int]] = []
+        for letter, count in runs:
+            if not isinstance(letter, Letter):
+                raise TypeError(f"not a generator: {letter!r}")
+            if index(count) < 1:
+                raise ValueError(f"run length must be positive, got {count}")
+            if merged and merged[-1][0] is letter:
+                count += merged.pop()[1]
+            merged.append((letter, count))
+        object.__setattr__(self, "runs", tuple(merged))
+
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        """The word one letter at a time, expanded from the runs."""
+        return tuple(chain.from_iterable(repeat(l, c) for l, c in self.runs))
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return sum(c for _, c in self.runs)
 
     @property
     def excess(self) -> int:
         """Number of creations minus number of annihilations."""
-        ups = sum(1 for l in self.letters if l is CREATION)
-        return 2 * ups - len(self.letters)
+        return sum(c if l is CREATION else -c for l, c in self.runs)
 
     def concat(self, other: "BosonWord") -> "BosonWord":
-        return BosonWord(self.letters + other.letters)
+        return BosonWord.from_runs(self.runs + other.runs)
 
 
 @dataclass(frozen=True)
@@ -155,8 +182,6 @@ class NormalForm:
                     acc[key] = acc.get(key, 0) + c1 * c2 * w
         return _collapse(acc, self.excess + other.excess)
 
-    __mul__ = multiply
-
 
 def apply_crossing(k: int, l: int) -> list[tuple[int, int]]:
     """Coefficients of a^k (a+)^l = sum_p C(k,p) l!/(l-p)! (a+)^(l-p) a^(k-p).
@@ -179,16 +204,6 @@ def _collapse(acc: dict[tuple[int, int], int], excess: int) -> NormalForm:
         k = min(i, j)
         coeffs[k] = coeffs.get(k, 0) + c
     return NormalForm(excess, coeffs)
-
-
-def _runs(letters: tuple[Letter, ...]) -> tuple[tuple[Letter, int], ...]:
-    runs: list[list] = []
-    for l in letters:
-        if runs and runs[-1][0] is l:
-            runs[-1][1] += 1
-        else:
-            runs.append([l, 1])
-    return tuple((l, c) for l, c in runs)
 
 
 def _rewrite_letterwise(word: BosonWord) -> dict[tuple[int, int], int]:
@@ -230,7 +245,7 @@ def normal_order(word: BosonWord, method: str = "blockwise") -> NormalForm:
     """
     if method == "blockwise":
         form = NormalForm(0, {0: 1})
-        for letter, count in _runs(word.letters):
+        for letter, count in word.runs:
             run = NormalForm(count if letter is CREATION else -count, {0: 1})
             form = form.multiply(run)
         return form
@@ -241,11 +256,9 @@ def normal_order(word: BosonWord, method: str = "blockwise") -> NormalForm:
 
 def word_from_type(t: StringType) -> BosonWord:
     """The word (a+)^r_n a^s_n ... (a+)^r_1 a^s_1; factor 1 ends up rightmost."""
-    letters: list[Letter] = []
-    for ri, si in zip(reversed(t.r), reversed(t.s)):
-        letters.extend([CREATION] * ri)
-        letters.extend([ANNIHILATION] * si)
-    return BosonWord(tuple(letters))
+    return BosonWord.from_runs(
+        run for ri, si in zip(reversed(t.r), reversed(t.s))
+        for run in ((CREATION, ri), (ANNIHILATION, si)))
 
 
 def type_from_word(word: BosonWord) -> StringType | None:
@@ -255,7 +268,7 @@ def type_from_word(word: BosonWord) -> StringType | None:
     starting with a creation run; returns None when the word is not of that
     grouped shape (for example when it starts with an annihilator).
     """
-    runs = _runs(word.letters)
+    runs = word.runs
     if not runs or len(runs) % 2:
         return None
     pairs = list(zip(runs[0::2], runs[1::2]))

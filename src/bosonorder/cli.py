@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import (ANNIHILATION, CREATION, BosonWord, NormalForm,
-                      StringType, _runs, extract_stirling, normal_order,
+                      StringType, extract_stirling, normal_order,
                       type_from_word, word_from_type)
 from .combinat import (DEFAULT_ENUM_CAP, colony_to_dot, colony_to_text,
                        count_colonies_by_free_legs, count_increasing_forests,
@@ -26,10 +26,9 @@ from .combinat import (DEFAULT_ENUM_CAP, colony_to_dot, colony_to_text,
                        free_legs)
 from .errors import BosonOrderError, LengthMismatch, ParseError
 from .series import (forest_egf, tree_series, tree_series_closed_form)
-from .stirling import (DEFAULT_MAX_TERMS, _difference_quotient,
-                       _settlement_products, check_polynomial_identity,
-                       dobinski_eval, falling_factorial, settlement_product,
-                       stirling_recurrence)
+from .stirling import (DEFAULT_MAX_TERMS, check_polynomial_identity,
+                       closed_form_table, dobinski_eval, falling_factorial,
+                       settlement_product, stirling_recurrence)
 
 _TOKEN = re.compile(r"(ad|a)(?:\^([0-9]+))?")
 
@@ -45,7 +44,7 @@ def _byte_offset(text: str, index: int) -> int:
 def parse_word(text: str) -> BosonWord:
     """Whitespace-separated tokens, each 'ad' or 'a' with an optional
     '^<positive integer>' suffix, read left to right as the algebraic word."""
-    letters = []
+    runs = []
     for match in re.finditer(r"\S+", text):
         token = match.group(0)
         m = _TOKEN.fullmatch(token)
@@ -59,14 +58,14 @@ def parse_word(text: str) -> BosonWord:
             raise ParseError(f"exponent must be positive in {token!r}",
                              _byte_offset(text, match.start()))
         letter = CREATION if m.group(1) == "ad" else ANNIHILATION
-        letters.extend([letter] * count)
-    return BosonWord(tuple(letters))
+        runs.append((letter, count))
+    return BosonWord.from_runs(runs)
 
 
 def word_to_text(word: BosonWord) -> str:
     """Run-length pretty-printer; parse_word inverts it exactly."""
     parts = []
-    for letter, count in _runs(word.letters):
+    for letter, count in word.runs:
         token = "ad" if letter is CREATION else "a"
         parts.append(token if count == 1 else f"{token}^{count}")
     return " ".join(parts)
@@ -99,14 +98,6 @@ class CheckResult:
     detail: str = ""
 
 
-def _closed_form_table(t: StringType) -> dict[int, int]:
-    # the closed form at every k from one vector p(0..total_s): S(k) reads
-    # only p(0..k)
-    p = _settlement_products(t, t.total_s)
-    return {k: v for k in range(t.s[0], t.total_s + 1)
-            if (v := _difference_quotient(p[:k + 1]))}
-
-
 def run_selfcheck(t: StringType, m_max: int = 4, x_samples: int = 8,
                   enum_cap: int = DEFAULT_ENUM_CAP) -> list[CheckResult]:
     """Cross-verify every computation path on one type.
@@ -126,7 +117,7 @@ def run_selfcheck(t: StringType, m_max: int = 4, x_samples: int = 8,
     if t.excess >= 0:
         _, legs["rewriting"] = extract_stirling(normal_order(word_from_type(t)))
     if t.has_nonnegative_prefixes():
-        legs["closed-form"] = _closed_form_table(t)
+        legs["closed-form"] = closed_form_table(t)
     mismatched = {name: vals for name, vals in legs.items() if vals != table}
     if mismatched:
         results.append(CheckResult("stirling tables agree", "fail",
@@ -342,7 +333,7 @@ def _stirling_values(args, parser) -> tuple[Optional[StringType], int,
     elif method == "recurrence":
         d, values = t.excess, dict(stirling_recurrence(t).values)
     elif method == "closed-form":
-        d, values = t.excess, _closed_form_table(t)
+        d, values = t.excess, closed_form_table(t)
     else:
         d = t.excess
         values = count_colonies_by_free_legs(t, enum_cap=args.enum_cap)

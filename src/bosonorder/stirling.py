@@ -225,6 +225,14 @@ def stirling_closed_form(t: StringType, k: int) -> int:
     return _difference_quotient(_settlement_products(t, k))
 
 
+def closed_form_table(t: StringType) -> dict[int, int]:
+    """``stirling_closed_form`` at every k, zeros omitted: S(k) reads only
+    p(0..k), so one vector p(0..total_s) serves the whole table."""
+    p = _settlement_products(t, t.total_s)
+    return {k: v for k in range(t.s[0], t.total_s + 1)
+            if (v := _difference_quotient(p[:k + 1]))}
+
+
 def bell_polynomial(t: StringType) -> BellPolynomial:
     """The polynomial sum_k S(k) x^k; evaluation at 1 is the Bell number."""
     table = stirling_recurrence(t)
@@ -424,22 +432,6 @@ def _gaussian_parts(z) -> tuple[Fraction, Fraction]:
     return Fraction(z), Fraction(0)
 
 
-def coherent_expectation_exact(t: StringType, zr: Fraction,
-                               zi: Fraction) -> tuple[Fraction, Fraction]:
-    """conj(z)^(d_n) * B(|z|^2) as exact rational real/imaginary parts."""
-    return _conj_power_times(bell_polynomial(t), t.excess, zr, zi)
-
-
-def _conj_power_times(poly: BellPolynomial, excess: int, zr: Fraction,
-                      zi: Fraction) -> tuple[Fraction, Fraction]:
-    # conj(z)^excess * poly(|z|^2), exact real and imaginary parts
-    b = poly.evaluate(zr * zr + zi * zi)
-    re, im = Fraction(1), Fraction(0)
-    for _ in range(excess):
-        re, im = re * zr + im * zi, im * zr - re * zi
-    return re * b, im * b
-
-
 def coherent_expectation(t: StringType, z, target_digits: int) -> ComplexApproxValue:
     """Diagonal matrix element between coherent states of amplitude z.
 
@@ -452,7 +444,11 @@ def coherent_expectation(t: StringType, z, target_digits: int) -> ComplexApproxV
     t.require_nonnegative_prefixes()
     zr, zi = _gaussian_parts(z)
     poly = bell_polynomial(t)
-    re, im = _conj_power_times(poly, t.excess, zr, zi)
+    re, im = Fraction(1), Fraction(0)
+    for _ in range(t.excess):  # conj(z)^excess
+        re, im = re * zr + im * zi, im * zr - re * zi
+    b = poly.evaluate(zr * zr + zi * zi)
+    re, im = re * b, im * b
     with localcontext() as ctx:
         ctx.prec = target_digits
         re_dec = Decimal(re.numerator) / Decimal(re.denominator)

@@ -180,6 +180,45 @@ class TestWordsAndTypes:
     def test_uniform(self):
         assert StringType.uniform(2, 1, 3) == StringType((2, 2, 2), (1, 1, 1))
 
+    def test_word_from_huge_type_is_two_runs(self):
+        w = word_from_type(StringType((3_000_000,), (1,)))
+        assert w.runs == ((AD, 3_000_000), (A, 1))
+        assert len(w) == 3_000_001 and w.excess == 2_999_999
+
+
+class TestRuns:
+    def test_adjacent_runs_merge(self):
+        assert BosonWord.from_runs([(A, 2), (A, 3)]) == BosonWord((A,) * 5)
+        assert BosonWord.from_runs([(A, 2), (A, 3)]).runs == ((A, 5),)
+        assert word(AD, AD, A, AD).runs == ((AD, 2), (A, 1), (AD, 1))
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_nonpositive_count_refused(self, count):
+        with pytest.raises(ValueError):
+            BosonWord.from_runs([(AD, 1), (A, count)])
+
+    def test_non_letter_refused(self):
+        with pytest.raises(TypeError):
+            BosonWord.from_runs([("a", 1)])
+        with pytest.raises(TypeError):
+            BosonWord(("ad",))
+
+    def test_concat_merges_the_seam(self):
+        u = BosonWord.from_runs([(AD, 2), (A, 1)])
+        v = BosonWord.from_runs([(A, 4), (AD, 3)])
+        assert u.concat(v).runs == ((AD, 2), (A, 5), (AD, 3))
+
+    @given(st.lists(st.tuples(st.sampled_from([AD, A]), st.integers(1, 4)),
+                    max_size=8))
+    def test_round_trip(self, runs):
+        w = BosonWord.from_runs(runs)
+        assert BosonWord.from_runs(w.runs) == w
+        assert BosonWord(w.letters) == w
+        assert hash(BosonWord(w.letters)) == hash(w)
+        assert len(w) == len(w.letters) == sum(c for _, c in runs)
+        assert w.excess == sum(1 if l is AD else -1 for l in w.letters)
+        assert all(a[0] is not b[0] for a, b in zip(w.runs, w.runs[1:]))
+
 
 class TestExtractStirling:
     def test_refuses_negative_excess(self):

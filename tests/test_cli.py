@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosonorder import (ANNIHILATION, CREATION, BosonWord, LengthMismatch,
-                        ParseError, StringType)
+                        NormalForm, ParseError, StringType, apply_crossing,
+                        normal_order)
 from bosonorder.cli import (MAX_DIGITS, main, parse_type, parse_word,
                             run_selfcheck, word_to_text)
 
@@ -92,6 +93,17 @@ class TestParseWord:
         word = parse_word("ad^3 a^2 ad^2 a^2")
         assert word.letters == (CREATION,) * 3 + (ANNIHILATION,) * 2 \
             + (CREATION,) * 2 + (ANNIHILATION,) * 2
+
+    def test_huge_exponents_stay_runs(self):
+        word = parse_word("ad^1000000 a^1000000")
+        assert word.runs == ((CREATION, 10 ** 6), (ANNIHILATION, 10 ** 6))
+        assert normal_order(word) == NormalForm(0, {10 ** 6: 1})
+
+    def test_huge_crossing(self):
+        # a^2 (a+)^L: three terms, each keyed by its surviving annihilators
+        form = normal_order(parse_word("a^2 ad^1000000"))
+        assert form == NormalForm(10 ** 6 - 2, {
+            2 - p: c for p, c in apply_crossing(2, 10 ** 6)})
 
     def test_empty_text_is_empty_word(self):
         assert parse_word("").letters == ()
@@ -208,6 +220,10 @@ class TestMainInProcess:
         payload = json.loads(capsys.readouterr().out)
         assert payload["type"] is None and payload["method"] == "rewrite"
 
+    def test_bell_of_huge_exponent(self, capsys):
+        assert main(["bell", "--r", "3000000", "--s", "1"]) == 0
+        assert capsys.readouterr().out == "1\n"
+
     def test_bell(self, capsys):
         assert main(["bell", "--r", "2,2,2", "--s", "1,1,1"]) == 0
         assert capsys.readouterr().out == "13\n"
@@ -311,6 +327,24 @@ class TestMainInProcess:
             "closed-form-json", "bell-plain", "bell-json"])
     def test_table_golden_bytes(self, capsys, argv, digest):
         assert main([*argv, "--r", THIRTY_R, "--s", THIRTY_S]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digest
+
+    # SHA-256 of the stdout of `order` as recorded while words were stored
+    # one letter at a time: merging repeated tokens on construction must
+    # print the same word and the same normal form
+    @pytest.mark.parametrize("argv, digest", [
+        (["--word", "ad ad^2 a a^3 ad a^2 ad^4"],
+         "8b6ddb07b318c5569e86f7d0caab0f760527e1eadfcd016a94d3d6524ef2d89c"),
+        (["--word", "ad ad^2 a a^3 ad a^2 ad^4", "--format", "json"],
+         "ff5948435b345b56877eca0656d0940b6d4a615db4ae18239cc6eeb3b53bd318"),
+        (["--r", "3,1,2", "--s", "1,2,2"],
+         "37d47a14123552511c0908c42fbdbcd7f82e64329ada63282a51ffcfbfec5ef7"),
+        (["--r", "3,1,2", "--s", "1,2,2", "--format", "json"],
+         "62652f12ef911d9cf72643ed21ff55840db5c7e2ee4dc09a8d203876c4a8e422"),
+    ], ids=["word-plain", "word-json", "type-plain", "type-json"])
+    def test_order_golden_bytes(self, capsys, argv, digest):
+        assert main(["order", *argv]) == 0
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == digest
 

@@ -14,13 +14,12 @@ from bosonorder import (ApproxValue, BellPolynomial, ComplexApproxValue,
                         PrecisionUnreachable, StirlingTable, StringType,
                         bell_number, bell_poly_recursion, bell_polynomial,
                         bell_r1_numeric, bell_r1_terms,
-                        check_polynomial_identity, coherent_expectation,
-                        coherent_expectation_exact, dobinski_eval,
-                        dobinski_terms, extract_stirling, falling_factorial,
+                        check_polynomial_identity, closed_form_table,
+                        coherent_expectation, dobinski_eval, dobinski_terms,
+                        extract_stirling, falling_factorial,
                         falling_factorial_expansion, normal_order,
                         settlement_product, stirling_closed_form,
                         stirling_recurrence, word_from_type)
-from bosonorder.cli import _closed_form_table
 from bosonorder.stirling import _difference_quotient
 
 SHOWCASE = StringType((3, 2, 1, 3), (2, 2, 2, 3))
@@ -211,11 +210,11 @@ class TestClosedForm:
         assert {k: stirling_closed_form(t, k)
                 for k in range(t.s[0], t.total_s + 1)} \
             == {k: table.get(k, 0) for k in range(t.s[0], t.total_s + 1)}
-        assert _closed_form_table(t) == table
+        assert closed_form_table(t) == table
 
     def test_full_table_needs_nonnegative_prefixes(self):
         with pytest.raises(NonCanonicalPrefix):
-            _closed_form_table(StringType((1, 3), (2, 1)))
+            closed_form_table(StringType((1, 3), (2, 1)))
 
     def test_indivisible_difference_is_refused(self):
         # (m)_2 at m = 0, 1, 2 has second difference 2 = 2!; a second
@@ -459,8 +458,8 @@ class TestCoherentExpectation:
 
     def test_unit_amplitude_is_bell(self, sweep_types):
         for t in sweep_types[::9]:
-            re, im = coherent_expectation_exact(t, Fraction(1), Fraction(0))
-            assert re == bell_number(t) and im == 0
+            out = coherent_expectation(t, 1, 30)
+            assert out.real == bell_number(t) and out.imag == 0
 
     def test_ordinary_bell(self):
         out = coherent_expectation(StringType.uniform(1, 1, 3), 1, 20)
@@ -468,15 +467,15 @@ class TestCoherentExpectation:
 
     def test_pure_imaginary_amplitude(self):
         # excess 1, |z| = 1: conj(i)^1 * B(1) with B(x) = x gives -i
-        re, im = coherent_expectation_exact(StringType((2,), (1,)),
-                                            Fraction(0), Fraction(1))
-        assert (re, im) == (0, -1)
+        out = coherent_expectation(StringType((2,), (1,)),
+                                   (Fraction(0), Fraction(1)), 30)
+        assert (out.real, out.imag) == (0, -1)
 
     def test_gaussian_rational_input(self):
         # |z|^2 = 1 on the 3-4-5 circle; excess 0 so phase drops out
         t = StringType.uniform(1, 1, 2)
-        re, im = coherent_expectation_exact(t, Fraction(3, 5), Fraction(4, 5))
-        assert re == 2 and im == 0
+        out = coherent_expectation(t, (Fraction(3, 5), Fraction(4, 5)), 30)
+        assert out.real == 2 and out.imag == 0
 
     def test_complex_float_input(self):
         out = coherent_expectation(StringType.uniform(1, 1, 2), 1 + 0j, 15)
