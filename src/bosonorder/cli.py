@@ -14,6 +14,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional
 
@@ -36,27 +37,60 @@ _TOKEN = re.compile(r"(ad|a)(?:\^([0-9]+))?")
 # tolerance or a Decimal context of that size is built
 MAX_DIGITS = 100_000
 
+# the exponents of one argument (a word, --r or --s) are read from at most
+# this many digits each and must sum to less than 10^MAX_EXPONENT_DIGITS,
+# so every exponent, excess and table key derived from them prints within
+# the interpreter's int-to-str limit (4300 digits by default); a longer
+# digit string is refused before int() spends quadratic time on it
+MAX_EXPONENT_DIGITS = 4300
+_EXPONENT_BOUND = 10 ** MAX_EXPONENT_DIGITS
+
 
 def _byte_offset(text: str, index: int) -> int:
     return len(text[:index].encode("utf-8"))
+
+
+def _read_exponent(digits: str, total: int, offset: int) -> int:
+    # the value of digits, refused when it would bring the running total of
+    # its argument's exponents to 10^MAX_EXPONENT_DIGITS or more
+    value = (int(digits) if len(digits) <= MAX_EXPONENT_DIGITS
+             else _EXPONENT_BOUND)
+    if total + value >= _EXPONENT_BOUND:
+        raise ParseError(
+            f"exponents must sum to less than 10^{MAX_EXPONENT_DIGITS}",
+            offset)
+    return value
+
+
+def _number_text(v) -> str:
+    # str(v) for an int or Fraction of any size: str() refuses ints longer
+    # than the interpreter's int-to-str limit, the decimal module does not
+    if isinstance(v, Fraction):
+        text = _number_text(v.numerator)
+        if v.denominator == 1:
+            return text
+        return f"{text}/{_number_text(v.denominator)}"
+    return str(Decimal(v))
 
 
 def parse_word(text: str) -> BosonWord:
     """Whitespace-separated tokens, each 'ad' or 'a' with an optional
     '^<positive integer>' suffix, read left to right as the algebraic word."""
     runs = []
+    total = 0
     for match in re.finditer(r"\S+", text):
         token = match.group(0)
+        offset = _byte_offset(text, match.start())
         m = _TOKEN.fullmatch(token)
         if m is None:
             raise ParseError(
                 f"unrecognized token {token!r}: expected 'ad' or 'a', "
-                "optionally with ^<positive integer>",
-                _byte_offset(text, match.start()))
-        count = int(m.group(2)) if m.group(2) else 1
+                "optionally with ^<positive integer>", offset)
+        count = _read_exponent(m.group(2) or "1", total, offset)
         if count < 1:
             raise ParseError(f"exponent must be positive in {token!r}",
-                             _byte_offset(text, match.start()))
+                             offset)
+        total += count
         letter = CREATION if m.group(1) == "ad" else ANNIHILATION
         runs.append((letter, count))
     return BosonWord.from_runs(runs)
@@ -73,11 +107,13 @@ def word_to_text(word: BosonWord) -> str:
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
     values = []
-    offset = 0
+    offset = total = 0
     for part in text.split(","):
-        if not re.fullmatch(r"[0-9]+", part) or int(part) < 1:
+        if not re.fullmatch(r"[0-9]+", part) \
+                or (value := _read_exponent(part, total, offset)) < 1:
             raise ParseError(f"expected a positive integer, got {part!r}", offset)
-        values.append(int(part))
+        values.append(value)
+        total += value
         offset += len(part.encode("utf-8")) + 1
     return tuple(values)
 
@@ -300,9 +336,9 @@ def _format_normal_form(form: NormalForm) -> str:
             factors.append("a" if j == 1 else f"a^{j}")
         if factors:
             term = " ".join(factors)
-            parts.append(term if c == 1 else f"{c} {term}")
+            parts.append(term if c == 1 else f"{_number_text(c)} {term}")
         else:
-            parts.append(str(c))
+            parts.append(_number_text(c))
     return " + ".join(parts) if parts else "0"
 
 
@@ -313,7 +349,8 @@ def _cmd_order(args, parser):
         payload = {
             "word": word_to_text(word),
             "excess": form.excess,
-            "terms": {str(k): str(v) for k, v in form.coeffs.items()},
+            "terms": {str(k): _number_text(v)
+                      for k, v in form.coeffs.items()},
         }
         return json.dumps(payload, indent=2), 0
     return _format_normal_form(form), 0
@@ -347,17 +384,19 @@ def _cmd_stirling(args, parser):
         payload = {
             "type": _type_payload(t),
             "d": d,
-            "stirling": {str(k): str(v) for k, v in sorted(values.items())},
-            "bell": str(bell),
+            "stirling": {str(k): _number_text(v)
+                         for k, v in sorted(values.items())},
+            "bell": _number_text(bell),
             "method": method,
         }
         return json.dumps(payload, indent=2), 0
     if args.format == "csv":
-        lines = ["k,S_k"] + [f"{k},{v}" for k, v in sorted(values.items())]
+        lines = ["k,S_k"] + [f"{k},{_number_text(v)}"
+                             for k, v in sorted(values.items())]
         return "\n".join(lines), 0
     lines = [f"d = {d}"]
-    lines += [f"S({k}) = {v}" for k, v in sorted(values.items())]
-    lines.append(f"bell = {bell}")
+    lines += [f"S({k}) = {_number_text(v)}" for k, v in sorted(values.items())]
+    lines.append(f"bell = {_number_text(bell)}")
     return "\n".join(lines), 0
 
 
@@ -368,11 +407,11 @@ def _cmd_bell(args, parser):
         payload = {
             "type": _type_payload(t),
             "d": d,
-            "bell": str(bell),
+            "bell": _number_text(bell),
             "method": method,
         }
         return json.dumps(payload, indent=2), 0
-    return str(bell), 0
+    return _number_text(bell), 0
 
 
 def _cmd_dobinski(args, parser):
@@ -431,11 +470,11 @@ def _cmd_settlements(args, parser):
         payload = {
             "type": _type_payload(t),
             "m": args.m,
-            "count": str(count),
+            "count": _number_text(count),
             "method": args.method,
         }
         return json.dumps(payload, indent=2), 0
-    return str(count), 0
+    return _number_text(count), 0
 
 
 def _cmd_forests(args, parser):
@@ -466,11 +505,11 @@ def _cmd_series(args, parser):
             "arity": args.arity,
             "order": series.order,
             "convention": series.convention,
-            "coefficients": [str(c) for c in series.coeffs],
-            "counts": [str(c) for c in counts],
+            "coefficients": list(map(_number_text, series.coeffs)),
+            "counts": list(map(_number_text, counts)),
         }
         return json.dumps(payload, indent=2), 0
-    lines = [f"a_{n} = {c} (count {counts[n]})"
+    lines = [f"a_{n} = {_number_text(c)} (count {_number_text(counts[n])})"
              for n, c in enumerate(series.coeffs)]
     return "\n".join(lines), 0
 

@@ -142,10 +142,9 @@ def bell_r1_numeric(r: int, n: int, target_digits: int,
     (r-1)^(n-1) times the k-th term is q(k)/k! with the integer
     q(k) = prod_{i<n}(i(r-1) + k), the Dobinski term p(k)/k! at x = 1 of the
     type uniform(r,1,n), whose s-exponents sum to n.  So the sum runs in
-    dobinski_eval's integer accumulator and stops on its proven bound:
-    term_(k+1)/term_k <= 1/(k+1-n) once k+1 > n, and summation ends when
-    that ratio is at most 1/2 and the geometric tail bound
-    2 * term / (k+1-n) is below 10^-(target_digits+2) of the partial sum.
+    dobinski_eval's integer kernel with x = 1 and first term k = 1: it
+    stops on the same proven tail bound, divides by the partial sum of e
+    summed alongside, and is within one ulp by the proof in that docstring.
     """
     if target_digits < 1:
         raise ValueError("target_digits must be positive")

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import accumulate, count, repeat
+from itertools import accumulate, chain, count, repeat
 from operator import add, mul
 from typing import Iterable, Iterator, Mapping
 
@@ -180,19 +180,28 @@ def bell_number(t: StringType) -> int:
 
 
 def _settlement_products(t: StringType, top: int) -> list[int]:
-    # [p(0), ..., p(top)] with p(m) = prod_j (m+d_{j-1})_(s_j), factor by
-    # factor: one column (v)_s over v = 0..top+max(d) per distinct s, and
-    # each factor multiplies p by the slice of its column at offset d.  A
-    # negative d would wrap the slice, hence the guard
+    # [p(0), ..., p(top)] with p(m) = prod_j (m+d_{j-1})_(s_j): each factor
+    # multiplies p by the values (v)_s over its window v = d..d+top.  The
+    # factors sharing an s share one column over their windows' hull when
+    # it is no longer than the windows together (dense d values); otherwise
+    # each factor builds just its own window, so a far-off d costs top+1
+    # values, not a column up to it.  A negative d would need a window
+    # below zero, hence the guard
     t.require_nonnegative_prefixes()
-    ds = t.prefix_excesses[:-1]
-    width = top + max(ds) + 1
-    columns: dict[int, list[int]] = {}
+    by_s: dict[int, list[int]] = {}
+    for d, s in zip(t.prefix_excesses, t.s):
+        by_s.setdefault(s, []).append(d)
     p = [1] * (top + 1)
-    for d, s in zip(ds, t.s):
-        if s not in columns:
-            columns[s] = [math.perm(v, s) for v in range(width)]
-        p = list(map(mul, p, columns[s][d:d + top + 1]))
+    for s, ds in by_s.items():
+        lo, hi = min(ds), max(ds)
+        if hi - lo <= len(ds) * (top + 1):
+            column = list(map(math.perm, range(lo, hi + top + 1), repeat(s)))
+            for d in ds:
+                p = list(map(mul, p, column[d - lo:d - lo + top + 1]))
+        else:
+            for d in ds:
+                p = list(map(mul, p, map(math.perm, range(d, d + top + 1),
+                                         repeat(s))))
     return p
 
 
@@ -300,16 +309,30 @@ def dobinski_terms(t: StringType, x) -> Iterator[Fraction]:
 
 def dobinski_eval(t: StringType, x, target_digits: int,
                   max_terms: int = DEFAULT_MAX_TERMS) -> ApproxValue:
-    """Numerically sum e^(-x) sum_{m>=s_1} p(m) x^m / m!.
+    """Numerically sum B(x) = e^(-x) sum_{m>=s_1} p(m) x^m / m!.
 
-    With x = P/Q the partial sum is held exactly as an integer numerator
-    over Q^m m!, so each term costs a small-int multiply and no gcd;
-    summation stops once the tail is provably below 10^-(target_digits+2)
-    of the partial sum.  The tail test uses the ratio bound
-    term_{m+1}/term_m <= x/(m+1-sum(s)), valid as soon as m+1 > sum(s), and
-    requires the ratio <= 1/2 so the geometric tail is at most twice the
-    next term.  Only the final multiplication by e^(-x) runs in decimal
-    arithmetic, with ten guard digits.
+    With x = P/Q two partial sums are held exactly as integer numerators
+    over the common denominator Q^M M!: the Dobinski sum D_M (terms s_1..M)
+    and the exponential E_M = sum_{j<=M} x^j / j!.  Each term costs a
+    small-int multiply and no gcd, and the value is one decimal division
+    D_M / E_M; no exp is evaluated.
+
+    Stop rule: with room = M+1-sum(s), every later Dobinski term ratio is
+    at most x/room, so once x/room <= 1/2 the tail R_D after term M is at
+    most 2 * term_M * x/room; summation stops when that bound is below
+    eps = 10^-(target_digits+2) of D_M (tested in integers).
+
+    Why D_M / E_M is then within one ulp.  p(m) = sum_k S(k) (m)_k with
+    S(k) >= 0, and each (m)_k is nondecreasing in m >= 0, so p is
+    nondecreasing.  At the stop D_M > 0, hence p(M) > 0, and
+        D_M <= p(M) E_M       (p(m) <= p(M) on every term m <= M),
+        R_D >= p(M) R_E       (p(m) >= p(M) on every term m > M),
+    with R_E the tail of e^x after M.  So R_E/E_M <= R_D/D_M < eps, and
+    B = (D_M + R_D)/(E_M + R_E) satisfies 0 <= B - D_M/E_M < eps B: the
+    quotient misses B by a relative error below eps, from below.  The
+    division runs with ten guard digits (relative error at most
+    5 * 10^-(target_digits+10)), so the rounded result is within one unit
+    in the last of its target_digits of B.
     """
     if target_digits < 1:
         raise ValueError("target_digits must be positive")
@@ -324,40 +347,34 @@ def dobinski_eval(t: StringType, x, target_digits: int,
 def _dobinski_sum(numerators: Iterable[int], m0: int, total_s: int,
                   x: Fraction, target_digits: int,
                   max_terms: int) -> ApproxValue:
-    # e^(-x) sum_{m>=m0} num_m / (q^m m!) for x = p/q > 0.  The partial sum
-    # is acc / (q^m m!), so adding term m is acc = acc*q*m + num_m.  Every
-    # later term ratio is at most x/room, room = m+1-total_s; once that is
-    # <= 1/2 the tail after term m is at most 2 * term * x/room, and the sum
-    # stops when that is below 10^-(target_digits+2) of the partial sum.
-    # Both conditions are multiplied through by q^m m!, q, room and
+    # e^(-x) sum_{m>=m0} num_m / (q^m m!) for x = p/q > 0, as the quotient
+    # of two sums over q^m m!: the Dobinski partial acc, and the partial
+    # acc_e of e^x.  Both run from m = 0, the Dobinski numerators below m0
+    # being zero.  Adding term m is acc = acc*q*m + num_m and
+    # acc_e = acc_e*q*m + p^m.  The stop rule is dobinski_eval's: both
+    # conditions are multiplied through by q^m m!, q, room and
     # 10^(target_digits+2), all positive once the first holds (p > 0), so
-    # they are compared in integers.
+    # they are compared in integers; it cannot hold while acc is zero.
     p, q = x.numerator, x.denominator
     two_scale_p = 2 * 10 ** (target_digits + 2) * p
-    acc = 0
-    for m, num in zip(count(m0), numerators):
+    acc = acc_e = 0
+    ppow = 1
+    for m, num in enumerate(chain(repeat(0, m0), numerators)):
         acc = acc * (q * m) + num
+        acc_e = acc_e * (q * m) + ppow
+        ppow *= p
         q_room = q * (m + 1 - total_s)
         if 2 * p <= q_room and two_scale_p * num < acc * q_room:
             break
         if m - m0 + 1 >= max_terms:
             raise PrecisionUnreachable(
                 f"tail bound still unmet after {max_terms} terms")
-    partial = Fraction(acc, q ** m * math.factorial(m))
-    return ApproxValue(_rounded_times_exp(partial, x, target_digits),
-                       target_digits, m - m0 + 1)
-
-
-def _rounded_times_exp(partial: Fraction, x: Fraction,
-                       target_digits: int) -> Decimal:
-    # partial * e^(-x) with ten guard digits, then rounded to target_digits
     with localcontext() as ctx:
         ctx.prec = target_digits + 10
-        s_dec = Decimal(partial.numerator) / Decimal(partial.denominator)
-        x_dec = Decimal(x.numerator) / Decimal(x.denominator)
-        value = s_dec * (-x_dec).exp()
+        value = Decimal(acc) / Decimal(acc_e)
         ctx.prec = target_digits
-        return +value
+        value = +value
+    return ApproxValue(value, target_digits, m - m0 + 1)
 
 
 def settlement_product(t: StringType, m: int) -> int:

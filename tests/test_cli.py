@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 
 from bosonorder import (ANNIHILATION, CREATION, BosonWord, LengthMismatch,
                         NormalForm, ParseError, StringType, apply_crossing,
-                        normal_order)
-from bosonorder.cli import (MAX_DIGITS, main, parse_type, parse_word,
-                            run_selfcheck, word_to_text)
+                        normal_order, stirling_recurrence)
+from bosonorder.cli import (MAX_DIGITS, MAX_EXPONENT_DIGITS, main, parse_type,
+                            parse_word, run_selfcheck, word_to_text)
 
 SHOWCASE = StringType((3, 2, 1, 3), (2, 2, 2, 3))
 
@@ -360,6 +361,60 @@ class TestMainInProcess:
         with pytest.raises(SystemExit) as exc:
             main(["stirling", "--r", "1,1"])
         assert exc.value.code == 2
+
+
+def _digits(n):
+    # decimal digits of n, converted 1000 at a time below the interpreter's
+    # int-to-str limit: an oracle that shares nothing with the CLI's printing
+    chunk = 10 ** 1000
+    parts = []
+    while n >= chunk:
+        n, low = divmod(n, chunk)
+        parts.append(f"{low:01000d}")
+    return str(n) + "".join(reversed(parts))
+
+
+class TestBigNumbers:
+    """Answers longer than the 4300-digit int-to-str limit print in full;
+    exponents past it are refused as parse errors with a byte offset."""
+
+    def test_plain_and_json(self, capsys):
+        expected = _digits(math.factorial(2000))
+        assert len(expected) > 4300
+        argv = ["settlements", "--r", "1", "--s", "2000", "--m", "2000",
+                "--method", "product"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected + "\n"
+        assert main(argv + ["--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == expected
+
+    def test_csv(self, capsys):
+        # 40 legs landing on ~10^120 free creators each
+        t = StringType((10 ** 120, 1), (1, 40))
+        table = stirling_recurrence(t).values
+        assert len(_digits(table[1])) > 4300
+        assert main(["stirling", "--r", f"{10 ** 120},1", "--s", "1,40",
+                     "--format", "csv"]) == 0
+        assert capsys.readouterr().out == "\n".join(
+            ["k,S_k"] + [f"{k},{_digits(v)}" for k, v in sorted(table.items())]
+        ) + "\n"
+
+    def test_longest_exponent_is_read(self, capsys):
+        digits = "9" * MAX_EXPONENT_DIGITS
+        assert main(["order", "--word", f"ad^{digits}"]) == 0
+        assert capsys.readouterr().out == f"ad^{digits}\n"
+
+    @pytest.mark.parametrize("argv, offset", [
+        (["order", "--word", "ad a^" + "9" * 4301], 3),
+        (["order", "--word", "ad^" + "9" * 4300 + " ad"], 4304),
+        (["bell", "--r", "1," + "9" * 4301, "--s", "1,1"], 2),
+        (["bell", "--r", "2,2", "--s", "9" * 4300 + ",1"], 4301),
+    ], ids=["long-token", "word-sum", "long-entry", "list-sum"])
+    def test_overlong_exponents_are_parse_errors(self, capsys, argv, offset):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"less than 10^{MAX_EXPONENT_DIGITS} (byte {offset})" in err
 
 
 class TestSubprocess:

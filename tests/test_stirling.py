@@ -2,7 +2,7 @@ import math
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import count
+from itertools import accumulate, count, islice, tee
 from types import SimpleNamespace
 
 import pytest
@@ -212,6 +212,19 @@ class TestClosedForm:
             == {k: table.get(k, 0) for k in range(t.s[0], t.total_s + 1)}
         assert closed_form_table(t) == table
 
+    @pytest.mark.parametrize("t", [
+        StringType((300000, 1), (1, 1)),
+        StringType((1, 1, 10 ** 6, 2, 1), (1, 1, 1, 1, 1)),
+        StringType((3, 10 ** 12, 2, 1, 10 ** 9), (2, 1, 3, 2, 2)),
+        StringType((2, 7, 3, 10 ** 30, 3), (2, 3, 2, 3, 3)),
+    ], ids=["one-far", "two-clusters", "mixed-s", "dense-and-far"])
+    def test_huge_prefix_excesses_match_recurrence(self, t):
+        # far-apart d values build their own windows, close ones a column
+        table = dict(stirling_recurrence(t).values)
+        assert closed_form_table(t) == table
+        assert all(stirling_closed_form(t, k) == table.get(k, 0)
+                   for k in range(t.s[0], t.total_s + 1))
+
     def test_full_table_needs_nonnegative_prefixes(self):
         with pytest.raises(NonCanonicalPrefix):
             closed_form_table(StringType((1, 3), (2, 1)))
@@ -340,7 +353,10 @@ class TestDobinski:
 
 
 def _reference_sum(terms, m0, total_s, x, digits, max_terms):
-    # the documented stop rule in Fractions: after term m, stop once
+    # the documented stop rule in Fractions, the partial sum then rounded
+    # through Decimal.exp(-x) with ten guard digits: an evaluation sharing
+    # no arithmetic with the kernel's quotient of two integer sums, which
+    # pins the kernel's stop point and digits.  After term m, stop once
     # x/room <= 1/2 and 2 * term * x/room < 10^-(digits+2) * partial, with
     # room = m + 1 - total_s; None when max_terms pass without stopping
     tol = Fraction(1, 10 ** (digits + 2))
@@ -362,18 +378,33 @@ def _reference_sum(terms, m0, total_s, x, digits, max_terms):
             return None, used
 
 
+def _assert_exp_tail_lemma(terms, m0, total_s, x, used):
+    # dobinski_eval's lemma at the stop point M: the relative geometric
+    # tail bound of e^x, 2 (x^M/M!) x/(M+1) / E_M, is at most that of the
+    # Dobinski sum, 2 term_M x/room / D_M, so one stop rule covers both
+    last = m0 + used - 1
+    dob = list(islice(terms, used))
+    exp_terms = list(accumulate(range(1, last + 1), lambda a, j: a * x / j,
+                                initial=Fraction(1)))
+    exp_bound = 2 * exp_terms[-1] * x / (last + 1) / sum(exp_terms)
+    dob_bound = 2 * dob[-1] * x / (last + 1 - total_s) / sum(dob)
+    assert exp_bound <= dob_bound
+
+
 class TestIntegerKernelParity:
     """dobinski_eval and bell_r1_numeric sum in integers; a Fraction sum of
     the public terms under the documented rule gives the same value and
-    the same stop point."""
+    the same stop point, where the tail lemma of the proof holds."""
 
     TYPES = (StringType.uniform(1, 1, 3), StringType((2, 1), (1, 1)),
              StringType((3, 1), (1, 2)), StringType.uniform(2, 2, 2))
 
     def _check(self, approx_fn, terms, m0, total_s, x, digits):
+        terms, again = tee(terms)
         value, used = _reference_sum(terms, m0, total_s, x, digits, 10 ** 6)
         approx = approx_fn(10 ** 6)
         assert (approx.value, approx.terms_used) == (value, used)
+        _assert_exp_tail_lemma(again, m0, total_s, x, used)
         # refused one term short of the stop point, answered at it
         if used > 1:
             with pytest.raises(PrecisionUnreachable):
@@ -402,6 +433,32 @@ class TestIntegerKernelParity:
                 lambda cap, n=n: bell_r1_numeric(r, n, digits, cap),
                 (term * (r - 1) ** (n - 1) for term in bell_r1_terms(r, n)),
                 1, n, Fraction(1), digits)
+
+
+def _assert_within_one_ulp(value, exact, digits):
+    ulp = Fraction(10) ** (value.adjusted() - digits + 1)
+    assert len(value.as_tuple().digits) == digits
+    assert abs(Fraction(value) - exact) <= ulp
+
+
+class TestHighPrecision:
+    """Precisions that the exp-based rounding made too slow to test."""
+
+    @pytest.mark.parametrize("digits, x", [(3000, Fraction(1)),
+                                           (3000, Fraction(7, 3)),
+                                           (10000, Fraction(1))],
+                             ids=["3000-at-1", "3000-at-7/3", "10000-at-1"])
+    def test_dobinski(self, digits, x):
+        t = StringType.uniform(2, 1, 5)
+        approx = dobinski_eval(t, x, digits)
+        _assert_within_one_ulp(approx.value,
+                               bell_polynomial(t).evaluate(x), digits)
+
+    @pytest.mark.parametrize("r, n", [(2, 9), (3, 20)])
+    def test_bell_r1(self, r, n):
+        approx = bell_r1_numeric(r, n, 3000)
+        _assert_within_one_ulp(approx.value,
+                               bell_number(StringType.uniform(r, 1, n)), 3000)
 
 
 class TestSettlementProduct:
