@@ -11,9 +11,8 @@ from .combinat import (DEFAULT_ENUM_CAP, Colony, IncreasingForest,
                        empty_cells, enumerate_colonies, enumerate_settlements,
                        forest_to_colony, free_legs)
 from .errors import (BosonOrderError, LengthMismatch, NegativeExcess,
-                     NegativeExponent, NonCanonicalPrefix,
-                     NonzeroConstantTerm, NotUnary, OutOfRange, ParseError,
-                     PrecisionUnreachable, TooLarge)
+                     NonCanonicalPrefix, NonzeroConstantTerm, NotUnary,
+                     OutOfRange, ParseError, PrecisionUnreachable, TooLarge)
 from .series import (EGF, PowerSeries, bell_r1_numeric, bell_r1_terms,
                      forest_egf, series_exp, tree_series,
                      tree_series_closed_form)
@@ -35,7 +34,7 @@ __all__ = [
     "count_colonies_by_free_legs", "count_increasing_forests",
     "count_surjective_settlements", "empty_cells", "enumerate_colonies",
     "enumerate_settlements", "forest_to_colony", "free_legs",
-    "BosonOrderError", "LengthMismatch", "NegativeExcess", "NegativeExponent",
+    "BosonOrderError", "LengthMismatch", "NegativeExcess",
     "NonCanonicalPrefix", "NonzeroConstantTerm", "NotUnary", "OutOfRange",
     "ParseError", "PrecisionUnreachable", "TooLarge",
     "EGF", "PowerSeries", "bell_r1_numeric", "bell_r1_terms", "forest_egf",

@@ -130,7 +130,7 @@ def parse_type(r_text: str, s_text: str) -> StringType:
 @dataclass
 class CheckResult:
     name: str
-    status: str  # "pass" | "fail" | "skip"
+    status: str  # "pass" | "fail"
     detail: str = ""
 
 
@@ -141,9 +141,10 @@ def run_selfcheck(t: StringType, m_max: int = 4, x_samples: int = 8,
     Checks: all coefficient-table methods agree; every colony's empty cells
     equal excess plus free legs; settlement counts from enumeration, the
     product formula, and the table all coincide; the falling-factorial
-    identity holds on sample points.  Checks whose derivation needs
-    nonnegative prefix excesses are skipped (not failed) when the type has a
-    negative one.  TooLarge propagates if the type exceeds the cap.
+    identity holds on sample points.  Every check runs on every type; only
+    the legs of the table check depend on it: the closed form joins when
+    the prefix excesses are nonnegative, rewriting when the excess is.
+    TooLarge propagates if the type exceeds the cap.
     """
     results = []
     table = dict(stirling_recurrence(t).values)
@@ -175,17 +176,13 @@ def run_selfcheck(t: StringType, m_max: int = 4, x_samples: int = 8,
             "empty cells equal excess plus free legs", "fail",
             f"{empty_cells(bad)} cells vs {t.excess} + {free_legs(bad)}"))
 
-    with_product = t.has_nonnegative_prefixes()
     bad_counts = []
     for m in range(m_max + 1):
         enumerated = enumerate_settlements(t, m, enum_cap)
         by_table = sum(v * falling_factorial(m, k) for k, v in table.items())
-        pair_ok = enumerated == by_table
-        if with_product:
-            pair_ok = pair_ok and enumerated == settlement_product(t, m)
-        if not pair_ok:
-            bad_counts.append((m, enumerated, by_table,
-                               settlement_product(t, m)))
+        product = settlement_product(t, m)
+        if not enumerated == by_table == product:
+            bad_counts.append((m, enumerated, by_table, product))
     if bad_counts:
         results.append(CheckResult(
             "settlement counts agree", "fail",
@@ -194,18 +191,14 @@ def run_selfcheck(t: StringType, m_max: int = 4, x_samples: int = 8,
         results.append(CheckResult("settlement counts agree", "pass",
                                    f"m = 0..{m_max}"))
 
-    if t.has_nonnegative_prefixes():
-        bad_x = [x for x in range(x_samples)
-                 if not check_polynomial_identity(t, x)]
-        if bad_x:
-            results.append(CheckResult("falling-factorial identity", "fail",
-                                       f"fails at x = {bad_x}"))
-        else:
-            results.append(CheckResult("falling-factorial identity", "pass",
-                                       f"x = 0..{x_samples - 1}"))
+    bad_x = [x for x in range(x_samples)
+             if not check_polynomial_identity(t, x)]
+    if bad_x:
+        results.append(CheckResult("falling-factorial identity", "fail",
+                                   f"fails at x = {bad_x}"))
     else:
-        results.append(CheckResult("falling-factorial identity", "skip",
-                                   "needs nonnegative prefix excesses"))
+        results.append(CheckResult("falling-factorial identity", "pass",
+                                   f"x = 0..{x_samples - 1}"))
     return results
 
 

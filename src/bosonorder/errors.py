@@ -6,21 +6,18 @@ class BosonOrderError(Exception):
 
 
 class NegativeExcess(BosonOrderError):
-    """Coefficient extraction was asked for on a word with more annihilators
-    than creators; the canonical (a+)^d prefix does not exist there."""
+    """Coefficient extraction or a coherent-state value was asked for on a
+    word with more annihilators than creators; the canonical (a+)^d prefix
+    does not exist there."""
 
 
 class NonCanonicalPrefix(BosonOrderError):
-    """An analytic route that needs every prefix excess to be nonnegative met
-    a negative one."""
+    """A route defined only on nonnegative prefix excesses (the closed form,
+    a Bell-polynomial step) met a negative one."""
 
 
 class OutOfRange(BosonOrderError):
     """Coefficient index outside the window where the closed form is defined."""
-
-
-class NegativeExponent(BosonOrderError):
-    """A polynomial shift tried to push a nonzero coefficient below degree zero."""
 
 
 class TooLarge(BosonOrderError):

@@ -18,7 +18,7 @@ from operator import add, mul
 from typing import Iterable, Iterator, Mapping
 
 from .algebra import StringType
-from .errors import (NegativeExponent, NonCanonicalPrefix, OutOfRange,
+from .errors import (NegativeExcess, NonCanonicalPrefix, OutOfRange,
                      PrecisionUnreachable)
 
 DEFAULT_MAX_TERMS = 10000
@@ -27,16 +27,14 @@ DEFAULT_MAX_TERMS = 10000
 def falling_factorial(l: int, p: int) -> int:
     """(l)_p = l(l-1)...(l-p+1); (l)_0 = 1.
 
-    Defined for any sign of l: 0 <= l < p gives 0, negative l gives the
-    signed product.  Callers that mean "number of injections" must ensure
-    the base is nonnegative themselves.
+    Defined for any sign of l: 0 <= l < p gives 0, and a negative l gives
+    the signed product (l)_p = (-1)^p (p-1-l)_p, whose base is positive.
+    Callers that mean "number of injections" must ensure the base is
+    nonnegative themselves.
     """
     if p < 0:
         raise ValueError("p must be nonnegative")
-    out = 1
-    for i in range(p):
-        out *= l - i
-    return out
+    return math.perm(l, p) if l >= 0 else (-1) ** p * math.perm(p - 1 - l, p)
 
 
 @dataclass(frozen=True)
@@ -120,19 +118,9 @@ class ComplexApproxValue:
 
 
 def _prefix_product(t: StringType, x: int) -> int:
-    # prod_j (x + d_{j-1})_(s_j), the signed product, any integer x; a
-    # nonnegative base is an injection count and goes to math.perm
-    out = 1
-    for d, s in zip(t.prefix_excesses, t.s):
-        base = x + d
-        if base < 0:
-            out *= falling_factorial(base, s)
-        else:
-            f = math.perm(base, s)
-            if not f:
-                return 0
-            out *= f
-    return out
+    # p(x) = prod_j (x + d_{j-1})_(s_j) at one integer x, any signs
+    return math.prod(map(falling_factorial, map(add, repeat(x),
+                                                t.prefix_excesses), t.s))
 
 
 def stirling_recurrence(t: StringType) -> StirlingTable:
@@ -179,29 +167,29 @@ def bell_number(t: StringType) -> int:
     return stirling_recurrence(t).bell()
 
 
-def _settlement_products(t: StringType, top: int) -> list[int]:
-    # [p(0), ..., p(top)] with p(m) = prod_j (m+d_{j-1})_(s_j): each factor
-    # multiplies p by the values (v)_s over its window v = d..d+top.  The
-    # factors sharing an s share one column over their windows' hull when
-    # it is no longer than the windows together (dense d values); otherwise
-    # each factor builds just its own window, so a far-off d costs top+1
-    # values, not a column up to it.  A negative d would need a window
-    # below zero, hence the guard
-    t.require_nonnegative_prefixes()
+def _settlement_products(t: StringType, lo: int, hi: int) -> list[int]:
+    # [p(lo), ..., p(hi - 1)], p as in _prefix_product: each factor
+    # multiplies p by the values (v)_s over its window v = lo+d..hi-1+d.
+    # The factors sharing an s share one column over their windows' hull
+    # when it is no longer than the windows together (dense d values);
+    # otherwise each factor builds just its own window, so a far-off d
+    # costs hi-lo values, not a column up to it
+    width = hi - lo
     by_s: dict[int, list[int]] = {}
     for d, s in zip(t.prefix_excesses, t.s):
         by_s.setdefault(s, []).append(d)
-    p = [1] * (top + 1)
+    p = [1] * width
     for s, ds in by_s.items():
-        lo, hi = min(ds), max(ds)
-        if hi - lo <= len(ds) * (top + 1):
-            column = list(map(math.perm, range(lo, hi + top + 1), repeat(s)))
+        d_lo, d_hi = min(ds), max(ds)
+        if d_hi - d_lo <= len(ds) * width:
+            column = list(map(falling_factorial, range(lo + d_lo, hi + d_hi),
+                              repeat(s)))
             for d in ds:
-                p = list(map(mul, p, column[d - lo:d - lo + top + 1]))
+                p = list(map(mul, p, column[d - d_lo:d - d_lo + width]))
         else:
             for d in ds:
-                p = list(map(mul, p, map(math.perm, range(d, d + top + 1),
-                                         repeat(s))))
+                p = list(map(mul, p, map(falling_factorial,
+                                         range(lo + d, hi + d), repeat(s))))
     return p
 
 
@@ -225,19 +213,22 @@ def stirling_closed_form(t: StringType, k: int) -> int:
 
     Computes (1/k!) sum_m C(k,m)(-1)^(k-m) prod_j (m+d_{j-1})_(s_j).  The
     alternating sum is kept integral and divided by k! once at the end; exact
-    divisibility is asserted.  Needs every prefix excess nonnegative because
-    the derivation pushes monomials through the word.
+    divisibility is asserted.  A type with a negative prefix excess is
+    refused (NonCanonicalPrefix), the route's documented domain, although
+    the identity prod_j (X+d_{j-1})_(s_j) = sum_k S(k) (X)_k behind it
+    holds for every type.
     """
     t.require_nonnegative_prefixes()
     if not t.s[0] <= k <= t.total_s:
         raise OutOfRange(f"k={k} outside [{t.s[0]}, {t.total_s}]")
-    return _difference_quotient(_settlement_products(t, k))
+    return _difference_quotient(_settlement_products(t, 0, k + 1))
 
 
 def closed_form_table(t: StringType) -> dict[int, int]:
     """``stirling_closed_form`` at every k, zeros omitted: S(k) reads only
     p(0..k), so one vector p(0..total_s) serves the whole table."""
-    p = _settlement_products(t, t.total_s)
+    t.require_nonnegative_prefixes()
+    p = _settlement_products(t, 0, t.total_s + 1)
     return {k: v for k in range(t.s[0], t.total_s + 1)
             if (v := _difference_quotient(p[:k + 1]))}
 
@@ -272,8 +263,10 @@ def bell_poly_recursion(prev: BellPolynomial, d_prev: int, r_next: int,
     if shift >= 0:
         c = [0] * shift + c
     else:
+        # x^d old vanishes below degree d and each (D+1) lowers that by at
+        # most one, so the coefficients shifted out are zero
         if any(c[:-shift]):
-            raise NegativeExponent(
+            raise AssertionError(
                 f"shift by x^{shift} hits nonzero low-order coefficients")
         c = c[-shift:]
     return BellPolynomial(tuple(c))
@@ -281,13 +274,16 @@ def bell_poly_recursion(prev: BellPolynomial, d_prev: int, r_next: int,
 
 def _dobinski_numerators(t: StringType, p: int) -> Iterator[int]:
     # p(m) * p^m for m = s_1, s_1 + 1, ...; over q^m m! they are the terms
-    # p(m) x^m / m! at x = p/q
-    m = t.s[0]
+    # p(m) x^m / m! at x = p/q.  p(m) comes in windows of doubling width,
+    # so at most half of the values built go unread
+    m, width = t.s[0], 16
     ppow = p ** m
     while True:
-        yield _prefix_product(t, m) * ppow
-        m += 1
-        ppow *= p
+        for value in _settlement_products(t, m, m + width):
+            yield value * ppow
+            ppow *= p
+        m += width
+        width *= 2
 
 
 def _term_denominators(m0: int, q: int, base: int) -> Iterator[int]:
@@ -298,11 +294,11 @@ def _term_denominators(m0: int, q: int, base: int) -> Iterator[int]:
 
 def dobinski_terms(t: StringType, x) -> Iterator[Fraction]:
     """Exact terms p(m) x^m / m! of the infinite-series Bell representation,
-    starting at m = s_1, where p(m) = prod_j (m+d_{j-1})_(s_j)."""
+    starting at m = s_1, where p(m) = prod_j (m+d_{j-1})_(s_j), for any
+    type."""
     x = Fraction(x)
     if x < 0:
         raise ValueError("x must be nonnegative")
-    t.require_nonnegative_prefixes()
     return map(Fraction, _dobinski_numerators(t, x.numerator),
                _term_denominators(t.s[0], x.denominator, 1))
 
@@ -317,14 +313,19 @@ def dobinski_eval(t: StringType, x, target_digits: int,
     small-int multiply and no gcd, and the value is one decimal division
     D_M / E_M; no exp is evaluated.
 
-    Stop rule: with room = M+1-sum(s), every later Dobinski term ratio is
-    at most x/room, so once x/room <= 1/2 the tail R_D after term M is at
+    Every type is accepted, whatever the signs of its prefix excesses: the
+    proofs below use only p(m) = sum_k S(k) (m)_k, an identity of
+    polynomials that the leg-by-leg recurrence proves for any signs, with
+    S(k) >= 0 counting colonies and k <= sum(s).
+
+    Stop rule: with room = M+1-sum(s), (m+1)_k / (m)_k = (m+1)/(m+1-k) is
+    at most (m+1)/room for m >= M, so every later Dobinski term ratio is
+    at most x/room; once x/room <= 1/2 the tail R_D after term M is at
     most 2 * term_M * x/room; summation stops when that bound is below
     eps = 10^-(target_digits+2) of D_M (tested in integers).
 
-    Why D_M / E_M is then within one ulp.  p(m) = sum_k S(k) (m)_k with
-    S(k) >= 0, and each (m)_k is nondecreasing in m >= 0, so p is
-    nondecreasing.  At the stop D_M > 0, hence p(M) > 0, and
+    Why D_M / E_M is then within one ulp.  Each (m)_k is nondecreasing in
+    m >= 0, so p is nondecreasing.  At the stop D_M > 0, hence p(M) > 0, and
         D_M <= p(M) E_M       (p(m) <= p(M) on every term m <= M),
         R_D >= p(M) R_E       (p(m) >= p(M) on every term m > M),
     with R_E the tail of e^x after M.  So R_E/E_M <= R_D/D_M < eps, and
@@ -337,7 +338,7 @@ def dobinski_eval(t: StringType, x, target_digits: int,
     if target_digits < 1:
         raise ValueError("target_digits must be positive")
     x = Fraction(x)
-    dobinski_terms(t, x)  # validates x and the prefix excesses
+    dobinski_terms(t, x)  # validates x
     if x == 0:
         return ApproxValue(Decimal(0), target_digits, 1)
     return _dobinski_sum(_dobinski_numerators(t, x.numerator), t.s[0],
@@ -380,8 +381,9 @@ def _dobinski_sum(numerators: Iterable[int], m0: int, total_s: int,
 def settlement_product(t: StringType, m: int) -> int:
     """prod_j (m+d_{j-1})_(s_j): the number of m-settlements of the type.
 
-    Pure product, no prefix condition; agreement with enumeration is a
-    theorem (and a test) for types whose prefix excesses are nonnegative.
+    Pure product, no prefix condition.  It equals sum_k S(k) (m)_k for
+    every type, by the polynomial identity, and so agrees with
+    enumeration whatever the signs of the prefix excesses.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -409,7 +411,6 @@ def falling_factorial_expansion(t: StringType) -> dict[int, int]:
     recurrence, so comparing the result against stirling_recurrence checks
     the polynomial identity coefficient by coefficient.
     """
-    t.require_nonnegative_prefixes()
     ds = t.prefix_excesses
     poly = [1]
     for j in range(t.n):
@@ -434,7 +435,6 @@ def falling_factorial_expansion(t: StringType) -> dict[int, int]:
 
 def check_polynomial_identity(t: StringType, x: int) -> bool:
     """Test prod_j (x+d_{j-1})_(s_j) == sum_k S(k) (x)_k at one integer x."""
-    t.require_nonnegative_prefixes()
     lhs = _prefix_product(t, x)
     table = stirling_recurrence(t)
     rhs = sum(v * falling_factorial(x, k) for k, v in table.values.items())
@@ -452,13 +452,16 @@ def _gaussian_parts(z) -> tuple[Fraction, Fraction]:
 def coherent_expectation(t: StringType, z, target_digits: int) -> ComplexApproxValue:
     """Diagonal matrix element between coherent states of amplitude z.
 
-    Equals conj(z)^(d_n) times the Bell polynomial at |z|^2.  The input is
-    taken apart into exact rational real/imaginary parts (binary floats are
-    rationals), evaluated exactly, and rounded once at the end.
+    Equals conj(z)^(d_n) times the Bell polynomial at |z|^2, for any
+    prefix excesses; a negative excess d_n is refused (NegativeExcess).
+    The input is taken apart into exact rational real/imaginary parts
+    (binary floats are rationals), evaluated exactly, and rounded once at
+    the end.
     """
     if target_digits < 1:
         raise ValueError("target_digits must be positive")
-    t.require_nonnegative_prefixes()
+    if t.excess < 0:
+        raise NegativeExcess(f"excess {t.excess} < 0: conj(z)^d needs d >= 0")
     zr, zi = _gaussian_parts(z)
     poly = bell_polynomial(t)
     re, im = Fraction(1), Fraction(0)

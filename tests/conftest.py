@@ -10,7 +10,7 @@ _CRITERION = re.compile(r"test_criterion_(\d+)")
 
 def all_small_types(max_n=3, max_entry=3, nonneg_prefixes_only=True):
     """Every type with n factors and entries in 1..max_entry; by default only
-    those whose prefix excesses stay nonnegative (the analytic-path domain)."""
+    those whose prefix excesses stay nonnegative (the closed form's domain)."""
     types = []
     for n in range(1, max_n + 1):
         for r in itertools.product(range(1, max_entry + 1), repeat=n):

@@ -2,8 +2,11 @@ import hashlib
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,9 @@ from hypothesis import strategies as st
 
 from bosonorder import (ANNIHILATION, CREATION, BosonWord, LengthMismatch,
                         NormalForm, ParseError, StringType, apply_crossing,
-                        normal_order, stirling_recurrence)
+                        count_colonies_by_free_legs,
+                        falling_factorial_expansion, normal_order,
+                        stirling_recurrence)
 from bosonorder.cli import (MAX_DIGITS, MAX_EXPONENT_DIGITS, main, parse_type,
                             parse_word, run_selfcheck, word_to_text)
 
@@ -171,12 +176,52 @@ class TestSelfcheck:
         results = run_selfcheck(StringType.uniform(2, 1, 2))
         assert all(r.status == "pass" for r in results)
 
-    def test_negative_prefix_skips_identity(self):
-        results = run_selfcheck(StringType((1, 1, 3), (1, 3, 1)))
+    def test_negative_prefix_runs_identity(self):
+        t = StringType((1, 1, 3), (1, 3, 1))
+        results = run_selfcheck(t)
         by_name = {r.name: r.status for r in results}
-        assert by_name["falling-factorial identity"] == "skip"
-        assert by_name["stirling tables agree"] == "pass"
-        assert by_name["settlement counts agree"] == "pass"
+        assert by_name == {"stirling tables agree": "pass",
+                           "empty cells equal excess plus free legs": "pass",
+                           "settlement counts agree": "pass",
+                           "falling-factorial identity": "pass"}
+        # the identity's coefficients, from the expanded product and from
+        # the colonies binned by free legs
+        assert falling_factorial_expansion(t) \
+            == count_colonies_by_free_legs(t) \
+            == dict(stirling_recurrence(t).values)
+
+
+def _readme_examples():
+    # (argv, stdout) for every "$ bosonorder ..." line of README.md whose
+    # output follows in full (up to a blank line or the next "$"), and for
+    # the JSON block printed verbatim; an example with no output, or whose
+    # output elides lines with "...", is not a full transcript
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"^```\n(.*?)^```", text, re.S | re.M):
+        for command, output in re.findall(
+                r"^\$ bosonorder (.*)\n((?:(?!\$ )[^\n]+\n)*)", block, re.M):
+            if output and "..." not in output:
+                examples.append((shlex.split(command, comments=True), output))
+    for command, output in re.findall(
+            r"`bosonorder ([^`]*)`,?\s+verbatim:\s+```json\n(.*?)^```",
+            text, re.S | re.M):
+        examples.append((shlex.split(command), output))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+class TestReadme:
+    def test_examples_found(self):
+        assert README_EXAMPLES
+
+    @pytest.mark.parametrize("argv, expected", README_EXAMPLES,
+                             ids=[" ".join(argv) for argv, _ in README_EXAMPLES])
+    def test_example_output(self, argv, expected, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestMainInProcess:

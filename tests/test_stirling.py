@@ -10,19 +10,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosonorder import (ApproxValue, BellPolynomial, ComplexApproxValue,
-                        NonCanonicalPrefix, OutOfRange,
+                        NegativeExcess, NonCanonicalPrefix, OutOfRange,
                         PrecisionUnreachable, StirlingTable, StringType,
                         bell_number, bell_poly_recursion, bell_polynomial,
                         bell_r1_numeric, bell_r1_terms,
                         check_polynomial_identity, closed_form_table,
-                        coherent_expectation, dobinski_eval, dobinski_terms,
+                        coherent_expectation, count_colonies_by_free_legs,
+                        dobinski_eval, dobinski_terms, enumerate_settlements,
                         extract_stirling, falling_factorial,
                         falling_factorial_expansion, normal_order,
                         settlement_product, stirling_closed_form,
                         stirling_recurrence, word_from_type)
-from bosonorder.stirling import _difference_quotient
+from bosonorder.cli import run_selfcheck
+from bosonorder.stirling import _difference_quotient, _settlement_products
 
 SHOWCASE = StringType((3, 2, 1, 3), (2, 2, 2, 3))
+
+# prefix excesses (0, -1, 1): the second factor's annihilators outnumber
+# the creators before them
+DIPPING = StringType((1, 3), (2, 1))
 
 # expected tables, frozen from an independent brute-force colony enumerator
 KNOWN_TABLES = {
@@ -86,6 +92,17 @@ class TestFallingFactorial:
         with pytest.raises(ValueError):
             falling_factorial(3, -1)
 
+    def test_matches_product_loop(self):
+        # the signed math.perm form against l (l-1) ... (l-p+1) multiplied out
+        for l in range(-30, 31):
+            for p in range(13):
+                out = 1
+                for i in range(p):
+                    out *= l - i
+                assert falling_factorial(l, p) == out, (l, p)
+            with pytest.raises(ValueError):
+                falling_factorial(l, -1)
+
 
 class TestRecurrence:
     @pytest.mark.parametrize("rs,expected", sorted(KNOWN_TABLES.items()))
@@ -114,8 +131,7 @@ class TestRecurrence:
         # negative for a nonzero entry, or the leg step's guard would raise
         for t in every_small_type:
             table = dict(stirling_recurrence(t).values)
-            if t.has_nonnegative_prefixes():
-                assert table == falling_factorial_expansion(t)
+            assert table == falling_factorial_expansion(t)
             if t.excess >= 0:
                 form = normal_order(word_from_type(t), method="letterwise")
                 assert table == extract_stirling(form)[1]
@@ -339,9 +355,11 @@ class TestDobinski:
             partial += term
             assert partial * inv_e_low < bell
 
-    def test_needs_nonnegative_prefixes(self):
-        with pytest.raises(NonCanonicalPrefix):
-            dobinski_eval(StringType((1, 3), (2, 1)), 1, 10)
+    def test_negative_prefix_matches_recurrence_and_enumeration(self):
+        # B(1) is the Bell number: from the recurrence and from the colonies
+        approx = dobinski_eval(DIPPING, 1, 10)
+        assert approx.value == bell_number(DIPPING) \
+            == sum(count_colonies_by_free_legs(DIPPING).values()) == 2
 
     def test_rejects_negative_x(self):
         with pytest.raises(ValueError):
@@ -498,9 +516,14 @@ class TestPolynomialIdentity:
     def test_negative_argument(self):
         assert check_polynomial_identity(StringType.uniform(1, 1, 3), -2)
 
-    def test_needs_nonnegative_prefixes(self):
-        with pytest.raises(NonCanonicalPrefix):
-            check_polynomial_identity(StringType((1, 3), (2, 1)), 1)
+    def test_negative_prefix_matches_expansion_and_enumeration(self):
+        assert check_polynomial_identity(DIPPING, 1)
+        # the same table, expanded from the product in the monomial basis
+        assert falling_factorial_expansion(DIPPING) \
+            == dict(stirling_recurrence(DIPPING).values)
+        # the same product, counted settlement by settlement
+        assert settlement_product(DIPPING, 1) \
+            == enumerate_settlements(DIPPING, 1)
 
     def test_coefficient_level_expansion(self, sweep_types):
         for t in sweep_types[::3]:
@@ -538,9 +561,15 @@ class TestCoherentExpectation:
         out = coherent_expectation(StringType.uniform(1, 1, 2), 1 + 0j, 15)
         assert out.real == 2 and out.imag == 0
 
-    def test_needs_nonnegative_prefixes(self):
-        with pytest.raises(NonCanonicalPrefix):
-            coherent_expectation(StringType((1, 3), (2, 1)), 1, 10)
+    def test_negative_prefix_matches_recurrence_and_enumeration(self):
+        out = coherent_expectation(DIPPING, 1, 10)
+        assert out.imag == 0
+        assert out.real == bell_number(DIPPING) \
+            == sum(count_colonies_by_free_legs(DIPPING).values())
+
+    def test_refuses_negative_excess(self):
+        with pytest.raises(NegativeExcess):
+            coherent_expectation(StringType((1, 1), (1, 2)), 1, 10)
 
 
 class TestApproxCarriers:
@@ -556,3 +585,90 @@ class TestApproxCarriers:
         # B(x) = x + 3x^2 + x^3 has three nonzero coefficients
         out = coherent_expectation(StringType.uniform(1, 1, 3), 1, 10)
         assert out.coefficients_used == 3
+
+
+def _gaussian_product(u, v):
+    return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+
+def _gaussian_power(u, n):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(n):
+        out = _gaussian_product(out, u)
+    return out
+
+
+def _assert_close(value, exact, digits):
+    # one rounding to digits significant digits: within 10^(1-digits)
+    # relative, and an exact zero stays zero
+    assert abs(Fraction(value) - exact) <= abs(exact) / 10 ** (digits - 1)
+
+
+class TestNegativePrefixSweep:
+    """Every type of at most 3 factors with exponents 1..3 whose prefix
+    excesses dip below zero (439 of them): the routes that take a signed
+    settlement product agree with the recurrence and with enumeration."""
+
+    @pytest.fixture(scope="class")
+    def dipping_types(self, every_small_type):
+        types = [t for t in every_small_type
+                 if not t.has_nonnegative_prefixes()]
+        assert len(types) == 439
+        return types
+
+    def test_dobinski_within_one_ulp(self, dipping_types):
+        for t in dipping_types:
+            poly = bell_polynomial(t)
+            for x in (Fraction(1), Fraction(7, 3), Fraction(1, 5)):
+                _assert_within_one_ulp(dobinski_eval(t, x, 30).value,
+                                       poly.evaluate(x), 30)
+
+    def test_polynomial_identity_and_expansion(self, dipping_types):
+        for t in dipping_types:
+            assert falling_factorial_expansion(t) \
+                == dict(stirling_recurrence(t).values), t
+            assert all(check_polynomial_identity(t, x)
+                       for x in range(-3, 8)), t
+
+    def test_settlement_product_matches_enumeration(self, dipping_types):
+        for t in dipping_types:
+            for m in range(5):
+                assert settlement_product(t, m) \
+                    == enumerate_settlements(t, m), (t, m)
+
+    def test_selfcheck_passes_every_check(self, dipping_types):
+        for t in dipping_types:
+            statuses = {r.name: r.status for r in run_selfcheck(t)}
+            assert list(statuses.values()) == ["pass"] * 4, (t, statuses)
+
+    def test_signed_kernel_closed_form_matches_recurrence(self,
+                                                          dipping_types):
+        # the closed form refuses these types; its kernel does not
+        for t in dipping_types:
+            p = _settlement_products(t, 0, t.total_s + 1)
+            closed = {k: v for k in range(t.total_s + 1)
+                      if (v := _difference_quotient(p[:k + 1]))}
+            assert closed == dict(stirling_recurrence(t).values), t
+
+    def test_coherent_matches_normal_form(self, dipping_types):
+        # <z| word |z> from the rewritten normal form, monomial by monomial:
+        # (a+)^i a^j gives conj(z)^i z^j
+        checked = 0
+        for t in dipping_types:
+            if t.excess < 0:
+                continue
+            form = normal_order(word_from_type(t))
+            for z in ((Fraction(3, 5), Fraction(4, 5)),
+                      (Fraction(-1, 2), Fraction(3, 2))):
+                conj = (z[0], -z[1])
+                exact = [Fraction(0), Fraction(0)]
+                for i, j, c in form.monomials():
+                    re, im = _gaussian_product(_gaussian_power(conj, i),
+                                               _gaussian_power(z, j))
+                    exact[0] += c * re
+                    exact[1] += c * im
+                out = coherent_expectation(t, z, 30)
+                _assert_close(out.real, exact[0], 30)
+                _assert_close(out.imag, exact[1], 30)
+            checked += 1
+        assert checked == 111
