@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property
 from itertools import chain, repeat
-from operator import index
-from typing import Iterable, Iterator, Mapping
+from operator import attrgetter, index
 
 from .errors import NegativeExcess, NonCanonicalPrefix
 
@@ -35,8 +34,33 @@ CREATION = Letter.CREATION
 ANNIHILATION = Letter.ANNIHILATION
 
 
-@dataclass(frozen=True, init=False)
-class BosonWord:
+class _Value:
+    """Base of the package's immutable values.  Each subclass names its
+    fields in ``_key``, an attrgetter; two values are equal when they are of
+    the same class with equal fields, and hash and print by them.  Each
+    ``__init__`` stores the fields with ``object.__setattr__``; after that,
+    setting or deleting an attribute raises AttributeError."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return f"<{type(self).__name__} {self._key(self)!r}>"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class BosonWord(_Value):
     """A finite product of generators, leftmost letter written (and acting) last.
 
     The only state is ``runs``, the maximal ``(letter, count)`` runs from left
@@ -44,7 +68,8 @@ class BosonWord:
     are those of the letter sequence.  The empty word is the identity.
     """
 
-    runs: tuple[tuple[Letter, int], ...]
+    __slots__ = ("runs",)
+    _key = attrgetter("runs")
 
     def __init__(self, letters: Iterable[Letter] = ()):
         self._merge((l, 1) for l in letters)
@@ -85,8 +110,7 @@ class BosonWord:
         return BosonWord.from_runs(self.runs + other.runs)
 
 
-@dataclass(frozen=True)
-class StringType:
+class StringType(_Value):
     """Exponent vectors (r, s) of a word (a+)^r_n a^s_n ... (a+)^r_1 a^s_1.
 
     Factor 1 is the rightmost factor, i.e. the one applied first.  All
@@ -94,18 +118,20 @@ class StringType:
     the neighbouring factor instead.
     """
 
-    r: tuple[int, ...]
-    s: tuple[int, ...]
+    # no __slots__: cached_property keeps prefix_excesses in __dict__
+    _key = attrgetter("r", "s")
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", tuple(int(x) for x in self.r))
-        object.__setattr__(self, "s", tuple(int(x) for x in self.s))
-        if len(self.r) != len(self.s):
+    def __init__(self, r: Iterable[int], s: Iterable[int]):
+        r = tuple(map(index, r))
+        s = tuple(map(index, s))
+        if len(r) != len(s):
             raise ValueError("r and s must have the same length")
-        if not self.r:
+        if not r:
             raise ValueError("a type needs at least one factor")
-        if min(self.r) < 1 or min(self.s) < 1:
+        if min(r) < 1 or min(s) < 1:
             raise ValueError("all exponents must be positive")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
 
     @classmethod
     def uniform(cls, r: int, s: int, n: int) -> "StringType":
@@ -146,22 +172,24 @@ class StringType:
                 f"prefix excesses {self.prefix_excesses} contain a negative entry")
 
 
-@dataclass(frozen=True, eq=True)
-class NormalForm:
+class NormalForm(_Value):
     """A normally ordered operator of constant excess.
 
     ``coeffs[k]`` multiplies (a+)^(k + max(excess, 0)) a^(k + max(-excess, 0)),
     so for nonnegative excess d the operator is
-    (a+)^d * sum_k coeffs[k] (a+)^k a^k.  Zero coefficients are not stored.
+    (a+)^d * sum_k coeffs[k] (a+)^k a^k.  Zero coefficients are not stored;
+    holding a dict, a normal form cannot be hashed.
     """
 
-    excess: int
-    coeffs: Mapping[int, int]
+    __slots__ = ("excess", "coeffs")
+    _key = attrgetter("excess", "coeffs")
 
-    def __post_init__(self):
-        clean = {int(k): int(v) for k, v in sorted(self.coeffs.items()) if v}
+    def __init__(self, excess: int, coeffs: Mapping[int, int]):
+        clean = {index(k): c for k, v in sorted(coeffs.items())
+                 if (c := index(v))}
         if clean and min(clean) < 0:
             raise ValueError("diagonal degree k must be nonnegative")
+        object.__setattr__(self, "excess", excess)
         object.__setattr__(self, "coeffs", clean)
 
     def monomials(self) -> Iterator[tuple[int, int, int]]:

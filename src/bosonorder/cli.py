@@ -13,10 +13,8 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Optional
 
 from .algebra import (ANNIHILATION, CREATION, BosonWord, NormalForm,
                       StringType, extract_stirling, normal_order,
@@ -127,11 +125,21 @@ def parse_type(r_text: str, s_text: str) -> StringType:
     return StringType(r, s)
 
 
-@dataclass
 class CheckResult:
-    name: str
-    status: str  # "pass" | "fail"
-    detail: str = ""
+    """One selfcheck line: what was checked, "pass" or "fail", and how."""
+
+    __slots__ = ("name", "status", "detail")
+
+    def __init__(self, name: str, status: str, detail: str = ""):
+        self.name = name
+        self.status = status
+        self.detail = detail
+
+    def __eq__(self, other):
+        if other.__class__ is not CheckResult:
+            return NotImplemented
+        return ((self.name, self.status, self.detail)
+                == (other.name, other.status, other.detail))
 
 
 def run_selfcheck(t: StringType, m_max: int = 4, x_samples: int = 8,
@@ -295,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_input(args, parser,
-                   need_type: bool) -> tuple[BosonWord, Optional[StringType]]:
+                   need_type: bool) -> tuple[BosonWord, StringType | None]:
     has_word = args.word is not None
     has_type = args.r is not None or args.s is not None
     if has_word == has_type:
@@ -313,7 +321,7 @@ def _resolve_input(args, parser,
     return word_from_type(t), t
 
 
-def _type_payload(t: Optional[StringType]):
+def _type_payload(t: StringType | None):
     if t is None:
         return None
     return {"r": list(t.r), "s": list(t.s)}
@@ -349,7 +357,7 @@ def _cmd_order(args, parser):
     return _format_normal_form(form), 0
 
 
-def _stirling_values(args, parser) -> tuple[Optional[StringType], int,
+def _stirling_values(args, parser) -> tuple[StringType | None, int,
                                             dict[int, int], str]:
     word, t = _resolve_input(args, parser, need_type=False)
     method = args.method
@@ -542,7 +550,7 @@ _HANDLERS = {
 }
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: str, out: str | None) -> None:
     payload = text if text.endswith("\n") else text + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -551,7 +559,7 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(payload)
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     for flag in ("digits", "max_terms", "enum_cap"):

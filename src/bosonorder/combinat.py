@@ -14,10 +14,10 @@ settlement counts are tallies over those leaves, never a shortcut.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from collections.abc import Iterable, Iterator
+from operator import attrgetter
 
-from .algebra import StringType
+from .algebra import StringType, _Value
 from .errors import NotUnary, TooLarge
 from .stirling import bell_number, settlement_product, stirling_recurrence
 
@@ -26,26 +26,25 @@ DEFAULT_ENUM_CAP = 10_000_000
 # a foot sits either on the ground (None) or in cell c of an earlier bug i,
 # both indices 1-based
 CellRef = tuple[int, int]
-Placement = Optional[CellRef]
+Placement = CellRef | None
 
 
-@dataclass(frozen=True)
-class Colony:
+class Colony(_Value):
     """A placement of every bug's feet; placement[j-1][f] is the target of
     foot f of bug j.  Feet may only grab cells of strictly earlier bugs,
     one foot per cell; bug 1 therefore stands fully on the ground."""
 
-    type: StringType
-    placement: tuple[tuple[Placement, ...], ...]
+    __slots__ = ("type", "placement")
+    _key = attrgetter("type", "placement")
 
-    def __post_init__(self):
-        object.__setattr__(self, "placement",
-                           tuple(tuple(feet) for feet in self.placement))
-        t = self.type
-        if len(self.placement) != t.n:
+    def __init__(self, type: StringType,
+                 placement: Iterable[Iterable[Placement]]):
+        placement = tuple(tuple(feet) for feet in placement)
+        t = type
+        if len(placement) != t.n:
             raise ValueError("one placement tuple per bug required")
         seen: set[CellRef] = set()
-        for j, feet in enumerate(self.placement, start=1):
+        for j, feet in enumerate(placement, start=1):
             if len(feet) != t.s[j - 1]:
                 raise ValueError(f"bug {j} must place exactly {t.s[j - 1]} feet")
             for ref in feet:
@@ -59,6 +58,8 @@ class Colony:
                 if ref in seen:
                     raise ValueError(f"cell {ref} occupied twice")
                 seen.add(ref)
+        object.__setattr__(self, "type", t)
+        object.__setattr__(self, "placement", placement)
 
 
 def _require_under_cap(predicted: int, enum_cap: int, what: str) -> None:
@@ -138,13 +139,17 @@ def _walk(t: StringType, held: list[int], changed: list[int]) -> Iterator[int]:
             return
 
 
+# the walk builds valid colonies only: _colony skips __init__'s checks and
+# writes the slots through their own setters, the cheapest way per colony
+_set_type = Colony.type.__set__
+_set_placement = Colony.placement.__set__
+
+
 def _colony(t: StringType,
             placement: tuple[tuple[Placement, ...], ...]) -> Colony:
-    # the walk builds valid colonies only, so skip __post_init__
     colony = object.__new__(Colony)
-    fields = colony.__dict__
-    fields["type"] = t
-    fields["placement"] = placement
+    _set_type(colony, t)
+    _set_placement(colony, placement)
     return colony
 
 
@@ -218,34 +223,36 @@ def count_surjective_settlements(t: StringType, m: int,
     return _free_leg_histogram(t).get(m, 0) * math.factorial(m)
 
 
-@dataclass(frozen=True)
-class IncreasingForest:
+class IncreasingForest(_Value):
     """Forest of planar trees: vertex j carries arities[j-1] ordered child
     slots; parent[j-1] is (i, slot) with i < j, or None for a root.  The
     label-increase rule is exactly the earlier-bug rule for colonies."""
 
-    arities: tuple[int, ...]
-    parent: tuple[Optional[tuple[int, int]], ...]
+    __slots__ = ("arities", "parent")
+    _key = attrgetter("arities", "parent")
 
-    def __post_init__(self):
-        object.__setattr__(self, "arities", tuple(self.arities))
-        object.__setattr__(self, "parent", tuple(self.parent))
-        if len(self.arities) != len(self.parent):
+    def __init__(self, arities: Iterable[int],
+                 parent: Iterable[tuple[int, int] | None]):
+        arities = tuple(arities)
+        parent = tuple(parent)
+        if len(arities) != len(parent):
             raise ValueError("one parent entry per vertex required")
-        if any(a < 1 for a in self.arities):
+        if any(a < 1 for a in arities):
             raise ValueError("arities must be positive")
         seen: set[tuple[int, int]] = set()
-        for j, ref in enumerate(self.parent, start=1):
+        for j, ref in enumerate(parent, start=1):
             if ref is None:
                 continue
             i, slot = ref
             if not 1 <= i < j:
                 raise ValueError(f"vertex {j} must attach to an earlier vertex")
-            if not 1 <= slot <= self.arities[i - 1]:
+            if not 1 <= slot <= arities[i - 1]:
                 raise ValueError(f"vertex {i} has no slot {slot}")
             if ref in seen:
                 raise ValueError(f"slot {ref} used twice")
             seen.add(ref)
+        object.__setattr__(self, "arities", arities)
+        object.__setattr__(self, "parent", parent)
 
     @property
     def roots(self) -> tuple[int, ...]:

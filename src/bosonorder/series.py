@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterator
 
+from .algebra import _Value
 from .errors import NonzeroConstantTerm
 from .stirling import (DEFAULT_MAX_TERMS, ApproxValue, _dobinski_sum,
                        _term_denominators)
@@ -23,18 +23,18 @@ from .stirling import (DEFAULT_MAX_TERMS, ApproxValue, _dobinski_sum,
 EGF = "egf"
 
 
-@dataclass(frozen=True)
-class PowerSeries:
+class PowerSeries(_Value):
     """Truncated EGF sum_n counts[n] x^n / n!: counts[n] objects at size n."""
 
-    counts: tuple[int, ...]
+    __slots__ = ("counts",)
+    _key = operator.attrgetter("counts")
     convention = EGF
 
-    def __post_init__(self):
-        object.__setattr__(self, "counts",
-                           tuple(map(operator.index, self.counts)))
-        if not self.counts:
+    def __init__(self, counts: Iterable[int]):
+        counts = tuple(map(operator.index, counts))
+        if not counts:
             raise ValueError("a series carries at least its constant term")
+        object.__setattr__(self, "counts", counts)
 
     @property
     def order(self) -> int:
@@ -45,12 +45,6 @@ class PowerSeries:
         """Ordinary coefficients a_n = counts[n] / n!."""
         facts = accumulate(range(1, len(self.counts)), operator.mul, initial=1)
         return tuple(Fraction(c, f) for c, f in zip(self.counts, facts))
-
-    def egf_count(self, n: int) -> int:
-        """n! * a_n, the object count at size n."""
-        if n < 0:
-            raise IndexError(f"no count at negative size {n}")
-        return self.counts[n]
 
 
 def _binomial_weights(f, n: int) -> list[int]:

@@ -10,14 +10,13 @@ denominator, and decimal output is produced only at the final rounding step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Mapping
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate, chain, count, repeat
-from operator import add, mul
-from typing import Iterable, Iterator, Mapping
+from operator import add, attrgetter, index, mul
 
-from .algebra import StringType
+from .algebra import StringType, _Value
 from .errors import (NegativeExcess, NonCanonicalPrefix, OutOfRange,
                      PrecisionUnreachable)
 
@@ -37,42 +36,41 @@ def falling_factorial(l: int, p: int) -> int:
     return math.perm(l, p) if l >= 0 else (-1) ** p * math.perm(p - 1 - l, p)
 
 
-@dataclass(frozen=True)
-class StirlingTable:
+class StirlingTable(_Value):
     """Nonzero generalized Stirling coefficients of a type, keyed by the
-    number of surviving annihilators (equally: free legs of a colony)."""
+    number of surviving annihilators (equally: free legs of a colony).
+    Holding a dict, a table cannot be hashed."""
 
-    type: StringType
-    values: Mapping[int, int]
+    __slots__ = ("type", "values")
+    _key = attrgetter("type", "values")
 
-    def __post_init__(self):
-        clean = {int(k): int(v) for k, v in sorted(self.values.items()) if v}
-        lo, hi = self.type.s[0], self.type.total_s
+    def __init__(self, type: StringType, values: Mapping[int, int]):
+        clean = {index(k): c for k, v in sorted(values.items())
+                 if (c := index(v))}
+        lo, hi = type.s[0], type.total_s
         for k, v in clean.items():
             if not lo <= k <= hi:
                 raise ValueError(f"key {k} outside the window [{lo}, {hi}]")
             if v < 0:
                 raise ValueError("coefficients count colonies; got a negative")
+        object.__setattr__(self, "type", type)
         object.__setattr__(self, "values", clean)
 
     def bell(self) -> int:
         return sum(self.values.values())
 
 
-@dataclass(frozen=True)
-class BellPolynomial:
+class BellPolynomial(_Value):
     """Dense integer coefficient vector; coeffs[k] multiplies x^k."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
+    _key = attrgetter("coeffs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-        if not self.coeffs:
+    def __init__(self, coeffs: Iterable[int]):
+        coeffs = tuple(map(index, coeffs))
+        if not coeffs:
             raise ValueError("empty coefficient vector")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
+        object.__setattr__(self, "coeffs", coeffs)
 
     def evaluate(self, x):
         """Horner evaluation; exact for int or Fraction arguments."""
@@ -82,39 +80,43 @@ class BellPolynomial:
         return acc
 
 
-@dataclass(frozen=True)
-class ApproxValue:
+class ApproxValue(_Value):
     """A rounded numeric result together with how it was produced."""
 
-    value: Decimal
-    precision_digits: int
-    terms_used: int
+    __slots__ = ("value", "precision_digits", "terms_used")
+    _key = attrgetter("value", "precision_digits", "terms_used")
 
-    def __post_init__(self):
-        if self.precision_digits < 1:
+    def __init__(self, value: Decimal, precision_digits: int,
+                 terms_used: int):
+        if precision_digits < 1:
             raise ValueError("precision_digits must be positive")
-        if self.terms_used < 1:
+        if terms_used < 1:
             raise ValueError("terms_used must be positive")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "precision_digits", precision_digits)
+        object.__setattr__(self, "terms_used", terms_used)
 
 
-@dataclass(frozen=True)
-class ComplexApproxValue:
+class ComplexApproxValue(_Value):
     """Rounded complex result; real/imag are decimals at the same precision.
 
     coefficients_used counts the nonzero Bell-polynomial coefficients the
     exact evaluation combined (at least 1); no series is summed.
     """
 
-    real: Decimal
-    imag: Decimal
-    precision_digits: int
-    coefficients_used: int
+    __slots__ = ("real", "imag", "precision_digits", "coefficients_used")
+    _key = attrgetter("real", "imag", "precision_digits", "coefficients_used")
 
-    def __post_init__(self):
-        if self.precision_digits < 1:
+    def __init__(self, real: Decimal, imag: Decimal, precision_digits: int,
+                 coefficients_used: int):
+        if precision_digits < 1:
             raise ValueError("precision_digits must be positive")
-        if self.coefficients_used < 1:
+        if coefficients_used < 1:
             raise ValueError("coefficients_used must be positive")
+        object.__setattr__(self, "real", real)
+        object.__setattr__(self, "imag", imag)
+        object.__setattr__(self, "precision_digits", precision_digits)
+        object.__setattr__(self, "coefficients_used", coefficients_used)
 
 
 def _prefix_product(t: StringType, x: int) -> int:

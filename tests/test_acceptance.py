@@ -141,7 +141,7 @@ def test_criterion_07_single_leg_suite():
                for n in range(1, 6)]
     assert counted == [1, 3, 13, 73, 501]
     f = forest_egf(2, 5)
-    assert [f.egf_count(n) for n in range(1, 6)] == counted
+    assert [f.counts[n] for n in range(1, 6)] == counted
     for n, expected in enumerate(counted, start=1):
         got = bell_r1_numeric(2, n, 20).value
         assert abs(got - expected) / expected < Decimal("1e-10"), n

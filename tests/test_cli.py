@@ -463,6 +463,25 @@ class TestBigNumbers:
 
 
 class TestSubprocess:
+    @pytest.mark.parametrize("argv", [
+        ("-c", "import bosonorder.cli"),
+        ("-m", "bosonorder", "bell", "--r", "1,1", "--s", "1,1"),
+    ], ids=["import", "bell"])
+    def test_startup_skips_slow_modules(self, argv):
+        # -S keeps site from preloading typing; -X importtime writes one
+        # stderr line per module imported, so no timing is compared
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-S", "-X", "importtime", *argv],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        assert proc.returncode == 0, proc.stderr
+        imported = {line.rsplit("|", 1)[1].strip()
+                    for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "bosonorder.cli" in imported
+        assert not imported & {"dataclasses", "inspect", "typing"}
+
     def test_selfcheck_passes(self):
         proc = run_cli("selfcheck", "--r", "1,1,1", "--s", "1,1,1")
         assert proc.returncode == 0

@@ -31,13 +31,10 @@ class TestPowerSeries:
         with pytest.raises(TypeError):
             PowerSeries((1, Fraction(1, 2)))
 
-    def test_egf_count_is_stored_count(self):
+    def test_counts_are_stored_counts(self):
         f = PowerSeries((1, 3, 13))
-        assert [f.egf_count(n) for n in range(3)] == [1, 3, 13]
+        assert f.counts == (1, 3, 13)
         assert f.coeffs == (1, 3, Fraction(13, 2))
-        for n in (-1, 3):
-            with pytest.raises(IndexError):
-                f.egf_count(n)
 
 
 class TestExp:
@@ -75,7 +72,7 @@ class TestTreeSeries:
 
     def test_quaternary_counts(self):
         f = tree_series(4, 6)
-        assert [f.egf_count(n) for n in range(7)] \
+        assert list(f.counts) \
             == [1, 1, 4, 28, 280, 3640, 58240]
 
     def test_satisfies_defining_equation(self):
@@ -101,19 +98,19 @@ class TestTreeSeries:
 class TestForestEgf:
     def test_binary_counts(self):
         f = forest_egf(2, 6)
-        assert [f.egf_count(n) for n in range(7)] \
+        assert list(f.counts) \
             == [1, 1, 3, 13, 73, 501, 4051]
 
     def test_ternary_counts(self):
         f = forest_egf(3, 6)
-        assert [f.egf_count(n) for n in range(7)] \
+        assert list(f.counts) \
             == [1, 1, 4, 25, 211, 2236, 28471]
 
     def test_matches_colony_bells(self):
         for r in (2, 3):
             f = forest_egf(r, 5)
             for n in range(1, 6):
-                assert f.egf_count(n) \
+                assert f.counts[n] \
                     == bell_number(StringType.uniform(r, 1, n))
 
 

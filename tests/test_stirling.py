@@ -286,7 +286,7 @@ class TestBellPolynomial:
         assert p.evaluate(Fraction(1, 2)) == Fraction(5, 4)
 
     def test_degree(self):
-        assert bell_polynomial(SHOWCASE).degree == SHOWCASE.total_s
+        assert len(bell_polynomial(SHOWCASE).coeffs) - 1 == SHOWCASE.total_s
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
