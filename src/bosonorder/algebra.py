@@ -39,7 +39,8 @@ class _Value:
     fields in ``_key``, an attrgetter; two values are equal when they are of
     the same class with equal fields, and hash and print by them.  Each
     ``__init__`` stores the fields with ``object.__setattr__``; after that,
-    setting or deleting an attribute raises AttributeError."""
+    setting or deleting an attribute raises AttributeError.  Values copy,
+    deep-copy and pickle."""
 
     __slots__ = ()
 
@@ -58,6 +59,13 @@ class _Value:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
+
+    def __setstate__(self, state):
+        # copy and pickle restore past the frozen __setattr__ from slot
+        # state (None, slots), or from StringType's __dict__
+        state = state[1] if isinstance(state, tuple) else state
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
 
 
 class BosonWord(_Value):
@@ -113,9 +121,11 @@ class BosonWord(_Value):
 class StringType(_Value):
     """Exponent vectors (r, s) of a word (a+)^r_n a^s_n ... (a+)^r_1 a^s_1.
 
-    Factor 1 is the rightmost factor, i.e. the one applied first.  All
-    exponents are positive integers; a block with a missing power belongs to
-    the neighbouring factor instead.
+    Factor 1 is the rightmost factor, i.e. the one applied first.  Every
+    exponent is a positive integer except the two boundary ones, s_1 and
+    r_n, which may be 0: a word that ends in a+ or starts with a has no
+    neighbour factor to give that power to.  So every word, the empty one
+    included, has exactly one type.
     """
 
     # no __slots__: cached_property keeps prefix_excesses in __dict__
@@ -128,8 +138,9 @@ class StringType(_Value):
             raise ValueError("r and s must have the same length")
         if not r:
             raise ValueError("a type needs at least one factor")
-        if min(r) < 1 or min(s) < 1:
-            raise ValueError("all exponents must be positive")
+        if min(r[-1], s[0]) < 0 or min(r[:-1] + s[1:], default=1) < 1:
+            raise ValueError(
+                "exponents must be positive, except s_1 and r_n may be 0")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "s", s)
 
@@ -283,29 +294,26 @@ def normal_order(word: BosonWord, method: str = "blockwise") -> NormalForm:
 
 
 def word_from_type(t: StringType) -> BosonWord:
-    """The word (a+)^r_n a^s_n ... (a+)^r_1 a^s_1; factor 1 ends up rightmost."""
+    """The word (a+)^r_n a^s_n ... (a+)^r_1 a^s_1; factor 1 ends up rightmost.
+    Zero exponents (s_1, r_n) give no run."""
     return BosonWord.from_runs(
         run for ri, si in zip(reversed(t.r), reversed(t.s))
-        for run in ((CREATION, ri), (ANNIHILATION, si)))
+        for run in ((CREATION, ri), (ANNIHILATION, si)) if run[1])
 
 
-def type_from_word(word: BosonWord) -> StringType | None:
-    """Inverse of word_from_type where one exists.
+def type_from_word(word: BosonWord) -> StringType:
+    """Inverse of word_from_type.
 
-    Factors the word into strictly alternating creation/annihilation runs
-    starting with a creation run; returns None when the word is not of that
-    grouped shape (for example when it starts with an annihilator).
+    The runs alternate, so they pair into factors once an empty creation
+    run is put in front of a leading a (r_n = 0) and an empty annihilation
+    run after a trailing a+ (s_1 = 0); the empty word is ((0,), (0,)).
     """
-    runs = word.runs
-    if not runs or len(runs) % 2:
-        return None
-    pairs = list(zip(runs[0::2], runs[1::2]))
-    if any(up[0] is not CREATION or down[0] is not ANNIHILATION
-           for up, down in pairs):
-        return None
-    r = tuple(up[1] for up, _ in reversed(pairs))
-    s = tuple(down[1] for _, down in reversed(pairs))
-    return StringType(r, s)
+    counts = [c for _, c in word.runs]
+    if not word.runs or word.runs[0][0] is ANNIHILATION:
+        counts.insert(0, 0)
+    if len(counts) % 2:
+        counts.append(0)
+    return StringType(counts[-2::-2], counts[::-2])
 
 
 def extract_stirling(form: NormalForm) -> tuple[int, dict[int, int]]:

@@ -144,7 +144,7 @@ class CheckResult:
 
 def run_selfcheck(t: StringType, m_max: int = 4, x_samples: int = 8,
                   enum_cap: int = DEFAULT_ENUM_CAP) -> list[CheckResult]:
-    """Cross-verify every computation path on one type.
+    """Cross-verify every computation path on one type, that of any word.
 
     Checks: all coefficient-table methods agree; every colony's empty cells
     equal excess plus free legs; settlement counts from enumeration, the
@@ -258,19 +258,16 @@ def build_parser() -> argparse.ArgumentParser:
     common = _make_common(allow_csv=False)
     common_csv = _make_common(allow_csv=True)
     word_input = _make_word_input()
+    methods = ("auto", "rewrite", "recurrence", "closed-form", "enumerate")
 
     sub.add_parser("order", parents=[common, word_input],
                    help="normal order a word")
     p = sub.add_parser("stirling", parents=[common_csv, word_input],
                        help="coefficient table of a word or type")
-    p.add_argument("--method", default="auto",
-                   choices=("auto", "rewrite", "recurrence", "closed-form",
-                            "enumerate"))
+    p.add_argument("--method", default="auto", choices=methods)
     p = sub.add_parser("bell", parents=[common, word_input],
                        help="sum of the coefficient table")
-    p.add_argument("--method", default="auto",
-                   choices=("auto", "rewrite", "recurrence", "closed-form",
-                            "enumerate"))
+    p.add_argument("--method", default="auto", choices=methods)
     p = sub.add_parser("dobinski", parents=[common, word_input],
                        help="numeric series value of the Bell polynomial")
     p.add_argument("--x", default="1", help="nonnegative rational argument")
@@ -302,28 +299,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_input(args, parser,
-                   need_type: bool) -> tuple[BosonWord, StringType | None]:
+def _resolve_input(args, parser) -> StringType:
+    # a word and its type are one-to-one, so every handler takes the type
     has_word = args.word is not None
     has_type = args.r is not None or args.s is not None
     if has_word == has_type:
         parser.error("provide exactly one input: --word or --r together with --s")
     if has_word:
-        word = parse_word(args.word)
-        t = type_from_word(word)
-        if need_type and t is None:
-            parser.error("this word does not factor into ad^r a^s blocks; "
-                         "pass --r and --s instead")
-        return word, t
+        return type_from_word(parse_word(args.word))
     if args.r is None or args.s is None:
         parser.error("--r and --s must be given together")
-    t = parse_type(args.r, args.s)
-    return word_from_type(t), t
+    return parse_type(args.r, args.s)
 
 
-def _type_payload(t: StringType | None):
-    if t is None:
-        return None
+def _type_payload(t: StringType):
     return {"r": list(t.r), "s": list(t.s)}
 
 
@@ -344,7 +333,7 @@ def _format_normal_form(form: NormalForm) -> str:
 
 
 def _cmd_order(args, parser):
-    word, _ = _resolve_input(args, parser, need_type=False)
+    word = word_from_type(_resolve_input(args, parser))
     form = normal_order(word)
     if args.format == "json":
         payload = {
@@ -357,17 +346,12 @@ def _cmd_order(args, parser):
     return _format_normal_form(form), 0
 
 
-def _stirling_values(args, parser) -> tuple[StringType | None, int,
+def _stirling_values(args, parser) -> tuple[StringType, int,
                                             dict[int, int], str]:
-    word, t = _resolve_input(args, parser, need_type=False)
-    method = args.method
-    if method == "auto":
-        method = "recurrence" if t is not None else "rewrite"
-    if method != "rewrite" and t is None:
-        parser.error(f"method {method!r} needs a type; this word does not "
-                     "factor into ad^r a^s blocks")
+    t = _resolve_input(args, parser)
+    method = "recurrence" if args.method == "auto" else args.method
     if method == "rewrite":
-        d, values = extract_stirling(normal_order(word))
+        d, values = extract_stirling(normal_order(word_from_type(t)))
     elif method == "recurrence":
         d, values = t.excess, dict(stirling_recurrence(t).values)
     elif method == "closed-form":
@@ -416,7 +400,7 @@ def _cmd_bell(args, parser):
 
 
 def _cmd_dobinski(args, parser):
-    _, t = _resolve_input(args, parser, need_type=True)
+    t = _resolve_input(args, parser)
     try:
         x = Fraction(args.x)
     except (ValueError, ZeroDivisionError):
@@ -437,7 +421,7 @@ def _cmd_dobinski(args, parser):
 
 
 def _cmd_colonies(args, parser):
-    _, t = _resolve_input(args, parser, need_type=True)
+    t = _resolve_input(args, parser)
     colonies = list(enumerate_colonies(t, args.enum_cap))
     if args.dot:
         return "\n\n".join(colony_to_dot(c) for c in colonies), 0
@@ -450,17 +434,18 @@ def _cmd_colonies(args, parser):
             "type": _type_payload(t),
             "count": len(colonies),
             "by_free_legs": {str(k): str(v) for k, v in sorted(counts.items())},
-            "colonies": [colony_to_text(c).split("\n") for c in colonies],
+            "colonies": [colony_to_text(c).split("\n") if t.total_s else []
+                         for c in colonies],
         }
         return json.dumps(payload, indent=2), 0
     blocks = [f"colony {i} (free legs {free_legs(c)})\n{colony_to_text(c)}"
-              for i, c in enumerate(colonies, start=1)]
+              .rstrip() for i, c in enumerate(colonies, start=1)]
     blocks.append(f"total {len(colonies)}")
     return "\n\n".join(blocks), 0
 
 
 def _cmd_settlements(args, parser):
-    _, t = _resolve_input(args, parser, need_type=True)
+    t = _resolve_input(args, parser)
     if args.m < 0:
         parser.error("--m must be nonnegative")
     if args.method == "product":
@@ -516,7 +501,7 @@ def _cmd_series(args, parser):
 
 
 def _cmd_selfcheck(args, parser):
-    _, t = _resolve_input(args, parser, need_type=True)
+    t = _resolve_input(args, parser)
     if args.m_max < 0:
         parser.error("--m-max must be nonnegative")
     if args.x_samples < 1:

@@ -101,6 +101,9 @@ def _walk(t: StringType, held: list[int], changed: list[int]) -> Iterator[int]:
     ground = 0
     level = 0
     changed[0] = 0
+    if last < 0:
+        yield 0  # no feet: the one empty colony
+        return
     while True:
         # descend on ground feet down to the last level
         while level < last:
@@ -165,6 +168,7 @@ def _colony_stream(t: StringType) -> Iterator[Colony]:
     for j, s in enumerate(t.s):
         spans.append((len(bug_of), len(bug_of) + s))
         bug_of += [j] * s
+    bug_of.append(t.n)  # read only by a feetless walk's one leaf
     held = [0] * t.total_s
     changed = [0]
     cell = ref.__getitem__

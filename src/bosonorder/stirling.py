@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Mapping
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate, chain, count, repeat
 from operator import add, attrgetter, index, mul
@@ -244,18 +244,17 @@ def bell_polynomial(t: StringType) -> BellPolynomial:
     return BellPolynomial(tuple(coeffs))
 
 
-def bell_poly_recursion(prev: BellPolynomial, d_prev: int, r_next: int,
+def bell_poly_recursion(prev: BellPolynomial, d_prev: int,
                         s_next: int) -> BellPolynomial:
     """Extend a Bell polynomial by one factor through the differential model.
 
     New polynomial = x^(s'-d) (D+1)^(s') x^d old, with d the excess before
-    the new factor.  r_next is accepted for signature symmetry but cancels
-    out of the coefficients; it only moves the excess of later factors.
+    the new factor; the factor's creation exponent does not enter it.
     """
     if d_prev < 0:
         raise NonCanonicalPrefix(f"excess before the new factor is {d_prev}")
-    if r_next < 0 or s_next < 0:
-        raise ValueError("factor exponents must be nonnegative")
+    if s_next < 0:
+        raise ValueError("s_next must be nonnegative")
     c = [0] * d_prev + list(prev.coeffs)
     for _ in range(s_next):
         # (D+1) maps coefficient vector f to f_i + (i+1) f_{i+1}
@@ -341,8 +340,9 @@ def dobinski_eval(t: StringType, x, target_digits: int,
         raise ValueError("target_digits must be positive")
     x = Fraction(x)
     dobinski_terms(t, x)  # validates x
-    if x == 0:
-        return ApproxValue(Decimal(0), target_digits, 1)
+    if x == 0:  # B(0) = S(0) = p(0), which is 0 unless s_1 = 0
+        value = Context(prec=target_digits).create_decimal(_prefix_product(t, 0))
+        return ApproxValue(value, target_digits, 1)
     return _dobinski_sum(_dobinski_numerators(t, x.numerator), t.s[0],
                          t.total_s, x, target_digits, max_terms)
 

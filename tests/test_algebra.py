@@ -148,9 +148,23 @@ class TestWordsAndTypes:
             assert type_from_word(word_from_type(t)) == t
 
     def test_type_from_ungrouped_word(self):
-        assert type_from_word(word(A, AD)) is None
-        assert type_from_word(word(AD)) is None
-        assert type_from_word(BosonWord()) is None
+        # a leading a gets r_n = 0, a trailing ad gets s_1 = 0
+        assert type_from_word(word(A, AD)) == StringType((1, 0), (0, 1))
+        assert type_from_word(word(AD)) == StringType((1,), (0,))
+        assert type_from_word(word(A)) == StringType((0,), (1,))
+        assert type_from_word(BosonWord()) == StringType((0,), (0,))
+
+    def test_every_word_round_trips(self):
+        # every word of at most 10 letters has exactly one type
+        types = set()
+        for size in range(11):
+            for letters in itertools.product((AD, A), repeat=size):
+                w = BosonWord(letters)
+                t = type_from_word(w)
+                assert word_from_type(t) == w
+                assert type_from_word(word_from_type(t)) == t
+                types.add(t)
+        assert len(types) == 2 ** 11 - 1
 
     def test_excess(self):
         assert word(AD, AD, A).excess == 1
@@ -162,8 +176,19 @@ class TestWordsAndTypes:
             StringType((1, 2), (1,))
         with pytest.raises(ValueError):
             StringType((), ())
-        with pytest.raises(ValueError):
-            StringType((0,), (1,))
+        # zeros anywhere but s_1 and r_n, negatives anywhere
+        for r, s in [((0, 1), (1, 1)), ((1, 1), (1, 0)),
+                     ((1, 0, 1), (1, 1, 1)), ((-1,), (1,)), ((1,), (-1,)),
+                     ((1, -1), (0, 1)), ((1, 1), (-1, 1))]:
+            with pytest.raises(ValueError):
+                StringType(r, s)
+
+    @pytest.mark.parametrize("r, s", [((0,), (1,)), ((1,), (0,)),
+                                      ((0,), (0,)), ((2, 1, 0), (0, 1, 3))])
+    def test_zero_boundary_exponents_accepted(self, r, s):
+        t = StringType(r, s)
+        assert (t.r, t.s) == (r, s)
+        assert type_from_word(word_from_type(t)) == t
 
     def test_prefix_excesses(self):
         t = StringType((3, 2, 1, 3), (2, 2, 2, 3))

@@ -252,8 +252,13 @@ class TestMainInProcess:
         assert len(set(map(str, tables.values()))) == 1
 
     def test_negative_excess_word_is_computational_error(self, capsys):
-        assert main(["stirling", "--word", "a^2 ad"]) == 1
+        assert main(["stirling", "--word", "a^2 ad", "--method",
+                     "rewrite"]) == 1
         assert "error" in capsys.readouterr().err
+        # auto takes the recurrence, keyed by surviving annihilators
+        assert main(["stirling", "--word", "a^2 ad"]) == 0
+        assert capsys.readouterr().out \
+            == "d = -1\nS(1) = 2\nS(2) = 1\nbell = 3\n"
 
     def test_ungrouped_word_falls_back_to_rewrite(self, capsys):
         assert main(["order", "--word", "a ad a ad"]) == 0
@@ -264,7 +269,8 @@ class TestMainInProcess:
     def test_ungrouped_word_json_type_null(self, capsys):
         assert main(["stirling", "--word", "a ad", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["type"] is None and payload["method"] == "rewrite"
+        assert payload["type"] == {"r": [1, 0], "s": [0, 1]}
+        assert payload["method"] == "recurrence"
 
     def test_bell_of_huge_exponent(self, capsys):
         assert main(["bell", "--r", "3000000", "--s", "1"]) == 0

@@ -296,27 +296,27 @@ class TestBellPolynomial:
 class TestBellPolyRecursion:
     def test_single_step_matches_two_factor_table(self):
         base = bell_polynomial(StringType((1,), (1,)))
-        assert bell_poly_recursion(base, 0, 1, 1).coeffs == (0, 1, 1)
+        assert bell_poly_recursion(base, 0, 1).coeffs == (0, 1, 1)
 
     def test_zero_annihilators_is_identity(self):
         base = bell_polynomial(StringType((2,), (1,)))
-        assert bell_poly_recursion(base, 1, 3, 0) == base
+        assert bell_poly_recursion(base, 1, 0) == base
 
     def test_matches_direct_construction(self, sweep_types):
         for t in sweep_types:
             poly = bell_polynomial(StringType((t.r[0],), (t.s[0],)))
             ds = t.prefix_excesses
             for i in range(1, t.n):
-                poly = bell_poly_recursion(poly, ds[i], t.r[i], t.s[i])
+                poly = bell_poly_recursion(poly, ds[i], t.s[i])
             assert poly == bell_polynomial(t)
 
     def test_rejects_negative_excess(self):
         with pytest.raises(NonCanonicalPrefix):
-            bell_poly_recursion(BellPolynomial((0, 1)), -1, 1, 1)
+            bell_poly_recursion(BellPolynomial((0, 1)), -1, 1)
 
     def test_downshift_cancels_prepended_zeros(self):
         # x^(-1) (D+1)^0 x^1 is the identity on constants
-        out = bell_poly_recursion(BellPolynomial((1,)), 1, 1, 0)
+        out = bell_poly_recursion(BellPolynomial((1,)), 1, 0)
         assert out.coeffs == (1,)
 
 

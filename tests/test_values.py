@@ -1,6 +1,8 @@
 """The value classes of every module: equality by value within one class,
 hashing, immutability, and integer fields that refuse non-integers."""
 
+import copy
+import pickle
 from decimal import Decimal
 
 import pytest
@@ -55,6 +57,26 @@ def test_frozen_value_class(name):
     with pytest.raises(AttributeError):
         delattr(a, field)
     assert getattr(a, field) is stored and a == b
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN))
+@pytest.mark.parametrize("how", [
+    copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_copies_are_equal_and_frozen(name, how):
+    make, field = FROZEN[name]
+    original = make()
+    if name == "StringType":
+        original.prefix_excesses  # a cached value travels in __dict__
+    twin = how(original)
+    assert twin == original and type(twin) is type(original)
+    stored = getattr(twin, field)
+    for attr in (field, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(twin, attr, stored)
+    with pytest.raises(AttributeError):
+        delattr(twin, field)
+    assert getattr(twin, field) is stored and twin == make()
 
 
 @pytest.mark.parametrize("build", [
