@@ -16,9 +16,8 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Iterable, Iterator, Mapping
-from functools import cached_property
-from itertools import chain, repeat
-from operator import attrgetter, index
+from itertools import accumulate, chain, repeat
+from operator import attrgetter, index, sub
 
 from .errors import NegativeExcess, NonCanonicalPrefix
 
@@ -62,9 +61,8 @@ class _Value:
 
     def __setstate__(self, state):
         # copy and pickle restore past the frozen __setattr__ from slot
-        # state (None, slots), or from StringType's __dict__
-        state = state[1] if isinstance(state, tuple) else state
-        for name, value in state.items():
+        # state (None, slots)
+        for name, value in state[1].items():
             object.__setattr__(self, name, value)
 
 
@@ -128,7 +126,7 @@ class StringType(_Value):
     included, has exactly one type.
     """
 
-    # no __slots__: cached_property keeps prefix_excesses in __dict__
+    __slots__ = ("r", "s", "prefix_excesses")
     _key = attrgetter("r", "s")
 
     def __init__(self, r: Iterable[int], s: Iterable[int]):
@@ -143,6 +141,9 @@ class StringType(_Value):
                 "exponents must be positive, except s_1 and r_n may be 0")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "s", s)
+        # d_0..d_n where d_j is the creation surplus of factors 1..j; d_0 = 0
+        object.__setattr__(self, "prefix_excesses",
+                           tuple(accumulate(map(sub, r, s), initial=0)))
 
     @classmethod
     def uniform(cls, r: int, s: int, n: int) -> "StringType":
@@ -152,14 +153,6 @@ class StringType(_Value):
     @property
     def n(self) -> int:
         return len(self.r)
-
-    @cached_property
-    def prefix_excesses(self) -> tuple[int, ...]:
-        """d_0..d_n where d_j is the creation surplus of factors 1..j; d_0 = 0."""
-        ds = [0]
-        for ri, si in zip(self.r, self.s):
-            ds.append(ds[-1] + ri - si)
-        return tuple(ds)
 
     @property
     def excess(self) -> int:

@@ -135,12 +135,6 @@ class CheckResult:
         self.status = status
         self.detail = detail
 
-    def __eq__(self, other):
-        if other.__class__ is not CheckResult:
-            return NotImplemented
-        return ((self.name, self.status, self.detail)
-                == (other.name, other.status, other.detail))
-
 
 def run_selfcheck(t: StringType, m_max: int = 4, x_samples: int = 8,
                   enum_cap: int = DEFAULT_ENUM_CAP) -> list[CheckResult]:
@@ -155,8 +149,13 @@ def run_selfcheck(t: StringType, m_max: int = 4, x_samples: int = 8,
     TooLarge propagates if the type exceeds the cap.
     """
     results = []
-    table = dict(stirling_recurrence(t).values)
 
+    def check(name: str, failure, passed: str = "") -> None:
+        # failure is the detail of a failed check, falsy when it passed
+        results.append(CheckResult(name, "fail", failure) if failure
+                       else CheckResult(name, "pass", passed))
+
+    table = dict(stirling_recurrence(t).values)
     legs = {"recurrence": table,
             "enumeration": count_colonies_by_free_legs(t, enum_cap=enum_cap)}
     if t.excess >= 0:
@@ -164,25 +163,15 @@ def run_selfcheck(t: StringType, m_max: int = 4, x_samples: int = 8,
     if t.has_nonnegative_prefixes():
         legs["closed-form"] = closed_form_table(t)
     mismatched = {name: vals for name, vals in legs.items() if vals != table}
-    if mismatched:
-        results.append(CheckResult("stirling tables agree", "fail",
-                                   f"recurrence gives {table}, others {mismatched}"))
-    else:
-        results.append(CheckResult("stirling tables agree", "pass",
-                                   f"{len(legs)} methods on table {table}"))
+    check("stirling tables agree",
+          mismatched and f"recurrence gives {table}, others {mismatched}",
+          f"{len(legs)} methods on table {table}")
 
-    bad = None
-    for colony in enumerate_colonies(t, enum_cap):
-        if empty_cells(colony) != t.excess + free_legs(colony):
-            bad = colony
-            break
-    if bad is None:
-        results.append(CheckResult("empty cells equal excess plus free legs",
-                                   "pass"))
-    else:
-        results.append(CheckResult(
-            "empty cells equal excess plus free legs", "fail",
-            f"{empty_cells(bad)} cells vs {t.excess} + {free_legs(bad)}"))
+    bad = next((c for c in enumerate_colonies(t, enum_cap)
+                if empty_cells(c) != t.excess + free_legs(c)), None)
+    check("empty cells equal excess plus free legs",
+          bad is not None
+          and f"{empty_cells(bad)} cells vs {t.excess} + {free_legs(bad)}")
 
     bad_counts = []
     for m in range(m_max + 1):
@@ -191,22 +180,14 @@ def run_selfcheck(t: StringType, m_max: int = 4, x_samples: int = 8,
         product = settlement_product(t, m)
         if not enumerated == by_table == product:
             bad_counts.append((m, enumerated, by_table, product))
-    if bad_counts:
-        results.append(CheckResult(
-            "settlement counts agree", "fail",
-            f"(m, enumerated, from table, product) = {bad_counts}"))
-    else:
-        results.append(CheckResult("settlement counts agree", "pass",
-                                   f"m = 0..{m_max}"))
+    check("settlement counts agree",
+          bad_counts and f"(m, enumerated, from table, product) = {bad_counts}",
+          f"m = 0..{m_max}")
 
     bad_x = [x for x in range(x_samples)
              if not check_polynomial_identity(t, x)]
-    if bad_x:
-        results.append(CheckResult("falling-factorial identity", "fail",
-                                   f"fails at x = {bad_x}"))
-    else:
-        results.append(CheckResult("falling-factorial identity", "pass",
-                                   f"x = 0..{x_samples - 1}"))
+    check("falling-factorial identity", bad_x and f"fails at x = {bad_x}",
+          f"x = 0..{x_samples - 1}")
     return results
 
 
@@ -224,6 +205,23 @@ def _default_enum_cap() -> int:
     return cap
 
 
+def _count(lo: int, hi: int | None = None):
+    """An argparse type: an integer in lo..hi (no upper limit when hi is
+    None), refused as a usage error while the flags are read."""
+    bound = {0: "nonnegative", 1: "positive"}.get(lo, f"at least {lo}")
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be {bound}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"must be at most {hi}")
+        return value
+
+    count.__name__ = "int"  # argparse names it in "invalid int value"
+    return count
+
+
 def _make_common(allow_csv: bool) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     formats = ("plain", "json", "csv") if allow_csv else ("plain", "json")
@@ -231,13 +229,13 @@ def _make_common(allow_csv: bool) -> argparse.ArgumentParser:
                         help="output format")
     common.add_argument("--out", metavar="PATH",
                         help="write output to a file instead of stdout")
-    common.add_argument("--digits", type=int, default=50,
+    common.add_argument("--digits", type=_count(1, MAX_DIGITS), default=50,
                         help="significant digits for numeric results "
                              f"(at most {MAX_DIGITS})")
-    common.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS,
+    common.add_argument("--max-terms", type=_count(1), default=DEFAULT_MAX_TERMS,
                         dest="max_terms",
                         help="series term cap before giving up")
-    common.add_argument("--enum-cap", type=int, dest="enum_cap",
+    common.add_argument("--enum-cap", type=_count(1), dest="enum_cap",
                         help="enumeration size cap")
     return common
 
@@ -277,25 +275,26 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit DOT graphs instead of text placements")
     p = sub.add_parser("settlements", parents=[common, word_input],
                        help="count settlements of a type")
-    p.add_argument("--m", type=int, required=True,
+    p.add_argument("--m", type=_count(0), required=True,
                    help="number of distinguishable ground cells")
     p.add_argument("--method", default="enumerate",
                    choices=("enumerate", "product"))
     p = sub.add_parser("forests", parents=[common],
                        help="count increasing planar forests")
-    p.add_argument("--arity", type=int, required=True)
-    p.add_argument("--n", type=int, required=True,
+    p.add_argument("--arity", type=_count(1), required=True)
+    p.add_argument("--n", type=_count(0), required=True,
                    help="number of internal vertices")
     p = sub.add_parser("series", parents=[common],
                        help="tree/forest generating function coefficients")
     p.add_argument("--kind", default="tree",
                    choices=("tree", "tree-closed", "forest"))
-    p.add_argument("--arity", type=int, required=True)
-    p.add_argument("--order", type=int, default=10)
+    p.add_argument("--arity", type=_count(2), required=True,
+                   help="at least 2 (arity 1 is the Bell case: see forests)")
+    p.add_argument("--order", type=_count(0), default=10)
     p = sub.add_parser("selfcheck", parents=[common, word_input],
                        help="cross-verify all computation paths on one type")
-    p.add_argument("--m-max", type=int, default=4, dest="m_max")
-    p.add_argument("--x-samples", type=int, default=8, dest="x_samples")
+    p.add_argument("--m-max", type=_count(0), default=4, dest="m_max")
+    p.add_argument("--x-samples", type=_count(1), default=8, dest="x_samples")
     return parser
 
 
@@ -332,23 +331,20 @@ def _format_normal_form(form: NormalForm) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _cmd_order(args, parser):
-    word = word_from_type(_resolve_input(args, parser))
+def _cmd_order(args, t):
+    word = word_from_type(t)
     form = normal_order(word)
     if args.format == "json":
-        payload = {
+        return {
             "word": word_to_text(word),
             "excess": form.excess,
             "terms": {str(k): _number_text(v)
                       for k, v in form.coeffs.items()},
-        }
-        return json.dumps(payload, indent=2), 0
+        }, 0
     return _format_normal_form(form), 0
 
 
-def _stirling_values(args, parser) -> tuple[StringType, int,
-                                            dict[int, int], str]:
-    t = _resolve_input(args, parser)
+def _stirling_values(args, t) -> tuple[int, dict[int, int], str]:
     method = "recurrence" if args.method == "auto" else args.method
     if method == "rewrite":
         d, values = extract_stirling(normal_order(word_from_type(t)))
@@ -359,22 +355,21 @@ def _stirling_values(args, parser) -> tuple[StringType, int,
     else:
         d = t.excess
         values = count_colonies_by_free_legs(t, enum_cap=args.enum_cap)
-    return t, d, values, method
+    return d, values, method
 
 
-def _cmd_stirling(args, parser):
-    t, d, values, method = _stirling_values(args, parser)
+def _cmd_stirling(args, t):
+    d, values, method = _stirling_values(args, t)
     bell = sum(values.values())
     if args.format == "json":
-        payload = {
+        return {
             "type": _type_payload(t),
             "d": d,
             "stirling": {str(k): _number_text(v)
                          for k, v in sorted(values.items())},
             "bell": _number_text(bell),
             "method": method,
-        }
-        return json.dumps(payload, indent=2), 0
+        }, 0
     if args.format == "csv":
         lines = ["k,S_k"] + [f"{k},{_number_text(v)}"
                              for k, v in sorted(values.items())]
@@ -385,22 +380,20 @@ def _cmd_stirling(args, parser):
     return "\n".join(lines), 0
 
 
-def _cmd_bell(args, parser):
-    t, d, values, method = _stirling_values(args, parser)
+def _cmd_bell(args, t):
+    d, values, method = _stirling_values(args, t)
     bell = sum(values.values())
     if args.format == "json":
-        payload = {
+        return {
             "type": _type_payload(t),
             "d": d,
             "bell": _number_text(bell),
             "method": method,
-        }
-        return json.dumps(payload, indent=2), 0
+        }, 0
     return _number_text(bell), 0
 
 
-def _cmd_dobinski(args, parser):
-    t = _resolve_input(args, parser)
+def _cmd_dobinski(args, t):
     try:
         x = Fraction(args.x)
     except (ValueError, ZeroDivisionError):
@@ -409,19 +402,17 @@ def _cmd_dobinski(args, parser):
         raise ParseError("x must be nonnegative", 0)
     approx = dobinski_eval(t, x, args.digits, args.max_terms)
     if args.format == "json":
-        payload = {
+        return {
             "type": _type_payload(t),
             "x": str(x),
             "value": str(approx.value),
             "precision_digits": approx.precision_digits,
             "terms_used": approx.terms_used,
-        }
-        return json.dumps(payload, indent=2), 0
+        }, 0
     return str(approx.value), 0
 
 
-def _cmd_colonies(args, parser):
-    t = _resolve_input(args, parser)
+def _cmd_colonies(args, t):
     colonies = list(enumerate_colonies(t, args.enum_cap))
     if args.dot:
         return "\n\n".join(colony_to_dot(c) for c in colonies), 0
@@ -430,98 +421,77 @@ def _cmd_colonies(args, parser):
         for c in colonies:
             k = free_legs(c)
             counts[k] = counts.get(k, 0) + 1
-        payload = {
+        return {
             "type": _type_payload(t),
             "count": len(colonies),
             "by_free_legs": {str(k): str(v) for k, v in sorted(counts.items())},
             "colonies": [colony_to_text(c).split("\n") if t.total_s else []
                          for c in colonies],
-        }
-        return json.dumps(payload, indent=2), 0
+        }, 0
     blocks = [f"colony {i} (free legs {free_legs(c)})\n{colony_to_text(c)}"
               .rstrip() for i, c in enumerate(colonies, start=1)]
     blocks.append(f"total {len(colonies)}")
     return "\n\n".join(blocks), 0
 
 
-def _cmd_settlements(args, parser):
-    t = _resolve_input(args, parser)
-    if args.m < 0:
-        parser.error("--m must be nonnegative")
+def _cmd_settlements(args, t):
     if args.method == "product":
         count = settlement_product(t, args.m)
     else:
         count = enumerate_settlements(t, args.m, args.enum_cap)
     if args.format == "json":
-        payload = {
+        return {
             "type": _type_payload(t),
             "m": args.m,
             "count": _number_text(count),
             "method": args.method,
-        }
-        return json.dumps(payload, indent=2), 0
+        }, 0
     return _number_text(count), 0
 
 
-def _cmd_forests(args, parser):
-    if args.arity < 1:
-        parser.error("--arity must be at least 1")
-    if args.n < 0:
-        parser.error("--n must be nonnegative")
+def _cmd_forests(args, t):
     count = count_increasing_forests(args.arity, args.n, args.enum_cap)
     if args.format == "json":
-        payload = {"arity": args.arity, "n": args.n, "count": str(count)}
-        return json.dumps(payload, indent=2), 0
+        return {"arity": args.arity, "n": args.n, "count": str(count)}, 0
     return str(count), 0
 
 
-def _cmd_series(args, parser):
-    if args.arity < 2:
-        parser.error("--arity must be at least 2 (arity 1 is the ordinary "
-                     "Bell case; use bell/forests)")
-    if args.order < 0:
-        parser.error("--order must be nonnegative")
+def _cmd_series(args, t):
     builder = {"tree": tree_series, "tree-closed": tree_series_closed_form,
                "forest": forest_egf}[args.kind]
     series = builder(args.arity, args.order)
     counts = series.counts
     if args.format == "json":
-        payload = {
+        return {
             "kind": args.kind,
             "arity": args.arity,
             "order": series.order,
             "convention": series.convention,
             "coefficients": list(map(_number_text, series.coeffs)),
             "counts": list(map(_number_text, counts)),
-        }
-        return json.dumps(payload, indent=2), 0
+        }, 0
     lines = [f"a_{n} = {_number_text(c)} (count {_number_text(counts[n])})"
              for n, c in enumerate(series.coeffs)]
     return "\n".join(lines), 0
 
 
-def _cmd_selfcheck(args, parser):
-    t = _resolve_input(args, parser)
-    if args.m_max < 0:
-        parser.error("--m-max must be nonnegative")
-    if args.x_samples < 1:
-        parser.error("--x-samples must be positive")
+def _cmd_selfcheck(args, t):
     results = run_selfcheck(t, args.m_max, args.x_samples, args.enum_cap)
-    failed = any(r.status == "fail" for r in results)
+    code = 1 if any(r.status == "fail" for r in results) else 0
     if args.format == "json":
-        payload = {
+        return {
             "type": _type_payload(t),
             "checks": [{"name": r.name, "status": r.status, "detail": r.detail}
                        for r in results],
-        }
-        text = json.dumps(payload, indent=2)
-    else:
-        text = "\n".join(
-            f"{r.status.upper()} {r.name}" + (f": {r.detail}" if r.detail else "")
-            for r in results)
-    return text, 1 if failed else 0
+        }, code
+    return "\n".join(
+        f"{r.status.upper()} {r.name}" + (f": {r.detail}" if r.detail else "")
+        for r in results), code
 
 
+# each handler takes the parsed flags and the input type (None for forests
+# and series) and returns (result, exit code): the result is a JSON payload
+# as a dict, or plain, CSV or DOT text as a str, and main prints it
 _HANDLERS = {
     "order": _cmd_order,
     "stirling": _cmd_stirling,
@@ -536,34 +506,29 @@ _HANDLERS = {
 
 
 def _emit(text: str, out: str | None) -> None:
-    payload = text if text.endswith("\n") else text + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+            print(text, file=fh)
     else:
-        sys.stdout.write(payload)
+        print(text)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for flag in ("digits", "max_terms", "enum_cap"):
-        value = getattr(args, flag)
-        if value is not None and value < 1:
-            parser.error(f"--{flag.replace('_', '-')} must be positive")
-    if args.digits > MAX_DIGITS:
-        parser.error(f"--digits must be at most {MAX_DIGITS}")
     try:
         if args.enum_cap is None:
             args.enum_cap = _default_enum_cap()
-        text, code = _HANDLERS[args.subcommand](args, parser)
+        t = _resolve_input(args, parser) if "word" in args else None
+        result, code = _HANDLERS[args.subcommand](args, t)
     except (ParseError, LengthMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BosonOrderError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(text, args.out)
+    _emit(result if isinstance(result, str)
+          else json.dumps(result, indent=2), args.out)
     return code
 
 

@@ -340,8 +340,15 @@ def dobinski_eval(t: StringType, x, target_digits: int,
         raise ValueError("target_digits must be positive")
     x = Fraction(x)
     dobinski_terms(t, x)  # validates x
-    if x == 0:  # B(0) = S(0) = p(0), which is 0 unless s_1 = 0
-        value = Context(prec=target_digits).create_decimal(_prefix_product(t, 0))
+    if x == 0 or not t.total_s:
+        # B(0) = S(0) = p(0), which is 0 unless s_1 = 0; with no feet p = 1,
+        # so B(x) = 1 for every x.  A nonzero exact value prints all
+        # target_digits digits, as a rounded one does (1.0000, not 1)
+        ctx = Context(prec=target_digits)
+        value = ctx.create_decimal(_prefix_product(t, 0))
+        if value:
+            value = value.quantize(Decimal(
+                (0, (1,), value.adjusted() + 1 - target_digits)), context=ctx)
         return ApproxValue(value, target_digits, 1)
     return _dobinski_sum(_dobinski_numerators(t, x.numerator), t.s[0],
                          t.total_s, x, target_digits, max_terms)

@@ -260,13 +260,13 @@ class TestMainInProcess:
         assert capsys.readouterr().out \
             == "d = -1\nS(1) = 2\nS(2) = 1\nbell = 3\n"
 
-    def test_ungrouped_word_falls_back_to_rewrite(self, capsys):
+    def test_ungrouped_word_gets_its_table(self, capsys):
         assert main(["order", "--word", "a ad a ad"]) == 0
         capsys.readouterr()
         assert main(["stirling", "--word", "a ad a ad"]) == 0
         assert "d = 0" in capsys.readouterr().out
 
-    def test_ungrouped_word_json_type_null(self, capsys):
+    def test_ungrouped_word_json_type_is_padded(self, capsys):
         assert main(["stirling", "--word", "a ad", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["type"] == {"r": [1, 0], "s": [0, 1]}
@@ -311,6 +311,39 @@ class TestMainInProcess:
     def test_forests(self, capsys):
         assert main(["forests", "--arity", "3", "--n", "4"]) == 0
         assert capsys.readouterr().out == "211\n"
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["settlements", "--r", "1", "--s", "1", "--m", "-1"], "--m"),
+        (["forests", "--arity", "0", "--n", "2"], "--arity"),
+        (["forests", "--arity", "2", "--n", "-1"], "--n"),
+        (["series", "--arity", "1"], "--arity"),
+        (["series", "--arity", "2", "--order", "-1"], "--order"),
+        (["selfcheck", "--r", "1", "--s", "1", "--m-max", "-1"], "--m-max"),
+        (["selfcheck", "--r", "1", "--s", "1", "--x-samples", "0"],
+         "--x-samples"),
+    ], ids=["m", "forests-arity", "n", "series-arity", "order", "m-max",
+            "x-samples"])
+    def test_out_of_range_flags_are_usage_errors(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"argument {flag}: must be" in err
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["settlements", "--r", "1", "--s", "1", "--m", "0"], "0\n"),
+        (["forests", "--arity", "1", "--n", "0"], "1\n"),
+        (["series", "--arity", "2", "--order", "0"], "a_0 = 1 (count 1)\n"),
+        (["selfcheck", "--r", "1", "--s", "1", "--m-max", "0",
+          "--x-samples", "1"], "PASS stirling tables agree: 4 methods on "
+         "table {1: 1}\nPASS empty cells equal excess plus free legs\n"
+         "PASS settlement counts agree: m = 0..0\n"
+         "PASS falling-factorial identity: x = 0..0\n"),
+    ], ids=["m-0", "forests-arity-1-n-0", "series-arity-2-order-0",
+            "m-max-0-x-samples-1"])
+    def test_boundary_flag_values_are_accepted(self, argv, expected, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
 
     def test_series_counts(self, capsys):
         assert main(["series", "--kind", "forest", "--arity", "2",

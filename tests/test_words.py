@@ -9,8 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from bosonorder import (ANNIHILATION, CREATION, BosonWord, StringType,
-                        bell_polynomial, closed_form_table,
+from bosonorder import (ANNIHILATION, CREATION, ApproxValue, BosonWord,
+                        StringType, bell_polynomial, closed_form_table,
                         count_colonies_by_free_legs, dobinski_eval,
                         enumerate_colonies, normal_order,
                         stirling_recurrence, type_from_word)
@@ -80,6 +80,29 @@ def test_feetless_type_has_one_empty_colony(t):
     colonies = list(enumerate_colonies(t))
     assert len(colonies) == 1 and colonies[0].placement == ((),)
     assert dobinski_eval(t, 0, 10).value == 1
+
+
+@pytest.mark.parametrize("text, x", [
+    ("ad^3", "0"), ("ad^3", "1"), ("ad^3", "7"),
+    ("", "0"), ("", "1"), ("", "7"), ("a ad", "0")])
+def test_exact_dobinski_values_print_every_digit(text, x, capsys):
+    # no feet: p = 1, so B(x) = 1; at x = 0, B(0) = p(0) = 1 for "a ad"
+    t = type_from_word(parse_word(text))
+    approx = dobinski_eval(t, Fraction(x), 5)
+    assert approx == ApproxValue(Decimal(1), 5, 1)
+    assert str(approx.value) == "1.0000"
+    argv = ["dobinski", "--word", text, "--x", x, "--digits", "5"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "1.0000\n"
+    assert main(argv + ["--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["value"], payload["terms_used"]) == ("1.0000", 1)
+
+
+def test_exact_zero_stays_zero(capsys):
+    assert str(dobinski_eval(StringType((1,), (1,)), 0, 5).value) == "0"
+    assert main(["dobinski", "--word", "ad a", "--x", "0"]) == 0
+    assert capsys.readouterr().out == "0\n"
 
 
 @pytest.mark.parametrize("text", ["a ad^2", "a^2 ad", "ad^3"])
