@@ -25,9 +25,9 @@ from .combinat import (DEFAULT_ENUM_CAP, colony_to_dot, colony_to_text,
                        free_legs)
 from .errors import BosonOrderError, LengthMismatch, ParseError
 from .series import (forest_egf, tree_series, tree_series_closed_form)
-from .stirling import (DEFAULT_MAX_TERMS, check_polynomial_identity,
-                       closed_form_table, dobinski_eval, falling_factorial,
-                       settlement_product, stirling_recurrence)
+from .stirling import (DEFAULT_MAX_TERMS, closed_form_table, dobinski_eval,
+                       falling_factorial, settlement_product,
+                       stirling_recurrence)
 
 _TOKEN = re.compile(r"(ad|a)(?:\^([0-9]+))?")
 
@@ -136,14 +136,16 @@ class CheckResult:
         self.detail = detail
 
 
-def run_selfcheck(t: StringType, m_max: int = 4, x_samples: int = 8,
+def run_selfcheck(t: StringType, m_max: int = 4,
                   enum_cap: int = DEFAULT_ENUM_CAP) -> list[CheckResult]:
     """Cross-verify every computation path on one type, that of any word.
 
     Checks: all coefficient-table methods agree; every colony's empty cells
     equal excess plus free legs; settlement counts from enumeration, the
     product formula, and the table all coincide; the falling-factorial
-    identity holds on sample points.  Every check runs on every type; only
+    identity prod_j (X+d_{j-1})_(s_j) = sum_k S(k) (X)_k holds.  Both of
+    its sides have degree at most sum(s), so agreeing at the sum(s) + 1
+    points x = 0..sum(s) proves it.  Every check runs on every type; only
     the legs of the table check depend on it: the closed form joins when
     the prefix excesses are nonnegative, rewriting when the excess is.
     TooLarge propagates if the type exceeds the cap.
@@ -154,6 +156,10 @@ def run_selfcheck(t: StringType, m_max: int = 4, x_samples: int = 8,
         # failure is the detail of a failed check, falsy when it passed
         results.append(CheckResult(name, "fail", failure) if failure
                        else CheckResult(name, "pass", passed))
+
+    def from_table(x: int) -> int:
+        # sum_k S(k) (x)_k, the table's side of the identity
+        return sum(v * falling_factorial(x, k) for k, v in table.items())
 
     table = dict(stirling_recurrence(t).values)
     legs = {"recurrence": table,
@@ -175,19 +181,18 @@ def run_selfcheck(t: StringType, m_max: int = 4, x_samples: int = 8,
 
     bad_counts = []
     for m in range(m_max + 1):
-        enumerated = enumerate_settlements(t, m, enum_cap)
-        by_table = sum(v * falling_factorial(m, k) for k, v in table.items())
-        product = settlement_product(t, m)
-        if not enumerated == by_table == product:
-            bad_counts.append((m, enumerated, by_table, product))
+        counts = (enumerate_settlements(t, m, enum_cap), from_table(m),
+                  settlement_product(t, m))
+        if len(set(counts)) > 1:
+            bad_counts.append((m, *counts))
     check("settlement counts agree",
           bad_counts and f"(m, enumerated, from table, product) = {bad_counts}",
           f"m = 0..{m_max}")
 
-    bad_x = [x for x in range(x_samples)
-             if not check_polynomial_identity(t, x)]
+    bad_x = [x for x in range(t.total_s + 1)
+             if settlement_product(t, x) != from_table(x)]
     check("falling-factorial identity", bad_x and f"fails at x = {bad_x}",
-          f"x = 0..{x_samples - 1}")
+          f"x = 0..{t.total_s}")
     return results
 
 
@@ -222,79 +227,68 @@ def _count(lo: int, hi: int | None = None):
     return count
 
 
-def _make_common(allow_csv: bool) -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    formats = ("plain", "json", "csv") if allow_csv else ("plain", "json")
-    common.add_argument("--format", choices=formats, default="plain",
-                        help="output format")
-    common.add_argument("--out", metavar="PATH",
-                        help="write output to a file instead of stdout")
-    common.add_argument("--digits", type=_count(1, MAX_DIGITS), default=50,
-                        help="significant digits for numeric results "
-                             f"(at most {MAX_DIGITS})")
-    common.add_argument("--max-terms", type=_count(1), default=DEFAULT_MAX_TERMS,
-                        dest="max_terms",
-                        help="series term cap before giving up")
-    common.add_argument("--enum-cap", type=_count(1), dest="enum_cap",
-                        help="enumeration size cap")
-    return common
-
-
-def _make_word_input() -> argparse.ArgumentParser:
-    inp = argparse.ArgumentParser(add_help=False)
-    inp.add_argument("--word", help="operator word, e.g. 'ad^2 a^2'")
-    inp.add_argument("--r", help="comma-separated creation exponents, factor 1 first")
-    inp.add_argument("--s", help="comma-separated annihilation exponents")
-    return inp
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bosonorder",
         description="Exact normal ordering and the combinatorics it counts.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    common = _make_common(allow_csv=False)
-    common_csv = _make_common(allow_csv=True)
-    word_input = _make_word_input()
     methods = ("auto", "rewrite", "recurrence", "closed-form", "enumerate")
 
-    sub.add_parser("order", parents=[common, word_input],
-                   help="normal order a word")
-    p = sub.add_parser("stirling", parents=[common_csv, word_input],
-                       help="coefficient table of a word or type")
+    def add(name: str, summary: str, word: bool = True,
+            enum_cap: bool = False, formats: tuple[str, ...] = ("plain", "json")):
+        # a subcommand with the flags every one takes, and with the input
+        # and enumeration-cap flags where its handler reads them
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--format", choices=formats, default="plain",
+                       help="output format")
+        p.add_argument("--out", metavar="PATH",
+                       help="write output to a file instead of stdout")
+        if word:
+            p.add_argument("--word", help="operator word, e.g. 'ad^2 a^2'")
+            p.add_argument("--r", help="comma-separated creation exponents, "
+                                       "factor 1 first")
+            p.add_argument("--s", help="comma-separated annihilation exponents")
+        if enum_cap:
+            p.add_argument("--enum-cap", type=_count(1), dest="enum_cap",
+                           help="enumeration size cap")
+        return p
+
+    add("order", "normal order a word")
+    p = add("stirling", "coefficient table of a word or type", enum_cap=True,
+            formats=("plain", "json", "csv"))
     p.add_argument("--method", default="auto", choices=methods)
-    p = sub.add_parser("bell", parents=[common, word_input],
-                       help="sum of the coefficient table")
+    p = add("bell", "sum of the coefficient table", enum_cap=True)
     p.add_argument("--method", default="auto", choices=methods)
-    p = sub.add_parser("dobinski", parents=[common, word_input],
-                       help="numeric series value of the Bell polynomial")
+    p = add("dobinski", "numeric series value of the Bell polynomial")
     p.add_argument("--x", default="1", help="nonnegative rational argument")
-    p = sub.add_parser("colonies", parents=[common, word_input],
-                       help="enumerate colonies of a type")
+    p.add_argument("--digits", type=_count(1, MAX_DIGITS), default=50,
+                   help="significant digits for numeric results "
+                        f"(at most {MAX_DIGITS})")
+    p.add_argument("--max-terms", type=_count(1), default=DEFAULT_MAX_TERMS,
+                   dest="max_terms", help="series term cap before giving up")
+    p = add("colonies", "enumerate colonies of a type", enum_cap=True)
     p.add_argument("--dot", action="store_true",
                    help="emit DOT graphs instead of text placements")
-    p = sub.add_parser("settlements", parents=[common, word_input],
-                       help="count settlements of a type")
+    p = add("settlements", "count settlements of a type", enum_cap=True)
     p.add_argument("--m", type=_count(0), required=True,
                    help="number of distinguishable ground cells")
     p.add_argument("--method", default="enumerate",
                    choices=("enumerate", "product"))
-    p = sub.add_parser("forests", parents=[common],
-                       help="count increasing planar forests")
+    p = add("forests", "count increasing planar forests", word=False,
+            enum_cap=True)
     p.add_argument("--arity", type=_count(1), required=True)
     p.add_argument("--n", type=_count(0), required=True,
                    help="number of internal vertices")
-    p = sub.add_parser("series", parents=[common],
-                       help="tree/forest generating function coefficients")
+    p = add("series", "tree/forest generating function coefficients",
+            word=False)
     p.add_argument("--kind", default="tree",
                    choices=("tree", "tree-closed", "forest"))
     p.add_argument("--arity", type=_count(2), required=True,
                    help="at least 2 (arity 1 is the Bell case: see forests)")
     p.add_argument("--order", type=_count(0), default=10)
-    p = sub.add_parser("selfcheck", parents=[common, word_input],
-                       help="cross-verify all computation paths on one type")
+    p = add("selfcheck", "cross-verify all computation paths on one type",
+            enum_cap=True)
     p.add_argument("--m-max", type=_count(0), default=4, dest="m_max")
-    p.add_argument("--x-samples", type=_count(1), default=8, dest="x_samples")
     return parser
 
 
@@ -476,7 +470,7 @@ def _cmd_series(args, t):
 
 
 def _cmd_selfcheck(args, t):
-    results = run_selfcheck(t, args.m_max, args.x_samples, args.enum_cap)
+    results = run_selfcheck(t, args.m_max, args.enum_cap)
     code = 1 if any(r.status == "fail" for r in results) else 0
     if args.format == "json":
         return {
@@ -517,7 +511,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.enum_cap is None:
+        if "enum_cap" in args and args.enum_cap is None:
             args.enum_cap = _default_enum_cap()
         t = _resolve_input(args, parser) if "word" in args else None
         result, code = _HANDLERS[args.subcommand](args, t)

@@ -342,16 +342,23 @@ def dobinski_eval(t: StringType, x, target_digits: int,
     dobinski_terms(t, x)  # validates x
     if x == 0 or not t.total_s:
         # B(0) = S(0) = p(0), which is 0 unless s_1 = 0; with no feet p = 1,
-        # so B(x) = 1 for every x.  A nonzero exact value prints all
-        # target_digits digits, as a rounded one does (1.0000, not 1)
-        ctx = Context(prec=target_digits)
-        value = ctx.create_decimal(_prefix_product(t, 0))
-        if value:
-            value = value.quantize(Decimal(
-                (0, (1,), value.adjusted() + 1 - target_digits)), context=ctx)
-        return ApproxValue(value, target_digits, 1)
+        # so B(x) = 1 for every x
+        return ApproxValue(_rounded(Fraction(_prefix_product(t, 0)),
+                                    target_digits), target_digits, 1)
     return _dobinski_sum(_dobinski_numerators(t, x.numerator), t.s[0],
                          t.total_s, x, target_digits, max_terms)
+
+
+def _rounded(v: Fraction, digits: int) -> Decimal:
+    # v rounded to digits significant digits, all of them shown, as an
+    # inexact quotient shows them (2.000, not the exact quotient's 2); 0
+    # stays 0
+    ctx = Context(prec=digits)
+    value = ctx.divide(Decimal(v.numerator), Decimal(v.denominator))
+    if value:
+        value = value.quantize(Decimal(
+            (0, (1,), value.adjusted() + 1 - digits)), context=ctx)
+    return value
 
 
 def _dobinski_sum(numerators: Iterable[int], m0: int, total_s: int,
@@ -477,10 +484,7 @@ def coherent_expectation(t: StringType, z, target_digits: int) -> ComplexApproxV
     for _ in range(t.excess):  # conj(z)^excess
         re, im = re * zr + im * zi, im * zr - re * zi
     b = poly.evaluate(zr * zr + zi * zi)
-    re, im = re * b, im * b
-    with localcontext() as ctx:
-        ctx.prec = target_digits
-        re_dec = Decimal(re.numerator) / Decimal(re.denominator)
-        im_dec = Decimal(im.numerator) / Decimal(im.denominator)
     terms = sum(1 for c in poly.coeffs if c)
-    return ComplexApproxValue(re_dec, im_dec, target_digits, max(terms, 1))
+    return ComplexApproxValue(_rounded(re * b, target_digits),
+                              _rounded(im * b, target_digits), target_digits,
+                              max(terms, 1))

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -13,12 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosonorder import (ANNIHILATION, CREATION, BosonWord, LengthMismatch,
-                        NormalForm, ParseError, StringType, apply_crossing,
-                        count_colonies_by_free_legs,
+                        NormalForm, ParseError, StirlingTable, StringType,
+                        apply_crossing, count_colonies_by_free_legs,
                         falling_factorial_expansion, normal_order,
                         stirling_recurrence)
-from bosonorder.cli import (MAX_DIGITS, MAX_EXPONENT_DIGITS, main, parse_type,
-                            parse_word, run_selfcheck, word_to_text)
+from bosonorder import cli
+from bosonorder.cli import (MAX_DIGITS, MAX_EXPONENT_DIGITS, build_parser,
+                            main, parse_type, parse_word, run_selfcheck,
+                            word_to_text)
 
 SHOWCASE = StringType((3, 2, 1, 3), (2, 2, 2, 3))
 
@@ -190,6 +193,24 @@ class TestSelfcheck:
             == count_colonies_by_free_legs(t) \
             == dict(stirling_recurrence(t).values)
 
+    def test_identity_reaches_the_top_entry(self, monkeypatch):
+        # (x)_k = 0 for x < k, so an error in S(sum(s)) shows only at
+        # x = sum(s), here 8
+        t = StringType.uniform(1, 1, 8)
+        right = stirling_recurrence(t).values
+        top = max(right)
+        monkeypatch.setattr(cli, "stirling_recurrence", lambda u: StirlingTable(
+            u, {**right, top: right[top] + 1}))
+        by_name = {r.name: r for r in run_selfcheck(t)}
+        identity = by_name["falling-factorial identity"]
+        assert identity.status == "fail"
+        assert identity.detail == f"fails at x = [{top}]"
+
+    def test_identity_covers_every_degree(self):
+        t = StringType((1, 1), (1, 12))
+        identity = run_selfcheck(t, m_max=0)[-1]
+        assert (identity.status, identity.detail) == ("pass", "x = 0..13")
+
 
 def _readme_examples():
     # (argv, stdout) for every "$ bosonorder ..." line of README.md whose
@@ -319,10 +340,7 @@ class TestMainInProcess:
         (["series", "--arity", "1"], "--arity"),
         (["series", "--arity", "2", "--order", "-1"], "--order"),
         (["selfcheck", "--r", "1", "--s", "1", "--m-max", "-1"], "--m-max"),
-        (["selfcheck", "--r", "1", "--s", "1", "--x-samples", "0"],
-         "--x-samples"),
-    ], ids=["m", "forests-arity", "n", "series-arity", "order", "m-max",
-            "x-samples"])
+    ], ids=["m", "forests-arity", "n", "series-arity", "order", "m-max"])
     def test_out_of_range_flags_are_usage_errors(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -334,16 +352,72 @@ class TestMainInProcess:
         (["settlements", "--r", "1", "--s", "1", "--m", "0"], "0\n"),
         (["forests", "--arity", "1", "--n", "0"], "1\n"),
         (["series", "--arity", "2", "--order", "0"], "a_0 = 1 (count 1)\n"),
-        (["selfcheck", "--r", "1", "--s", "1", "--m-max", "0",
-          "--x-samples", "1"], "PASS stirling tables agree: 4 methods on "
+        (["selfcheck", "--r", "1", "--s", "1", "--m-max", "0"],
+         "PASS stirling tables agree: 4 methods on "
          "table {1: 1}\nPASS empty cells equal excess plus free legs\n"
          "PASS settlement counts agree: m = 0..0\n"
-         "PASS falling-factorial identity: x = 0..0\n"),
+         "PASS falling-factorial identity: x = 0..1\n"),
     ], ids=["m-0", "forests-arity-1-n-0", "series-arity-2-order-0",
-            "m-max-0-x-samples-1"])
+            "m-max-0"])
     def test_boundary_flag_values_are_accepted(self, argv, expected, capsys):
         assert main(argv) == 0
         assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["order", "--word", "ad a", "--digits", "5"], "--digits"),
+        (["bell", "--r", "1", "--s", "1", "--max-terms", "3"], "--max-terms"),
+        (["series", "--arity", "2", "--enum-cap", "3"], "--enum-cap"),
+        (["dobinski", "--r", "1", "--s", "1", "--enum-cap", "3"],
+         "--enum-cap"),
+        (["selfcheck", "--r", "1", "--s", "1", "--x-samples", "8"],
+         "--x-samples"),
+        (["bell", "--r", "1", "--s", "1", "--digits", str(MAX_DIGITS + 1)],
+         "--digits"),
+        (["series", "--arity", "2", "--digits", str(MAX_DIGITS + 1)],
+         "--digits"),
+    ], ids=["order-digits", "bell-max-terms", "series-enum-cap",
+            "dobinski-enum-cap", "selfcheck-x-samples", "bell-digits",
+            "series-digits"])
+    def test_flags_a_subcommand_does_not_take_are_usage_errors(
+            self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments" in err and flag in err
+
+    def test_each_subcommand_takes_only_the_flags_it_reads(self):
+        output = {"--format", "--out"}
+        word = output | {"--word", "--r", "--s"}
+        table = word | {"--method", "--enum-cap"}
+        expected = {
+            "order": word,
+            "stirling": table,
+            "bell": table,
+            "dobinski": word | {"--x", "--digits", "--max-terms"},
+            "colonies": word | {"--dot", "--enum-cap"},
+            "settlements": word | {"--m", "--method", "--enum-cap"},
+            "forests": output | {"--arity", "--n", "--enum-cap"},
+            "series": output | {"--kind", "--arity", "--order"},
+            "selfcheck": word | {"--m-max", "--enum-cap"},
+        }
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        got = {name: {flag for action in sub._actions
+                      for flag in action.option_strings} - {"-h", "--help"}
+               for name, sub in subparsers.choices.items()}
+        assert got == expected
+        assert sum(map(len, got.values())) == 59
+
+    @pytest.mark.parametrize("sub", ["order", "stirling", "bell", "dobinski",
+                                     "colonies", "settlements", "forests",
+                                     "series", "selfcheck"])
+    def test_help_exits_zero(self, sub, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([sub, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: bosonorder {sub}")
 
     def test_series_counts(self, capsys):
         assert main(["series", "--kind", "forest", "--arity", "2",
@@ -568,7 +642,8 @@ class TestSubprocess:
         (("dobinski", "--r", "1", "--s", "1", "--digits", "0"), None),
         (("colonies", "--r", "1,1", "--s", "1,1"), {"BOSON_ORDER_ENUM_CAP": "0"}),
         (("colonies", "--r", "1,1", "--s", "1,1"), {"BOSON_ORDER_ENUM_CAP": "-3"}),
-        # refused on subcommands that never enumerate, too
+        # refused on every subcommand that takes --enum-cap, also where
+        # this request would not enumerate
         (("bell", "--r", "1,1", "--s", "1,1"), {"BOSON_ORDER_ENUM_CAP": "lots"}),
     ], ids=["enum-cap-negative", "enum-cap-zero", "max-terms-zero",
             "digits-zero", "env-cap-zero", "env-cap-negative",
@@ -579,19 +654,25 @@ class TestSubprocess:
         assert proc.stdout == ""
         assert "positive" in proc.stderr
 
-    @pytest.mark.parametrize("sub", ["dobinski", "bell", "series"])
+    @pytest.mark.parametrize("sub", ["dobinski"])
     def test_digits_above_limit_is_usage_error(self, sub):
-        args = ("--arity", "2") if sub == "series" else ("--r", "1", "--s", "1")
-        proc = run_cli(sub, *args, "--digits", str(MAX_DIGITS + 1))
+        proc = run_cli(sub, "--r", "1", "--s", "1",
+                       "--digits", str(MAX_DIGITS + 1))
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert f"at most {MAX_DIGITS}" in proc.stderr
 
     def test_digits_at_limit_is_accepted(self):
-        # bell never reads --digits, so the boundary costs nothing here
-        proc = run_cli("bell", "--r", "1,1", "--s", "1,1",
-                       "--digits", str(MAX_DIGITS))
-        assert proc.returncode == 0 and proc.stdout == "2\n"
+        # no feet, so B(x) = 1 exactly and no series is summed
+        proc = run_cli("dobinski", "--word", "ad^3", "--digits",
+                       str(MAX_DIGITS))
+        assert proc.returncode == 0
+        assert proc.stdout == "1." + "0" * (MAX_DIGITS - 1) + "\n"
+
+    def test_env_cap_ignored_without_enum_cap_flag(self):
+        proc = run_cli("order", "--word", "a ad",
+                       env_overrides={"BOSON_ORDER_ENUM_CAP": "lots"})
+        assert proc.returncode == 0 and proc.stdout == "1 + ad a\n"
 
     def test_out_writes_file(self, tmp_path):
         target = tmp_path / "table.csv"

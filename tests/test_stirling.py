@@ -571,6 +571,18 @@ class TestCoherentExpectation:
         with pytest.raises(NegativeExcess):
             coherent_expectation(StringType((1, 1), (1, 2)), 1, 10)
 
+    @pytest.mark.parametrize("z, digits, real, imag", [
+        (1, 20, "2.0000000000000000000", "0"),
+        ((0, 1), 10, "0", "-2.000000000"),
+        (Fraction(1, 3), 12, "0.0411522633745", "0"),
+    ], ids=["exact-real", "exact-imaginary", "rounded"])
+    def test_exact_values_print_every_digit(self, z, digits, real, imag):
+        # an exact quotient keeps every requested digit, as a rounded one
+        # does; only 0 prints short
+        out = coherent_expectation(StringType((1, 2), (1, 1)), z, digits)
+        assert (str(out.real), str(out.imag)) == (real, imag)
+        assert len(out.real.as_tuple().digits) == digits or out.real == 0
+
 
 class TestApproxCarriers:
     def test_validation(self):
