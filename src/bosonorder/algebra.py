@@ -17,7 +17,7 @@ import enum
 import math
 from collections.abc import Iterable, Iterator, Mapping
 from itertools import accumulate, chain, repeat
-from operator import attrgetter, index, sub
+from operator import add, attrgetter, index, mul, sub
 
 from .errors import NegativeExcess, NonCanonicalPrefix
 
@@ -204,15 +204,33 @@ class NormalForm(_Value):
             yield k + up, k + down, c
 
     def multiply(self, other: "NormalForm") -> "NormalForm":
-        """Normally ordered product; excesses add."""
-        acc: dict[tuple[int, int], int] = {}
-        for i1, j1, c1 in self.monomials():
-            for i2, j2, c2 in other.monomials():
-                # only the inner boundary a^j1 (a+)^i2 needs rewriting
-                for p, w in apply_crossing(j1, i2):
-                    key = (i1 + i2 - p, j1 + j2 - p)
-                    acc[key] = acc.get(key, 0) + c1 * c2 * w
-        return _collapse(acc, self.excess + other.excess)
+        """Normally ordered product; excesses add.
+
+        A * B is the sum over B's monomials (a+)^i a^j with coefficient c of
+        c * (A (a+)^i) a^j: self's row goes through one (a+)^i step of
+        ``normal_order``'s kernel, and a^j only shifts it.
+        """
+        lo, row = self._row()
+        parts = []
+        for i, j, c in other.monomials():
+            new_lo, new = _times_creations(lo, row, i)
+            parts.append((new_lo + j, new, c))
+        base = min((start for start, _, _ in parts), default=0)
+        end = max((start + len(new) for start, new, _ in parts), default=0)
+        total = [0] * (end - base)
+        for start, new, c in parts:
+            a, b = start - base, start - base + len(new)
+            total[a:b] = map(add, total[a:b], map(mul, new, repeat(c)))
+        return _from_row(self.excess + other.excess, base, total)
+
+    def _row(self) -> tuple[int, list[int]]:
+        # (lo, row): row[i] multiplies (a+)^(j + excess) a^j with j = lo + i
+        if not self.coeffs:
+            return 0, []
+        shift = max(-self.excess, 0)
+        first, last = min(self.coeffs), max(self.coeffs)
+        return first + shift, [self.coeffs.get(k, 0)
+                               for k in range(first, last + 1)]
 
 
 def apply_crossing(k: int, l: int) -> list[tuple[int, int]]:
@@ -236,6 +254,36 @@ def _collapse(acc: dict[tuple[int, int], int], excess: int) -> NormalForm:
         k = min(i, j)
         coeffs[k] = coeffs.get(k, 0) + c
     return NormalForm(excess, coeffs)
+
+
+def _times_creations(lo: int, row: list[int], l: int) -> tuple[int, list[int]]:
+    """Right-multiply a row by (a+)^l; returns the new (lo, row).
+
+    The row holds (a+)^(j + e) a^j for j = lo, lo + 1, ...; the product has
+    excess e + l.  Each term crosses as
+    a^j (a+)^l = sum_p C(l,p) (j)_p (a+)^(l-p) a^(j-p), the coefficient of
+    ``apply_crossing`` (C(j,p) (l)_p = C(l,p) (j)_p), and every p is one
+    vector pass: p = 0 is the row shifted, and the weights (j)_p of pass p
+    are those of pass p - 1 times j - p + 1.
+    """
+    top = lo + len(row)  # one past the highest annihilation degree
+    new_lo = max(lo - l, 0)
+    new = [0] * (lo - new_lo) + row
+    weighted, start = row, lo  # weighted[j - start] = row[j - lo] * (j)_p
+    for p in range(1, min(l, top - 1) + 1):
+        if start < p:  # (p - 1)_p = 0: that term has nothing left to cross
+            weighted, start = weighted[1:], p
+        weighted = list(map(mul, weighted, range(start - p + 1, top - p + 1)))
+        a = start - p - new_lo
+        b = a + len(weighted)
+        new[a:b] = map(add, new[a:b],
+                       map(mul, weighted, repeat(math.comb(l, p))))
+    return new_lo, new
+
+
+def _from_row(excess: int, lo: int, row: list[int]) -> NormalForm:
+    shift = max(-excess, 0)
+    return NormalForm(excess, {j - shift: c for j, c in enumerate(row, lo)})
 
 
 def _rewrite_letterwise(word: BosonWord) -> dict[tuple[int, int], int]:
@@ -267,20 +315,26 @@ def _rewrite_letterwise(word: BosonWord) -> dict[tuple[int, int], int]:
 def normal_order(word: BosonWord, method: str = "blockwise") -> NormalForm:
     """Rewrite a word into its normal form with exact integer coefficients.
 
-    ``method="blockwise"`` is the default: it folds ``NormalForm.multiply``
-    left to right over the word's runs, each run (a+)^l or a^k being the
-    one-term normal form of excess +l or -k, so every step clears one block
-    boundary with the crossing formula and merges equal monomials at once.
+    ``method="blockwise"`` is the default.  It carries the product of the
+    runs read so far as one row of coefficients, ``row[i]`` multiplying
+    (a+)^(j + e) a^j with j = lo + i at the running excess e, so every
+    term's degrees follow from its place.  An a^k run only moves the indices
+    (lo and e); an (a+)^l run clears the block boundary with the crossing
+    formula, one vector pass over the row per crossing depth p.
     ``method="letterwise"`` applies the commutation relation one letter pair
     at a time; it is exponential and exists only as an independent oracle.
     Both give the same normal form.
     """
     if method == "blockwise":
-        form = NormalForm(0, {0: 1})
+        excess, lo, row = 0, 0, [1]
         for letter, count in word.runs:
-            run = NormalForm(count if letter is CREATION else -count, {0: 1})
-            form = form.multiply(run)
-        return form
+            if letter is CREATION:
+                lo, row = _times_creations(lo, row, count)
+                excess += count
+            else:
+                lo += count
+                excess -= count
+        return _from_row(excess, lo, row)
     if method == "letterwise":
         return _collapse(_rewrite_letterwise(word), word.excess)
     raise ValueError(f"unknown method {method!r}")

@@ -13,7 +13,8 @@ import json
 import os
 import re
 import sys
-from decimal import Decimal
+from decimal import (MAX_EMAX, MAX_PREC, Decimal, Inexact,
+                     localcontext)
 from fractions import Fraction
 
 from .algebra import (ANNIHILATION, CREATION, BosonWord, NormalForm,
@@ -43,6 +44,10 @@ MAX_DIGITS = 100_000
 MAX_EXPONENT_DIGITS = 4300
 _EXPONENT_BOUND = 10 ** MAX_EXPONENT_DIGITS
 
+# Decimal(n) is quadratic in the digits of n; above this many bits
+# _number_text converts by halves instead, in subquadratic time
+SPLIT_BITS = 1 << 14
+
 
 def _byte_offset(text: str, index: int) -> int:
     return len(text[:index].encode("utf-8"))
@@ -68,7 +73,26 @@ def _number_text(v) -> str:
         if v.denominator == 1:
             return text
         return f"{text}/{_number_text(v.denominator)}"
-    return str(Decimal(v))
+    if v.bit_length() <= SPLIT_BITS:
+        return str(Decimal(v))
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax = MAX_PREC, MAX_EMAX
+        ctx.traps[Inexact] = True
+        return str(_split_decimal(v, v.bit_length(), {}))
+
+
+def _split_decimal(n: int, bits: int, powers: dict[int, Decimal]) -> Decimal:
+    # n as an exact Decimal: split n at 2^w, convert both halves and
+    # recombine with one multiply-add, which libmpdec does by number-
+    # theoretic transform at MAX_PREC; powers caches 2^w for each width w
+    if bits <= SPLIT_BITS:
+        return Decimal(n)
+    w = bits >> 1
+    high = n >> w
+    if w not in powers:
+        powers[w] = Decimal(2) ** w
+    return (_split_decimal(n - (high << w), w, powers)
+            + _split_decimal(high, bits - w, powers) * powers[w])
 
 
 def parse_word(text: str) -> BosonWord:
@@ -239,6 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         # a subcommand with the flags every one takes, and with the input
         # and enumeration-cap flags where its handler reads them
         p = sub.add_parser(name, help=summary)
+        p.set_defaults(parser=p)
         p.add_argument("--format", choices=formats, default="plain",
                        help="output format")
         p.add_argument("--out", metavar="PATH",
@@ -509,7 +534,10 @@ def _emit(text: str, out: str | None) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        # the usage line of the subcommand that was given the flag
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         if "enum_cap" in args and args.enum_cap is None:
             args.enum_cap = _default_enum_cap()

@@ -110,6 +110,79 @@ class TestNormalOrder:
         assert lhs == rhs
 
 
+def _dict_fold(w):
+    # an independent reference for the row kernel: a dict of monomials
+    # (i, j), multiplied by each run's one-term form through apply_crossing
+    acc = {(0, 0): 1}
+    for letter, count in w.runs:
+        i2, j2 = (count, 0) if letter is AD else (0, count)
+        nxt = {}
+        for (i1, j1), c in acc.items():
+            for p, weight in apply_crossing(j1, i2):
+                key = (i1 + i2 - p, j1 + j2 - p)
+                nxt[key] = nxt.get(key, 0) + c * weight
+        acc = nxt
+    return NormalForm(w.excess, {min(i, j): c for (i, j), c in acc.items()})
+
+
+def _alternating(first, counts):
+    other = A if first is AD else AD
+    return BosonWord.from_runs(
+        (first if t % 2 == 0 else other, c) for t, c in enumerate(counts))
+
+
+few_runs_st = st.builds(_alternating, st.sampled_from([AD, A]),
+                        st.lists(st.integers(1, 64), min_size=1, max_size=5))
+
+
+class TestRowKernel:
+    def test_matches_dict_fold_exhaustively(self):
+        # every word of at most 14 letters
+        for size in range(15):
+            for letters in itertools.product((AD, A), repeat=size):
+                w = BosonWord(letters)
+                assert normal_order(w) == _dict_fold(w)
+
+    @given(few_runs_st)
+    @settings(deadline=None, max_examples=200)
+    def test_matches_dict_fold_on_few_long_runs(self, w):
+        assert normal_order(w) == _dict_fold(w)
+
+    @given(few_runs_st, few_runs_st)
+    @settings(deadline=None, max_examples=40)
+    def test_multiply_is_normal_order_of_the_concatenation(self, u, v):
+        # both operands have many terms whenever a run of a precedes a+
+        assert (normal_order(u).multiply(normal_order(v))
+                == normal_order(u.concat(v)))
+
+    @pytest.mark.parametrize("left, right", [
+        ((AD, [3, 5, 2]), (A, [4, 6, 1])),
+        ((A, [4, 6, 1]), (A, [2, 3, 5, 1])),
+        ((AD, [1, 7]), (AD, [2, 3, 3])),
+    ])
+    def test_multiply_multi_term_operands(self, left, right):
+        u, v = _alternating(*left), _alternating(*right)
+        fu, fv = normal_order(u), normal_order(v)
+        assert len(fv.coeffs) > 1
+        assert fu.multiply(fv) == normal_order(u.concat(v))
+
+    def test_multiply_by_zero_and_sparse_forms(self):
+        zero = NormalForm(1, {})
+        n_op = normal_order(word(AD, A))
+        assert n_op.multiply(zero) == zero
+        assert zero.multiply(n_op) == zero
+        # 2 a + 5 (a+)^3 a^4 times a (a+)^2, one monomial at a time
+        sparse = NormalForm(-1, {0: 2, 3: 5})
+        right = word(A, AD, AD)
+        expected = {}
+        for i, j, c in sparse.monomials():
+            runs = [(l, n) for l, n in ((AD, i), (A, j)) if n]
+            term = normal_order(BosonWord.from_runs(runs).concat(right))
+            for k, v in term.coeffs.items():
+                expected[k] = expected.get(k, 0) + c * v
+        assert sparse.multiply(normal_order(right)) == NormalForm(0, expected)
+
+
 class TestNormalForm:
     def test_monomials_nonnegative_excess(self):
         form = NormalForm(2, {0: 3, 1: 5})

@@ -3,10 +3,12 @@ import hashlib
 import json
 import math
 import os
+import random
 import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -387,6 +389,16 @@ class TestMainInProcess:
         assert out == ""
         assert "unrecognized arguments" in err and flag in err
 
+    def test_unrecognized_flag_names_the_subcommand_in_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["order", "--word", "ad a", "--digits", "5"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: bosonorder order ")
+        assert err.endswith(
+            "bosonorder order: error: unrecognized arguments: --digits 5\n")
+
     def test_each_subcommand_takes_only_the_flags_it_reads(self):
         output = {"--format", "--out"}
         word = output | {"--word", "--r", "--s"}
@@ -561,6 +573,28 @@ class TestBigNumbers:
         digits = "9" * MAX_EXPONENT_DIGITS
         assert main(["order", "--word", f"ad^{digits}"]) == 0
         assert capsys.readouterr().out == f"ad^{digits}\n"
+
+    def test_split_printing_matches_str(self):
+        # sizes around every split of a conversion by halves: the threshold,
+        # and the widths of the top few levels, a few bits either side
+        rng = random.Random(16)
+        widths = [(cli.SPLIT_BITS << level) + rng.randint(-3, 3) + skew
+                  for level in range(4) for skew in (-1, 0, 1)]
+        values = [rng.getrandbits(bits) | 1 << (bits - 1) for bits in widths]
+        values += [(1 << bits) - 1 for bits in widths]
+        values += [1 << bits for bits in widths]
+        values += [10 ** 20_000, 10 ** 20_000 - 1, 0, 1]
+        old_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            for v in values:
+                assert cli._number_text(v) == str(v)
+                assert cli._number_text(-v) == str(-v)
+            big = -rng.getrandbits(3 * cli.SPLIT_BITS)
+            q = Fraction(big, 3 ** 20_000)
+            assert cli._number_text(q) == str(q)
+        finally:
+            sys.set_int_max_str_digits(old_limit)
 
     @pytest.mark.parametrize("argv, offset", [
         (["order", "--word", "ad a^" + "9" * 4301], 3),
