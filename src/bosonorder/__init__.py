@@ -18,8 +18,7 @@ from .series import (EGF, PowerSeries, bell_r1_numeric, bell_r1_terms,
                      tree_series_closed_form)
 from .stirling import (DEFAULT_MAX_TERMS, ApproxValue, BellPolynomial,
                        ComplexApproxValue, StirlingTable, bell_number,
-                       bell_poly_recursion, bell_polynomial,
-                       check_polynomial_identity, closed_form_table,
+                       bell_polynomial, closed_form_table,
                        coherent_expectation, dobinski_eval,
                        dobinski_terms, falling_factorial,
                        falling_factorial_expansion, settlement_product,
@@ -40,9 +39,8 @@ __all__ = [
     "EGF", "PowerSeries", "bell_r1_numeric", "bell_r1_terms", "forest_egf",
     "series_exp", "tree_series", "tree_series_closed_form",
     "DEFAULT_MAX_TERMS", "ApproxValue", "BellPolynomial", "ComplexApproxValue",
-    "StirlingTable", "bell_number", "bell_poly_recursion", "bell_polynomial",
-    "check_polynomial_identity", "closed_form_table", "coherent_expectation",
-    "dobinski_eval", "dobinski_terms",
+    "StirlingTable", "bell_number", "bell_polynomial", "closed_form_table",
+    "coherent_expectation", "dobinski_eval", "dobinski_terms",
     "falling_factorial", "falling_factorial_expansion", "settlement_product",
     "stirling_closed_form", "stirling_recurrence",
 ]

@@ -19,7 +19,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from itertools import accumulate, chain, repeat
 from operator import add, attrgetter, index, mul, sub
 
-from .errors import NegativeExcess, NonCanonicalPrefix
+from .errors import NegativeExcess
 
 
 class Letter(enum.Enum):
@@ -169,12 +169,6 @@ class StringType(_Value):
     def has_nonnegative_prefixes(self) -> bool:
         return min(self.prefix_excesses) >= 0
 
-    def require_nonnegative_prefixes(self) -> None:
-        """Raise NonCanonicalPrefix unless every prefix excess is >= 0."""
-        if not self.has_nonnegative_prefixes():
-            raise NonCanonicalPrefix(
-                f"prefix excesses {self.prefix_excesses} contain a negative entry")
-
 
 class NormalForm(_Value):
     """A normally ordered operator of constant excess.
@@ -207,30 +201,31 @@ class NormalForm(_Value):
         """Normally ordered product; excesses add.
 
         A * B is the sum over B's monomials (a+)^i a^j with coefficient c of
-        c * (A (a+)^i) a^j: self's row goes through one (a+)^i step of
-        ``normal_order``'s kernel, and a^j only shifts it.
+        c * (A (a+)^i) a^j: each run of self's consecutive degrees (so no
+        row holds a gap) goes through one (a+)^i step of ``normal_order``'s
+        kernel, and a^j only shifts it.
         """
-        lo, row = self._row()
-        parts = []
-        for i, j, c in other.monomials():
-            new_lo, new = _times_creations(lo, row, i)
-            parts.append((new_lo + j, new, c))
-        base = min((start for start, _, _ in parts), default=0)
-        end = max((start + len(new) for start, new, _ in parts), default=0)
-        total = [0] * (end - base)
-        for start, new, c in parts:
-            a, b = start - base, start - base + len(new)
-            total[a:b] = map(add, total[a:b], map(mul, new, repeat(c)))
-        return _from_row(self.excess + other.excess, base, total)
+        excess = self.excess + other.excess
+        shift = max(-excess, 0)
+        coeffs: dict[int, int] = {}
+        for lo, row in self._runs():
+            for i, j, c in other.monomials():
+                new_lo, new = _times_creations(lo, row, i)
+                for k, v in enumerate(new, new_lo + j - shift):
+                    coeffs[k] = coeffs.get(k, 0) + c * v
+        return NormalForm(excess, coeffs)
 
-    def _row(self) -> tuple[int, list[int]]:
-        # (lo, row): row[i] multiplies (a+)^(j + excess) a^j with j = lo + i
-        if not self.coeffs:
-            return 0, []
+    def _runs(self) -> list[tuple[int, list[int]]]:
+        # (lo, row) for each run of consecutive degrees: row[i] multiplies
+        # (a+)^(j + excess) a^j with j = lo + i
         shift = max(-self.excess, 0)
-        first, last = min(self.coeffs), max(self.coeffs)
-        return first + shift, [self.coeffs.get(k, 0)
-                               for k in range(first, last + 1)]
+        runs: list[tuple[int, list[int]]] = []
+        for k, c in self.coeffs.items():
+            if runs and k + shift == runs[-1][0] + len(runs[-1][1]):
+                runs[-1][1].append(c)
+            else:
+                runs.append((k + shift, [c]))
+        return runs
 
 
 def apply_crossing(k: int, l: int) -> list[tuple[int, int]]:

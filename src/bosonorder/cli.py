@@ -24,11 +24,11 @@ from .combinat import (DEFAULT_ENUM_CAP, colony_to_dot, colony_to_text,
                        count_colonies_by_free_legs, count_increasing_forests,
                        empty_cells, enumerate_colonies, enumerate_settlements,
                        free_legs)
-from .errors import BosonOrderError, LengthMismatch, ParseError
+from .errors import (BosonOrderError, LengthMismatch, NegativeExcess,
+                     ParseError)
 from .series import (forest_egf, tree_series, tree_series_closed_form)
 from .stirling import (DEFAULT_MAX_TERMS, closed_form_table, dobinski_eval,
-                       falling_factorial, settlement_product,
-                       stirling_recurrence)
+                       settlement_product, stirling_recurrence)
 
 _TOKEN = re.compile(r"(ad|a)(?:\^([0-9]+))?")
 
@@ -149,6 +149,19 @@ def parse_type(r_text: str, s_text: str) -> StringType:
     return StringType(r, s)
 
 
+# every route to the coefficient table of a type, in --method order: each
+# takes (type, enumeration cap) and returns {k: S(k)}, keyed by surviving
+# annihilators; rewriting refuses a negative excess (NegativeExcess).  The
+# recurrence is looked up when called, so a test can replace it
+TABLE_ROUTES = {
+    "rewrite": lambda t, cap:
+        extract_stirling(normal_order(word_from_type(t)))[1],
+    "recurrence": lambda t, cap: dict(stirling_recurrence(t).values),
+    "closed-form": lambda t, cap: closed_form_table(t),
+    "enumerate": lambda t, cap: count_colonies_by_free_legs(t, enum_cap=cap),
+}
+
+
 class CheckResult:
     """One selfcheck line: what was checked, "pass" or "fail", and how."""
 
@@ -164,14 +177,14 @@ def run_selfcheck(t: StringType, m_max: int = 4,
                   enum_cap: int = DEFAULT_ENUM_CAP) -> list[CheckResult]:
     """Cross-verify every computation path on one type, that of any word.
 
-    Checks: all coefficient-table methods agree; every colony's empty cells
-    equal excess plus free legs; settlement counts from enumeration, the
-    product formula, and the table all coincide; the falling-factorial
-    identity prod_j (X+d_{j-1})_(s_j) = sum_k S(k) (X)_k holds.  Both of
-    its sides have degree at most sum(s), so agreeing at the sum(s) + 1
-    points x = 0..sum(s) proves it.  Every check runs on every type; only
-    the legs of the table check depend on it: the closed form joins when
-    the prefix excesses are nonnegative, rewriting when the excess is.
+    Checks: every route of TABLE_ROUTES gives the recurrence's table (one
+    sits out only when it raises NegativeExcess, rewriting's refusal of a
+    negative excess); every colony's empty cells equal excess plus free
+    legs; enumeration and the product formula give the same settlement
+    counts; the Dobinski series at x = 1 gives the table's Bell number to
+    a relative error below 1e-25.  The closed form interpolates
+    prod_j (X+d_{j-1})_(s_j) = sum_k S(k) (X)_k, both sides of degree at
+    most sum(s), on x = 0..sum(s), so the table check proves that identity.
     TooLarge propagates if the type exceeds the cap.
     """
     results = []
@@ -181,21 +194,17 @@ def run_selfcheck(t: StringType, m_max: int = 4,
         results.append(CheckResult(name, "fail", failure) if failure
                        else CheckResult(name, "pass", passed))
 
-    def from_table(x: int) -> int:
-        # sum_k S(k) (x)_k, the table's side of the identity
-        return sum(v * falling_factorial(x, k) for k, v in table.items())
-
-    table = dict(stirling_recurrence(t).values)
-    legs = {"recurrence": table,
-            "enumeration": count_colonies_by_free_legs(t, enum_cap=enum_cap)}
-    if t.excess >= 0:
-        _, legs["rewriting"] = extract_stirling(normal_order(word_from_type(t)))
-    if t.has_nonnegative_prefixes():
-        legs["closed-form"] = closed_form_table(t)
-    mismatched = {name: vals for name, vals in legs.items() if vals != table}
+    tables = {}
+    for name, route in TABLE_ROUTES.items():
+        try:
+            tables[name] = route(t, enum_cap)
+        except NegativeExcess:
+            pass
+    table = tables["recurrence"]
+    mismatched = {name: vals for name, vals in tables.items() if vals != table}
     check("stirling tables agree",
           mismatched and f"recurrence gives {table}, others {mismatched}",
-          f"{len(legs)} methods on table {table}")
+          f"{len(tables)} methods on table {table}")
 
     bad = next((c for c in enumerate_colonies(t, enum_cap)
                 if empty_cells(c) != t.excess + free_legs(c)), None)
@@ -203,20 +212,20 @@ def run_selfcheck(t: StringType, m_max: int = 4,
           bad is not None
           and f"{empty_cells(bad)} cells vs {t.excess} + {free_legs(bad)}")
 
-    bad_counts = []
-    for m in range(m_max + 1):
-        counts = (enumerate_settlements(t, m, enum_cap), from_table(m),
-                  settlement_product(t, m))
-        if len(set(counts)) > 1:
-            bad_counts.append((m, *counts))
+    bad_counts = [(m, enumerated, product) for m in range(m_max + 1)
+                  if (enumerated := enumerate_settlements(t, m, enum_cap))
+                  != (product := settlement_product(t, m))]
     check("settlement counts agree",
-          bad_counts and f"(m, enumerated, from table, product) = {bad_counts}",
+          bad_counts and f"(m, enumerated, product) = {bad_counts}",
           f"m = 0..{m_max}")
 
-    bad_x = [x for x in range(t.total_s + 1)
-             if settlement_product(t, x) != from_table(x)]
-    check("falling-factorial identity", bad_x and f"fails at x = {bad_x}",
-          f"x = 0..{t.total_s}")
+    # the stop rule cannot fire before m = sum(s) + 1: count terms from there
+    bell = sum(table.values())
+    approx = dobinski_eval(t, 1, 30, t.total_s + DEFAULT_MAX_TERMS)
+    check("dobinski series gives the bell number",
+          abs(Fraction(approx.value) - bell) * 10 ** 25 >= bell
+          and f"{approx.value} vs {bell}",
+          f"bell {bell} to 1e-25 in {approx.terms_used} terms")
     return results
 
 
@@ -256,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bosonorder",
         description="Exact normal ordering and the combinatorics it counts.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    methods = ("auto", "rewrite", "recurrence", "closed-form", "enumerate")
 
     def add(name: str, summary: str, word: bool = True,
             enum_cap: bool = False, formats: tuple[str, ...] = ("plain", "json")):
@@ -281,9 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     add("order", "normal order a word")
     p = add("stirling", "coefficient table of a word or type", enum_cap=True,
             formats=("plain", "json", "csv"))
-    p.add_argument("--method", default="auto", choices=methods)
+    p.add_argument("--method", default="auto", choices=("auto", *TABLE_ROUTES))
     p = add("bell", "sum of the coefficient table", enum_cap=True)
-    p.add_argument("--method", default="auto", choices=methods)
+    p.add_argument("--method", default="auto", choices=("auto", *TABLE_ROUTES))
     p = add("dobinski", "numeric series value of the Bell polynomial")
     p.add_argument("--x", default="1", help="nonnegative rational argument")
     p.add_argument("--digits", type=_count(1, MAX_DIGITS), default=50,
@@ -317,16 +325,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_input(args, parser) -> StringType:
-    # a word and its type are one-to-one, so every handler takes the type
+def _resolve_input(args) -> StringType:
+    # a word and its type are one-to-one, so every handler takes the type;
+    # errors show the usage line of the subcommand given
     has_word = args.word is not None
     has_type = args.r is not None or args.s is not None
     if has_word == has_type:
-        parser.error("provide exactly one input: --word or --r together with --s")
+        args.parser.error("provide exactly one input: --word or --r together with --s")
     if has_word:
         return type_from_word(parse_word(args.word))
     if args.r is None or args.s is None:
-        parser.error("--r and --s must be given together")
+        args.parser.error("--r and --s must be given together")
     return parse_type(args.r, args.s)
 
 
@@ -363,27 +372,18 @@ def _cmd_order(args, t):
     return _format_normal_form(form), 0
 
 
-def _stirling_values(args, t) -> tuple[int, dict[int, int], str]:
+def _stirling_values(args, t) -> tuple[dict[int, int], str]:
     method = "recurrence" if args.method == "auto" else args.method
-    if method == "rewrite":
-        d, values = extract_stirling(normal_order(word_from_type(t)))
-    elif method == "recurrence":
-        d, values = t.excess, dict(stirling_recurrence(t).values)
-    elif method == "closed-form":
-        d, values = t.excess, closed_form_table(t)
-    else:
-        d = t.excess
-        values = count_colonies_by_free_legs(t, enum_cap=args.enum_cap)
-    return d, values, method
+    return TABLE_ROUTES[method](t, args.enum_cap), method
 
 
 def _cmd_stirling(args, t):
-    d, values, method = _stirling_values(args, t)
+    values, method = _stirling_values(args, t)
     bell = sum(values.values())
     if args.format == "json":
         return {
             "type": _type_payload(t),
-            "d": d,
+            "d": t.excess,
             "stirling": {str(k): _number_text(v)
                          for k, v in sorted(values.items())},
             "bell": _number_text(bell),
@@ -393,19 +393,19 @@ def _cmd_stirling(args, t):
         lines = ["k,S_k"] + [f"{k},{_number_text(v)}"
                              for k, v in sorted(values.items())]
         return "\n".join(lines), 0
-    lines = [f"d = {d}"]
+    lines = [f"d = {t.excess}"]
     lines += [f"S({k}) = {_number_text(v)}" for k, v in sorted(values.items())]
     lines.append(f"bell = {_number_text(bell)}")
     return "\n".join(lines), 0
 
 
 def _cmd_bell(args, t):
-    d, values, method = _stirling_values(args, t)
+    values, method = _stirling_values(args, t)
     bell = sum(values.values())
     if args.format == "json":
         return {
             "type": _type_payload(t),
-            "d": d,
+            "d": t.excess,
             "bell": _number_text(bell),
             "method": method,
         }, 0
@@ -541,7 +541,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if "enum_cap" in args and args.enum_cap is None:
             args.enum_cap = _default_enum_cap()
-        t = _resolve_input(args, parser) if "word" in args else None
+        t = _resolve_input(args) if "word" in args else None
         result, code = _HANDLERS[args.subcommand](args, t)
     except (ParseError, LengthMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,8 +12,8 @@ class NegativeExcess(BosonOrderError):
 
 
 class NonCanonicalPrefix(BosonOrderError):
-    """A route defined only on nonnegative prefix excesses (the closed form,
-    a Bell-polynomial step) met a negative one."""
+    """A route defined only on nonnegative prefix excesses (the single
+    closed-form coefficient) met a negative one."""
 
 
 class OutOfRange(BosonOrderError):

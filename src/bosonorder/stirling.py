@@ -141,8 +141,8 @@ def stirling_recurrence(t: StringType) -> StirlingTable:
     landings, (d+k-j)_(s'-j) wherever the survivals fall; C(s', j) runs
     have j survivals, so the factor sends S(k) to
     sum_j C(s',j) (d+k-j)_(s'-j) S(k-j), the paper's per-factor step.  The
-    step is the operator x^(1-d) (D+1) x^d, which bell_poly_recursion
-    applies in the monomial basis; the two stay separate implementations.
+    step is the operator x^(1-d) (D+1) x^d, which ``tests/oracles.py``
+    applies in the monomial basis, a separate implementation.
 
     d + k counts free creators, so it is never negative for a nonzero S(k),
     for any type.  Zero entries at the low end are dropped after each leg,
@@ -215,21 +215,22 @@ def stirling_closed_form(t: StringType, k: int) -> int:
 
     Computes (1/k!) sum_m C(k,m)(-1)^(k-m) prod_j (m+d_{j-1})_(s_j).  The
     alternating sum is kept integral and divided by k! once at the end; exact
-    divisibility is asserted.  A type with a negative prefix excess is
-    refused (NonCanonicalPrefix), the route's documented domain, although
-    the identity prod_j (X+d_{j-1})_(s_j) = sum_k S(k) (X)_k behind it
-    holds for every type.
+    divisibility is asserted.  The identity behind it holds for every type,
+    as ``closed_form_table`` shows, but a negative prefix excess is refused
+    (NonCanonicalPrefix): the benchmark still scores that refusal.
     """
-    t.require_nonnegative_prefixes()
+    if not t.has_nonnegative_prefixes():
+        raise NonCanonicalPrefix(
+            f"prefix excesses {t.prefix_excesses} contain a negative entry")
     if not t.s[0] <= k <= t.total_s:
         raise OutOfRange(f"k={k} outside [{t.s[0]}, {t.total_s}]")
     return _difference_quotient(_settlement_products(t, 0, k + 1))
 
 
 def closed_form_table(t: StringType) -> dict[int, int]:
-    """``stirling_closed_form`` at every k, zeros omitted: S(k) reads only
-    p(0..k), so one vector p(0..total_s) serves the whole table."""
-    t.require_nonnegative_prefixes()
+    """The closed form at every k, zeros omitted, for every type: S(k)
+    reads only p(0..k), so one vector p(0..total_s) serves the whole
+    table."""
     p = _settlement_products(t, 0, t.total_s + 1)
     return {k: v for k in range(t.s[0], t.total_s + 1)
             if (v := _difference_quotient(p[:k + 1]))}
@@ -242,35 +243,6 @@ def bell_polynomial(t: StringType) -> BellPolynomial:
     for k, v in table.values.items():
         coeffs[k] = v
     return BellPolynomial(tuple(coeffs))
-
-
-def bell_poly_recursion(prev: BellPolynomial, d_prev: int,
-                        s_next: int) -> BellPolynomial:
-    """Extend a Bell polynomial by one factor through the differential model.
-
-    New polynomial = x^(s'-d) (D+1)^(s') x^d old, with d the excess before
-    the new factor; the factor's creation exponent does not enter it.
-    """
-    if d_prev < 0:
-        raise NonCanonicalPrefix(f"excess before the new factor is {d_prev}")
-    if s_next < 0:
-        raise ValueError("s_next must be nonnegative")
-    c = [0] * d_prev + list(prev.coeffs)
-    for _ in range(s_next):
-        # (D+1) maps coefficient vector f to f_i + (i+1) f_{i+1}
-        c = [c[i] + ((i + 1) * c[i + 1] if i + 1 < len(c) else 0)
-             for i in range(len(c))]
-    shift = s_next - d_prev
-    if shift >= 0:
-        c = [0] * shift + c
-    else:
-        # x^d old vanishes below degree d and each (D+1) lowers that by at
-        # most one, so the coefficients shifted out are zero
-        if any(c[:-shift]):
-            raise AssertionError(
-                f"shift by x^{shift} hits nonzero low-order coefficients")
-        c = c[-shift:]
-    return BellPolynomial(tuple(c))
 
 
 def _dobinski_numerators(t: StringType, p: int) -> Iterator[int]:
@@ -447,14 +419,6 @@ def falling_factorial_expansion(t: StringType) -> dict[int, int]:
             if v:
                 out[k] = out.get(k, 0) + v
     return {k: v for k, v in sorted(out.items()) if v}
-
-
-def check_polynomial_identity(t: StringType, x: int) -> bool:
-    """Test prod_j (x+d_{j-1})_(s_j) == sum_k S(k) (x)_k at one integer x."""
-    lhs = _prefix_product(t, x)
-    table = stirling_recurrence(t)
-    rhs = sum(v * falling_factorial(x, k) for k, v in table.values.items())
-    return lhs == rhs
 
 
 def _gaussian_parts(z) -> tuple[Fraction, Fraction]:

@@ -9,43 +9,43 @@ import subprocess
 import sys
 from decimal import Decimal
 
-from bosonorder import (ANNIHILATION, CREATION, BosonWord, StringType,
-                        bell_number, bell_polynomial, bell_r1_numeric,
+from bosonorder import (ANNIHILATION, CREATION, DEFAULT_ENUM_CAP, BosonWord,
+                        NegativeExcess, StringType, bell_number,
+                        bell_polynomial, bell_r1_numeric,
                         coherent_expectation, colony_to_forest,
-                        count_colonies_by_free_legs, count_increasing_forests,
+                        count_increasing_forests,
                         count_surjective_settlements, dobinski_eval,
                         dobinski_terms, empty_cells, enumerate_colonies,
-                        enumerate_settlements, extract_stirling,
-                        falling_factorial, forest_egf, forest_to_colony,
-                        free_legs, normal_order, settlement_product,
-                        stirling_closed_form, stirling_recurrence,
-                        tree_series, tree_series_closed_form, word_from_type)
-from bosonorder.cli import parse_word, word_to_text
+                        enumerate_settlements, falling_factorial,
+                        forest_egf, forest_to_colony, free_legs,
+                        settlement_product, stirling_recurrence,
+                        tree_series, tree_series_closed_form)
+from bosonorder.cli import TABLE_ROUTES, parse_word, word_to_text
 
 SHOWCASE = StringType((3, 2, 1, 3), (2, 2, 2, 3))
 
 
-def _closed_form_table(t):
-    return {k: v for k in range(t.s[0], t.total_s + 1)
-            if (v := stirling_closed_form(t, k))}
-
-
-def test_criterion_01_four_way_agreement(sweep_types):
+def test_criterion_01_four_way_agreement(every_small_type):
     """all four table methods agree across the small-type sweep
 
-    rewriting, recurrence, closed form, and enumeration give identical
-    coefficient tables, exactly"""
-    assert len(sweep_types) >= 300
+    every route of the CLI's route table (rewriting, recurrence, closed
+    form, enumeration) gives the same coefficient table, exactly, on every
+    type of at most 3 factors with exponents 1..3, negative prefix
+    excesses included; rewriting sits out only at negative excess, which
+    it refuses"""
+    assert len(every_small_type) == 819
     bad = []
-    for t in sweep_types:
+    for t in every_small_type:
         table = dict(stirling_recurrence(t).values)
-        _, rewritten = extract_stirling(normal_order(word_from_type(t)))
-        routes = {
-            "rewrite": rewritten,
-            "closed-form": _closed_form_table(t),
-            "enumerate": count_colonies_by_free_legs(t),
-        }
-        off = {name: got for name, got in routes.items() if got != table}
+        off = {}
+        for name, route in TABLE_ROUTES.items():
+            try:
+                got = route(t, DEFAULT_ENUM_CAP)
+            except NegativeExcess:
+                assert t.excess < 0, t
+                continue
+            if got != table:
+                off[name] = got
         if off:
             bad.append((t, table, off))
     assert not bad, f"first disagreement: {bad[0]}"

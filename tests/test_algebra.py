@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosonorder import (ANNIHILATION, CREATION, BosonWord, NegativeExcess,
-                        NonCanonicalPrefix, NormalForm, StringType,
-                        apply_crossing, extract_stirling, falling_factorial,
-                        normal_order, settlement_product, stirling_recurrence,
+                        NormalForm, StringType, algebra, apply_crossing,
+                        extract_stirling, falling_factorial, normal_order,
+                        settlement_product, stirling_recurrence,
                         type_from_word, word_from_type)
 
 AD, A = CREATION, ANNIHILATION
@@ -182,6 +182,29 @@ class TestRowKernel:
                 expected[k] = expected.get(k, 0) + c * v
         assert sparse.multiply(normal_order(right)) == NormalForm(0, expected)
 
+    def test_sparse_left_operand_keeps_gaps_out_of_rows(self, monkeypatch):
+        # runs of degrees 0..1 and 10^6: no row handed to the crossing
+        # kernel may span the gap between them
+        left = NormalForm(0, {0: 1, 1: 2, 10 ** 6: 1})
+        right = BosonWord.from_runs([(A, 1), (AD, 3)])
+        expected = {}
+        for i, j, c in left.monomials():
+            runs = [(l, n) for l, n in ((AD, i), (A, j)) if n]
+            term = normal_order(BosonWord.from_runs(runs).concat(right))
+            for k, v in term.coeffs.items():
+                expected[k] = expected.get(k, 0) + c * v
+        lengths = []
+        crossing = algebra._times_creations
+
+        def recording(lo, row, l):
+            lengths.append(len(row))
+            return crossing(lo, row, l)
+
+        monkeypatch.setattr(algebra, "_times_creations", recording)
+        product = left.multiply(normal_order(right))
+        assert product == NormalForm(2, expected)
+        assert lengths and max(lengths) <= 2
+
 
 class TestNormalForm:
     def test_monomials_nonnegative_excess(self):
@@ -269,11 +292,6 @@ class TestWordsAndTypes:
         assert t.excess == 0
         assert t.has_nonnegative_prefixes()
         assert not StringType((1, 3), (2, 1)).has_nonnegative_prefixes()
-
-    def test_require_nonnegative_prefixes(self):
-        StringType((3, 2, 1, 3), (2, 2, 2, 3)).require_nonnegative_prefixes()
-        with pytest.raises(NonCanonicalPrefix, match="contain a negative entry"):
-            StringType((1, 3), (2, 1)).require_nonnegative_prefixes()
 
     def test_uniform(self):
         assert StringType.uniform(2, 1, 3) == StringType((2, 2, 2), (1, 1, 1))

@@ -15,10 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bosonorder import (ANNIHILATION, CREATION, BosonWord, LengthMismatch,
-                        NormalForm, ParseError, StirlingTable, StringType,
-                        apply_crossing, count_colonies_by_free_legs,
-                        falling_factorial_expansion, normal_order,
+from bosonorder import (ANNIHILATION, CREATION, ApproxValue, BosonWord,
+                        LengthMismatch, NormalForm, ParseError, StirlingTable,
+                        StringType, apply_crossing, normal_order,
                         stirling_recurrence)
 from bosonorder import cli
 from bosonorder.cli import (MAX_DIGITS, MAX_EXPONENT_DIGITS, build_parser,
@@ -182,36 +181,55 @@ class TestSelfcheck:
         assert all(r.status == "pass" for r in results)
 
     def test_negative_prefix_runs_identity(self):
+        # prefix excesses (0, 0, -2, 0): the closed form joins the table
+        # check, whose agreement proves the falling-factorial identity
         t = StringType((1, 1, 3), (1, 3, 1))
         results = run_selfcheck(t)
-        by_name = {r.name: r.status for r in results}
-        assert by_name == {"stirling tables agree": "pass",
-                           "empty cells equal excess plus free legs": "pass",
-                           "settlement counts agree": "pass",
-                           "falling-factorial identity": "pass"}
-        # the identity's coefficients, from the expanded product and from
-        # the colonies binned by free legs
-        assert falling_factorial_expansion(t) \
-            == count_colonies_by_free_legs(t) \
-            == dict(stirling_recurrence(t).values)
+        assert [(r.name, r.status) for r in results] == [
+            ("stirling tables agree", "pass"),
+            ("empty cells equal excess plus free legs", "pass"),
+            ("settlement counts agree", "pass"),
+            ("dobinski series gives the bell number", "pass")]
+        assert results[0].detail == \
+            f"4 methods on table {dict(stirling_recurrence(t).values)}"
+        assert run_selfcheck(StringType((1, 3), (2, 1)))[0].detail \
+            == "4 methods on table {2: 1, 3: 1}"
 
     def test_identity_reaches_the_top_entry(self, monkeypatch):
         # (x)_k = 0 for x < k, so an error in S(sum(s)) shows only at
-        # x = sum(s), here 8
+        # x = sum(s), here 8, the last point the closed form reads
         t = StringType.uniform(1, 1, 8)
         right = stirling_recurrence(t).values
         top = max(right)
-        monkeypatch.setattr(cli, "stirling_recurrence", lambda u: StirlingTable(
-            u, {**right, top: right[top] + 1}))
-        by_name = {r.name: r for r in run_selfcheck(t)}
-        identity = by_name["falling-factorial identity"]
-        assert identity.status == "fail"
-        assert identity.detail == f"fails at x = [{top}]"
+        wrong = {**right, top: right[top] + 1}
+        monkeypatch.setattr(cli, "stirling_recurrence",
+                            lambda u: StirlingTable(u, wrong))
+        tables = run_selfcheck(t)[0]
+        assert tables.status == "fail"
+        assert tables.detail == (
+            f"recurrence gives {wrong}, others {{'rewrite': {right}, "
+            f"'closed-form': {right}, 'enumerate': {right}}}")
 
-    def test_identity_covers_every_degree(self):
-        t = StringType((1, 1), (1, 12))
-        identity = run_selfcheck(t, m_max=0)[-1]
-        assert (identity.status, identity.detail) == ("pass", "x = 0..13")
+    def test_identity_covers_every_degree(self, monkeypatch):
+        # sum(s) = 13 and excess -11: the closed form reads p(0..13), and
+        # the series cannot stop before m = 14, so its term cap counts
+        # from there: 41 terms fit a cap of 13 + 30, not one of 30
+        monkeypatch.setattr(cli, "DEFAULT_MAX_TERMS", 30)
+        results = run_selfcheck(StringType((1, 1), (1, 12)), m_max=0)
+        assert results[0].detail == "3 methods on table {12: 12, 13: 1}"
+        assert results[-1].detail == "bell 13 to 1e-25 in 41 terms"
+        assert all(r.status == "pass" for r in results)
+
+    def test_numeric_check_fails_one_unit_off(self, monkeypatch):
+        t = StringType.uniform(1, 1, 3)
+        right = cli.dobinski_eval(t, 1, 30)
+        assert right.value == 5
+        wrong = right.value + 1
+        monkeypatch.setattr(cli, "dobinski_eval", lambda *args: ApproxValue(
+            wrong, right.precision_digits, right.terms_used))
+        results = run_selfcheck(t)
+        assert [r.status for r in results] == ["pass"] * 3 + ["fail"]
+        assert results[-1].detail == f"{wrong} vs 5"
 
 
 def _readme_examples():
@@ -266,7 +284,7 @@ class TestMainInProcess:
 
     def test_methods_agree(self, capsys):
         tables = {}
-        for method in ("rewrite", "recurrence", "closed-form", "enumerate"):
+        for method in cli.TABLE_ROUTES:
             assert main(["stirling", "--r", "2,2,2", "--s", "1,1,1",
                          "--method", method, "--format", "json"]) == 0
             payload = json.loads(capsys.readouterr().out)
@@ -282,6 +300,13 @@ class TestMainInProcess:
         assert main(["stirling", "--word", "a^2 ad"]) == 0
         assert capsys.readouterr().out \
             == "d = -1\nS(1) = 2\nS(2) = 1\nbell = 3\n"
+
+    @pytest.mark.parametrize("method", ["closed-form", "recurrence"])
+    def test_closed_form_answers_negative_prefix(self, method, capsys):
+        # prefix excesses (0, -1, 1): the full closed-form table takes them
+        assert main(["stirling", "--r", "1,3", "--s", "2,1", "--method",
+                     method]) == 0
+        assert capsys.readouterr().out == "d = 1\nS(2) = 1\nS(3) = 1\nbell = 2\n"
 
     def test_ungrouped_word_gets_its_table(self, capsys):
         assert main(["order", "--word", "a ad a ad"]) == 0
@@ -358,7 +383,8 @@ class TestMainInProcess:
          "PASS stirling tables agree: 4 methods on "
          "table {1: 1}\nPASS empty cells equal excess plus free legs\n"
          "PASS settlement counts agree: m = 0..0\n"
-         "PASS falling-factorial identity: x = 0..1\n"),
+         "PASS dobinski series gives the bell number: "
+         "bell 1 to 1e-25 in 30 terms\n"),
     ], ids=["m-0", "forests-arity-1-n-0", "series-arity-2-order-0",
             "m-max-0"])
     def test_boundary_flag_values_are_accepted(self, argv, expected, capsys):
@@ -519,18 +545,29 @@ class TestMainInProcess:
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == digest
 
-    def test_word_and_type_inputs_exclusive(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["stirling", "--word", "ad a", "--r", "1", "--s", "1"])
-        assert exc.value.code == 2
-        with pytest.raises(SystemExit) as exc:
-            main(["stirling"])
-        assert exc.value.code == 2
+    def test_word_and_type_inputs_exclusive(self, capsys):
+        # the usage line is the subcommand's, not the top-level one
+        for argv in (["order", "--word", "ad", "--r", "1"],
+                     ["stirling", "--word", "ad a", "--r", "1", "--s", "1"],
+                     ["selfcheck"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"usage: bosonorder {argv[0]} ")
+            assert err.endswith(
+                f"bosonorder {argv[0]}: error: provide exactly one input: "
+                "--word or --r together with --s\n")
 
-    def test_r_without_s(self):
+    def test_r_without_s(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["stirling", "--r", "1,1"])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: bosonorder stirling ")
+        assert err.endswith("bosonorder stirling: error: --r and --s must "
+                            "be given together\n")
 
 
 def _digits(n):

@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 from bosonorder import (ApproxValue, BellPolynomial, ComplexApproxValue,
                         NegativeExcess, NonCanonicalPrefix, OutOfRange,
                         PrecisionUnreachable, StirlingTable, StringType,
-                        bell_number, bell_poly_recursion, bell_polynomial,
-                        bell_r1_numeric, bell_r1_terms,
-                        check_polynomial_identity, closed_form_table,
+                        bell_number, bell_polynomial, bell_r1_numeric,
+                        bell_r1_terms, closed_form_table,
                         coherent_expectation, count_colonies_by_free_legs,
                         dobinski_eval, dobinski_terms, enumerate_settlements,
                         extract_stirling, falling_factorial,
@@ -22,7 +21,8 @@ from bosonorder import (ApproxValue, BellPolynomial, ComplexApproxValue,
                         settlement_product, stirling_closed_form,
                         stirling_recurrence, word_from_type)
 from bosonorder.cli import run_selfcheck
-from bosonorder.stirling import _difference_quotient, _settlement_products
+from bosonorder.stirling import _difference_quotient
+from oracles import bell_poly_recursion, check_polynomial_identity
 
 SHOWCASE = StringType((3, 2, 1, 3), (2, 2, 2, 3))
 
@@ -203,8 +203,10 @@ class TestClosedForm:
             stirling_closed_form(SHOWCASE, 10)
 
     def test_needs_nonnegative_prefixes(self):
-        with pytest.raises(NonCanonicalPrefix):
+        with pytest.raises(NonCanonicalPrefix,
+                           match=r"\(0, -1, 1\) contain a negative entry"):
             stirling_closed_form(StringType((1, 3), (2, 1)), 2)
+        assert stirling_closed_form(SHOWCASE, 9) == 1
 
     @given(st.data())
     @settings(deadline=None, max_examples=40)
@@ -241,9 +243,11 @@ class TestClosedForm:
         assert all(stirling_closed_form(t, k) == table.get(k, 0)
                    for k in range(t.s[0], t.total_s + 1))
 
-    def test_full_table_needs_nonnegative_prefixes(self):
-        with pytest.raises(NonCanonicalPrefix):
-            closed_form_table(StringType((1, 3), (2, 1)))
+    def test_full_table_answers_negative_prefixes(self):
+        # prefix excesses (0, -1, 1): the single coefficient refuses them
+        t = StringType((1, 3), (2, 1))
+        assert closed_form_table(t) == stirling_recurrence(t).values \
+            == {2: 1, 3: 1}
 
     def test_indivisible_difference_is_refused(self):
         # (m)_2 at m = 0, 1, 2 has second difference 2 = 2!; a second
@@ -655,12 +659,9 @@ class TestNegativePrefixSweep:
 
     def test_signed_kernel_closed_form_matches_recurrence(self,
                                                           dipping_types):
-        # the closed form refuses these types; its kernel does not
         for t in dipping_types:
-            p = _settlement_products(t, 0, t.total_s + 1)
-            closed = {k: v for k in range(t.total_s + 1)
-                      if (v := _difference_quotient(p[:k + 1]))}
-            assert closed == dict(stirling_recurrence(t).values), t
+            assert closed_form_table(t) \
+                == dict(stirling_recurrence(t).values), t
 
     def test_coherent_matches_normal_form(self, dipping_types):
         # <z| word |z> from the rewritten normal form, monomial by monomial:

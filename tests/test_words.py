@@ -9,12 +9,12 @@ from fractions import Fraction
 
 import pytest
 
-from bosonorder import (ANNIHILATION, CREATION, ApproxValue, BosonWord,
-                        StringType, bell_polynomial, closed_form_table,
-                        count_colonies_by_free_legs, dobinski_eval,
-                        enumerate_colonies, normal_order,
+from bosonorder import (ANNIHILATION, CREATION, DEFAULT_ENUM_CAP,
+                        ApproxValue, BosonWord, NegativeExcess, StringType,
+                        bell_polynomial, count_colonies_by_free_legs,
+                        dobinski_eval, enumerate_colonies, normal_order,
                         stirling_recurrence, type_from_word)
-from bosonorder.cli import main, parse_word, run_selfcheck
+from bosonorder.cli import TABLE_ROUTES, main, parse_word, run_selfcheck
 
 
 def words_up_to(size):
@@ -31,28 +31,18 @@ def shifted_rewrite(w):
     return {k + shift: v for k, v in form.coeffs.items()}
 
 
-def test_recurrence_matches_rewriting_on_every_word():
+@pytest.mark.parametrize("route", TABLE_ROUTES)
+def test_route_matches_rewriting_on_every_word(route):
+    # both signs of the excess; a route may refuse only a negative one
     for w in words_up_to(10):
         t = type_from_word(w)
         assert t.excess == w.excess
-        assert dict(stirling_recurrence(t).values) == shifted_rewrite(w), w
-
-
-def test_closed_form_matches_recurrence_where_prefixes_are_nonnegative():
-    checked = 0
-    for w in words_up_to(10):
-        t = type_from_word(w)
-        if t.has_nonnegative_prefixes():
-            assert closed_form_table(t) == stirling_recurrence(t).values, w
-            checked += 1
-    assert checked > 500
-
-
-def test_enumeration_matches_recurrence_on_every_short_word():
-    for w in words_up_to(8):
-        t = type_from_word(w)
-        assert count_colonies_by_free_legs(t) \
-            == stirling_recurrence(t).values, w
+        try:
+            table = TABLE_ROUTES[route](t, DEFAULT_ENUM_CAP)
+        except NegativeExcess:
+            assert t.excess < 0, w
+            continue
+        assert table == shifted_rewrite(w), w
 
 
 @pytest.mark.parametrize("x", [Fraction(0), Fraction(1), Fraction(7, 3)])
