@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -173,18 +174,20 @@ class CheckResult:
         self.detail = detail
 
 
-def run_selfcheck(t: StringType, m_max: int = 4,
+def run_selfcheck(t: StringType,
                   enum_cap: int = DEFAULT_ENUM_CAP) -> list[CheckResult]:
     """Cross-verify every computation path on one type, that of any word.
 
     Checks: every route of TABLE_ROUTES gives the recurrence's table (one
     sits out only when it raises NegativeExcess, rewriting's refusal of a
     negative excess); every colony's empty cells equal excess plus free
-    legs; enumeration and the product formula give the same settlement
-    counts; the Dobinski series at x = 1 gives the table's Bell number to
-    a relative error below 1e-25.  The closed form interpolates
-    prod_j (X+d_{j-1})_(s_j) = sum_k S(k) (X)_k, both sides of degree at
-    most sum(s), on x = 0..sum(s), so the table check proves that identity.
+    legs; their free-leg histogram h gives sum_k h_k (m)_k settlements,
+    the product formula's count; the Dobinski series at x = 1 gives the
+    table's Bell number to a relative error below 1e-25.  Both sides of
+    prod_j (X+d_{j-1})_(s_j) = sum_k S(k) (X)_k have degree at most sum(s),
+    so the closed form, which interpolates it on x = 0..sum(s), proves it
+    in the table check, and the settlement check, on m = 0..sum(s), proves
+    it for the colonies walked.
     TooLarge propagates if the type exceeds the cap.
     """
     results = []
@@ -206,18 +209,24 @@ def run_selfcheck(t: StringType, m_max: int = 4,
           mismatched and f"recurrence gives {table}, others {mismatched}",
           f"{len(tables)} methods on table {table}")
 
-    bad = next((c for c in enumerate_colonies(t, enum_cap)
-                if empty_cells(c) != t.excess + free_legs(c)), None)
+    hist = [0] * (t.total_s + 1)
+    bad = None
+    for c in enumerate_colonies(t, enum_cap):
+        k = free_legs(c)
+        hist[k] += 1
+        if bad is None and empty_cells(c) != t.excess + k:
+            bad = c
     check("empty cells equal excess plus free legs",
           bad is not None
           and f"{empty_cells(bad)} cells vs {t.excess} + {free_legs(bad)}")
 
-    bad_counts = [(m, enumerated, product) for m in range(m_max + 1)
-                  if (enumerated := enumerate_settlements(t, m, enum_cap))
+    bad_counts = [(m, enumerated, product) for m in range(t.total_s + 1)
+                  if (enumerated := sum(v * math.perm(m, k)
+                                        for k, v in enumerate(hist) if v))
                   != (product := settlement_product(t, m))]
     check("settlement counts agree",
           bad_counts and f"(m, enumerated, product) = {bad_counts}",
-          f"m = 0..{m_max}")
+          f"m = 0..{t.total_s}")
 
     # the stop rule cannot fire before m = sum(s) + 1: count terms from there
     bell = sum(table.values())
@@ -319,9 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arity", type=_count(2), required=True,
                    help="at least 2 (arity 1 is the Bell case: see forests)")
     p.add_argument("--order", type=_count(0), default=10)
-    p = add("selfcheck", "cross-verify all computation paths on one type",
-            enum_cap=True)
-    p.add_argument("--m-max", type=_count(0), default=4, dest="m_max")
+    add("selfcheck", "cross-verify all computation paths on one type",
+        enum_cap=True)
     return parser
 
 
@@ -495,7 +503,7 @@ def _cmd_series(args, t):
 
 
 def _cmd_selfcheck(args, t):
-    results = run_selfcheck(t, args.m_max, args.enum_cap)
+    results = run_selfcheck(t, args.enum_cap)
     code = 1 if any(r.status == "fail" for r in results) else 0
     if args.format == "json":
         return {
@@ -524,14 +532,6 @@ _HANDLERS = {
 }
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            print(text, file=fh)
-    else:
-        print(text)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args, extra = parser.parse_known_args(argv)
@@ -549,8 +549,17 @@ def main(argv: list[str] | None = None) -> int:
     except BosonOrderError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(result if isinstance(result, str)
-          else json.dumps(result, indent=2), args.out)
+    text = result if isinstance(result, str) else json.dumps(result, indent=2)
+    if not args.out:
+        print(text)
+        return code
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            print(text, file=fh)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror}",
+              file=sys.stderr)
+        return 2
     return code
 
 

@@ -14,7 +14,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate, chain, count, repeat
-from operator import add, attrgetter, index, mul
+from operator import add, attrgetter, index, mul, sub
 
 from .algebra import StringType, _Value
 from .errors import (NegativeExcess, NonCanonicalPrefix, OutOfRange,
@@ -195,19 +195,23 @@ def _settlement_products(t: StringType, lo: int, hi: int) -> list[int]:
     return p
 
 
-def _difference_quotient(p: list[int]) -> int:
-    # Delta^k p(0) / k! for k = len(p) - 1: the signed-binomial sum
-    # sum_m C(k,m) (-1)^(k-m) p(m), kept integral and divided by k! once;
-    # exact divisibility is asserted
-    k = len(p) - 1
-    binomials = list(map(math.comb, repeat(k), range(k + 1)))
-    plus, minus = k % 2, 1 - k % 2
-    total = (sum(map(mul, p[plus::2], binomials[plus::2]))
-             - sum(map(mul, p[minus::2], binomials[minus::2])))
+def _over_factorial(total: int, k: int) -> int:
+    # Delta^k p(0) / k!, exact divisibility asserted
     quotient, remainder = divmod(total, math.factorial(k))
     if remainder:
         raise AssertionError(f"alternating sum {total} not divisible by {k}!")
     return quotient
+
+
+def _difference_quotient(p: list[int]) -> int:
+    # Delta^k p(0) / k! for k = len(p) - 1: the signed-binomial sum
+    # sum_m C(k,m) (-1)^(k-m) p(m), kept integral and divided by k! once
+    k = len(p) - 1
+    binomials = list(map(math.comb, repeat(k), range(k + 1)))
+    plus, minus = k % 2, 1 - k % 2
+    return _over_factorial(sum(map(mul, p[plus::2], binomials[plus::2]))
+                           - sum(map(mul, p[minus::2], binomials[minus::2])),
+                           k)
 
 
 def stirling_closed_form(t: StringType, k: int) -> int:
@@ -228,12 +232,16 @@ def stirling_closed_form(t: StringType, k: int) -> int:
 
 
 def closed_form_table(t: StringType) -> dict[int, int]:
-    """The closed form at every k, zeros omitted, for every type: S(k)
-    reads only p(0..k), so one vector p(0..total_s) serves the whole
-    table."""
+    """The closed form at every k, zeros omitted, for every type: one
+    forward-difference table of p(0..total_s) serves every k, its k-th
+    pass leaving Delta^k p(0) in front."""
     p = _settlement_products(t, 0, t.total_s + 1)
-    return {k: v for k in range(t.s[0], t.total_s + 1)
-            if (v := _difference_quotient(p[:k + 1]))}
+    table = {}
+    for k in range(t.total_s + 1):
+        if v := _over_factorial(p[0], k):
+            table[k] = v
+        p = list(map(sub, p[1:], p[:-1]))
+    return table
 
 
 def bell_polynomial(t: StringType) -> BellPolynomial:
@@ -295,7 +303,9 @@ def dobinski_eval(t: StringType, x, target_digits: int,
     at most (m+1)/room for m >= M, so every later Dobinski term ratio is
     at most x/room; once x/room <= 1/2 the tail R_D after term M is at
     most 2 * term_M * x/room; summation stops when that bound is below
-    eps = 10^-(target_digits+2) of D_M (tested in integers).
+    eps = 10^-(target_digits+2) of D_M (tested in integers).  x/room <= 1/2
+    first holds after sum(s) + ceil(2x) - s_1 terms, so a max_terms below
+    that is refused (PrecisionUnreachable) before any term is summed.
 
     Why D_M / E_M is then within one ulp.  Each (m)_k is nondecreasing in
     m >= 0, so p is nondecreasing.  At the stop D_M > 0, hence p(M) > 0, and
@@ -345,6 +355,13 @@ def _dobinski_sum(numerators: Iterable[int], m0: int, total_s: int,
     # 10^(target_digits+2), all positive once the first holds (p > 0), so
     # they are compared in integers; it cannot hold while acc is zero.
     p, q = x.numerator, x.denominator
+    # the first condition needs q (M + 1 - total_s) >= 2p, so no stop comes
+    # before total_s + ceil(2x) - m0 terms: a lower cap is refused up front
+    needed = total_s - (-2 * p // q) - m0
+    if needed > max_terms:
+        raise PrecisionUnreachable(
+            f"the tail bound needs at least {needed} terms, over the cap of "
+            f"{max_terms}")
     two_scale_p = 2 * 10 ** (target_digits + 2) * p
     acc = acc_e = 0
     ppow = 1

@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from bosonorder import (ANNIHILATION, CREATION, ApproxValue, BosonWord,
                         LengthMismatch, NormalForm, ParseError, StirlingTable,
                         StringType, apply_crossing, normal_order,
                         stirling_recurrence)
-from bosonorder import cli
+from bosonorder import cli, combinat
 from bosonorder.cli import (MAX_DIGITS, MAX_EXPONENT_DIGITS, build_parser,
                             main, parse_type, parse_word, run_selfcheck,
                             word_to_text)
@@ -30,6 +31,45 @@ SHOWCASE = StringType((3, 2, 1, 3), (2, 2, 2, 3))
 # accepts it
 THIRTY_R = "3,2,3,1,3,3,1,2,1,2,2,3,1,1,2,1,3,1,1,1,1,3,3,2,3,2,3,1,2,1"
 THIRTY_S = "1,2,2,1,2,1,2,2,1,2,2,2,1,1,1,2,1,1,2,2,1,1,2,2,2,2,2,1,1,1"
+
+SELFCHECK_111_JSON = """\
+{
+  "type": {
+    "r": [
+      1,
+      1,
+      1
+    ],
+    "s": [
+      1,
+      1,
+      1
+    ]
+  },
+  "checks": [
+    {
+      "name": "stirling tables agree",
+      "status": "pass",
+      "detail": "4 methods on table {1: 1, 2: 3, 3: 1}"
+    },
+    {
+      "name": "empty cells equal excess plus free legs",
+      "status": "pass",
+      "detail": ""
+    },
+    {
+      "name": "settlement counts agree",
+      "status": "pass",
+      "detail": "m = 0..3"
+    },
+    {
+      "name": "dobinski series gives the bell number",
+      "status": "pass",
+      "detail": "bell 5 to 1e-25 in 32 terms"
+    }
+  ]
+}
+"""
 
 SERIES_TREE_3_6 = """\
 {
@@ -215,10 +255,35 @@ class TestSelfcheck:
         # the series cannot stop before m = 14, so its term cap counts
         # from there: 41 terms fit a cap of 13 + 30, not one of 30
         monkeypatch.setattr(cli, "DEFAULT_MAX_TERMS", 30)
-        results = run_selfcheck(StringType((1, 1), (1, 12)), m_max=0)
+        results = run_selfcheck(StringType((1, 1), (1, 12)))
         assert results[0].detail == "3 methods on table {12: 12, 13: 1}"
+        assert results[2].detail == "m = 0..13"
         assert results[-1].detail == "bell 13 to 1e-25 in 41 terms"
         assert all(r.status == "pass" for r in results)
+
+    def test_walks_the_colonies_twice(self, monkeypatch):
+        # check 1's enumeration route, then one stream for checks 2 and 3
+        walks = []
+        walk = combinat._walk
+
+        def counted(*args):
+            walks.append(args[0])
+            return walk(*args)
+
+        monkeypatch.setattr(combinat, "_walk", counted)
+        t = StringType.uniform(1, 1, 3)
+        assert [r.status for r in run_selfcheck(t)] == ["pass"] * 4
+        assert walks == [t, t]
+
+    def test_settlement_check_reads_the_walked_colonies(self, monkeypatch):
+        # the first colony, all three feet on the ground, goes missing:
+        # only (m)_3 at m = 3 sees it, 27 settlements counted as 21
+        every = cli.enumerate_colonies
+        monkeypatch.setattr(cli, "enumerate_colonies",
+                            lambda t, cap: islice(every(t, cap), 1, None))
+        results = run_selfcheck(StringType.uniform(1, 1, 3))
+        assert [r.status for r in results] == ["pass", "pass", "fail", "pass"]
+        assert results[2].detail == "(m, enumerated, product) = [(3, 21, 27)]"
 
     def test_numeric_check_fails_one_unit_off(self, monkeypatch):
         t = StringType.uniform(1, 1, 3)
@@ -356,9 +421,37 @@ class TestMainInProcess:
                      "--m", "2", "--method", "product"]) == 0
         assert capsys.readouterr().out == "4\n"
 
+    def test_settlements_answer_wherever_the_colonies_fit(self, capsys):
+        # two colonies walked, 16 000 000 settlements counted
+        assert main(["settlements", "--r", "1,1", "--s", "1,1",
+                     "--m", "4000"]) == 0
+        assert capsys.readouterr().out == "16000000\n"
+
     def test_forests(self, capsys):
         assert main(["forests", "--arity", "3", "--n", "4"]) == 0
         assert capsys.readouterr().out == "211\n"
+
+    def test_forests_json_golden(self, capsys):
+        assert main(["forests", "--arity", "3", "--n", "4",
+                     "--format", "json"]) == 0
+        assert capsys.readouterr().out \
+            == '{\n  "arity": 3,\n  "n": 4,\n  "count": "211"\n}\n'
+
+    def test_selfcheck_json_golden(self, capsys):
+        assert main(["selfcheck", "--r", "1,1,1", "--s", "1,1,1",
+                     "--format", "json"]) == 0
+        assert capsys.readouterr().out == SELFCHECK_111_JSON
+
+    @pytest.mark.parametrize("name, reason", [
+        ("", "Is a directory"),
+        ("missing/out.txt", "No such file or directory"),
+    ], ids=["directory", "missing-parent"])
+    def test_unwritable_out_is_a_usage_error(self, name, reason, tmp_path,
+                                             capsys):
+        path = tmp_path / name
+        assert main(["order", "--word", "ad", "--out", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: cannot write {path}: {reason}\n"
 
     @pytest.mark.parametrize("argv, flag", [
         (["settlements", "--r", "1", "--s", "1", "--m", "-1"], "--m"),
@@ -366,8 +459,7 @@ class TestMainInProcess:
         (["forests", "--arity", "2", "--n", "-1"], "--n"),
         (["series", "--arity", "1"], "--arity"),
         (["series", "--arity", "2", "--order", "-1"], "--order"),
-        (["selfcheck", "--r", "1", "--s", "1", "--m-max", "-1"], "--m-max"),
-    ], ids=["m", "forests-arity", "n", "series-arity", "order", "m-max"])
+    ], ids=["m", "forests-arity", "n", "series-arity", "order"])
     def test_out_of_range_flags_are_usage_errors(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -379,14 +471,7 @@ class TestMainInProcess:
         (["settlements", "--r", "1", "--s", "1", "--m", "0"], "0\n"),
         (["forests", "--arity", "1", "--n", "0"], "1\n"),
         (["series", "--arity", "2", "--order", "0"], "a_0 = 1 (count 1)\n"),
-        (["selfcheck", "--r", "1", "--s", "1", "--m-max", "0"],
-         "PASS stirling tables agree: 4 methods on "
-         "table {1: 1}\nPASS empty cells equal excess plus free legs\n"
-         "PASS settlement counts agree: m = 0..0\n"
-         "PASS dobinski series gives the bell number: "
-         "bell 1 to 1e-25 in 30 terms\n"),
-    ], ids=["m-0", "forests-arity-1-n-0", "series-arity-2-order-0",
-            "m-max-0"])
+    ], ids=["m-0", "forests-arity-1-n-0", "series-arity-2-order-0"])
     def test_boundary_flag_values_are_accepted(self, argv, expected, capsys):
         assert main(argv) == 0
         assert capsys.readouterr().out == expected
@@ -399,13 +484,15 @@ class TestMainInProcess:
          "--enum-cap"),
         (["selfcheck", "--r", "1", "--s", "1", "--x-samples", "8"],
          "--x-samples"),
+        (["selfcheck", "--r", "1,1", "--s", "1,1", "--m-max", "4"],
+         "--m-max"),
         (["bell", "--r", "1", "--s", "1", "--digits", str(MAX_DIGITS + 1)],
          "--digits"),
         (["series", "--arity", "2", "--digits", str(MAX_DIGITS + 1)],
          "--digits"),
     ], ids=["order-digits", "bell-max-terms", "series-enum-cap",
-            "dobinski-enum-cap", "selfcheck-x-samples", "bell-digits",
-            "series-digits"])
+            "dobinski-enum-cap", "selfcheck-x-samples", "selfcheck-m-max",
+            "bell-digits", "series-digits"])
     def test_flags_a_subcommand_does_not_take_are_usage_errors(
             self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -438,7 +525,7 @@ class TestMainInProcess:
             "settlements": word | {"--m", "--method", "--enum-cap"},
             "forests": output | {"--arity", "--n", "--enum-cap"},
             "series": output | {"--kind", "--arity", "--order"},
-            "selfcheck": word | {"--m-max", "--enum-cap"},
+            "selfcheck": word | {"--enum-cap"},
         }
         subparsers = next(a for a in build_parser()._actions
                           if isinstance(a, argparse._SubParsersAction))
@@ -446,7 +533,7 @@ class TestMainInProcess:
                       for flag in action.option_strings} - {"-h", "--help"}
                for name, sub in subparsers.choices.items()}
         assert got == expected
-        assert sum(map(len, got.values())) == 59
+        assert sum(map(len, got.values())) == 58
 
     @pytest.mark.parametrize("sub", ["order", "stirling", "bell", "dobinski",
                                      "colonies", "settlements", "forests",

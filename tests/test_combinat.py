@@ -176,6 +176,13 @@ class TestSurjectiveSettlements:
         t = StringType.uniform(1, 1, 2)
         assert count_surjective_settlements(t, 3) == 0
 
+    def test_answers_wherever_the_colonies_fit(self):
+        # 4 213 597 colonies fit the default cap; the count, S2(12, 11) 11!
+        # surjections, is far over it
+        t = StringType.uniform(1, 1, 12)
+        assert count_surjective_settlements(t, 11) \
+            == math.comb(12, 2) * math.factorial(11)
+
     def test_factorial_formula(self, sweep_types):
         for t in sweep_types[::17]:
             table = stirling_recurrence(t).values

@@ -164,6 +164,10 @@ class TestExplicitSum:
     def test_term_cap(self):
         with pytest.raises(PrecisionUnreachable):
             bell_r1_numeric(2, 3, 30, max_terms=4)
+        # n = 20 legs: no stop before term 21, refused before summing
+        with pytest.raises(PrecisionUnreachable,
+                           match="needs at least 21 terms"):
+            bell_r1_numeric(2, 20, 30, max_terms=20)
 
     def test_rejects_bad_digits(self):
         with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ from bosonorder import (ApproxValue, BellPolynomial, ComplexApproxValue,
                         settlement_product, stirling_closed_form,
                         stirling_recurrence, word_from_type)
 from bosonorder.cli import run_selfcheck
-from bosonorder.stirling import _difference_quotient
+from bosonorder.stirling import _difference_quotient, _dobinski_sum
 from oracles import bell_poly_recursion, check_polynomial_identity
 
 SHOWCASE = StringType((3, 2, 1, 3), (2, 2, 2, 3))
@@ -372,6 +372,20 @@ class TestDobinski:
     def test_term_cap(self):
         with pytest.raises(PrecisionUnreachable):
             dobinski_eval(StringType.uniform(1, 1, 3), 1, 30, max_terms=3)
+
+    def test_unreachable_cap_is_refused_before_summing(self):
+        # the stop rule needs M + 1 - sum(s) >= 2x, so at x = 1 a type with
+        # sum(s) = 10006 and s_1 = 1 cannot stop before term 10007
+        def unread():
+            raise AssertionError("a numerator was read")
+            yield
+
+        with pytest.raises(PrecisionUnreachable,
+                           match="needs at least 10007 terms"):
+            _dobinski_sum(unread(), 1, 10006, Fraction(1), 5, 10000)
+        with pytest.raises(PrecisionUnreachable,
+                           match="needs at least 10007 terms"):
+            dobinski_eval(StringType((1, 1), (1, 10005)), 1, 5)
 
 
 def _reference_sum(terms, m0, total_s, x, digits, max_terms):
