@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 from bosonorder import (ANNIHILATION, CREATION, ApproxValue, BosonWord,
                         LengthMismatch, NormalForm, ParseError, StirlingTable,
                         StringType, apply_crossing, normal_order,
-                        stirling_recurrence)
+                        stirling_recurrence, type_from_word)
 from bosonorder import cli, combinat
 from bosonorder.cli import (MAX_DIGITS, MAX_EXPONENT_DIGITS, build_parser,
                             main, parse_type, parse_word, run_selfcheck,
@@ -847,3 +849,125 @@ class TestSubprocess:
         proc = run_cli("stirling", "--word", "ad qq")
         assert proc.returncode == 2
         assert "byte 3" in proc.stderr
+
+
+def _listing_in_memory(t: StringType, form: str) -> str:
+    """A colony listing built whole in memory, the way it was printed before
+    listings streamed: the oracle for the streamed bytes."""
+    colonies = list(combinat.enumerate_colonies(t))
+    if form == "dot":
+        text = "\n\n".join(map(combinat.colony_to_dot, colonies))
+    elif form == "json":
+        counts = {}
+        for c in colonies:
+            k = combinat.free_legs(c)
+            counts[k] = counts.get(k, 0) + 1
+        text = json.dumps({
+            "type": {"r": list(t.r), "s": list(t.s)},
+            "count": len(colonies),
+            "by_free_legs": {str(k): str(v)
+                             for k, v in sorted(counts.items())},
+            "colonies": [combinat.colony_to_text(c).split("\n")
+                         if t.total_s else [] for c in colonies],
+        }, indent=2)
+    else:
+        blocks = [f"colony {i} (free legs {combinat.free_legs(c)})\n"
+                  f"{combinat.colony_to_text(c)}".rstrip()
+                  for i, c in enumerate(colonies, start=1)]
+        blocks.append(f"total {len(colonies)}")
+        text = "\n\n".join(blocks)
+    return text + "\n"
+
+
+FORM_FLAGS = {"plain": [], "json": ["--format", "json"], "dot": ["--dot"]}
+
+EIGHT_BUGS = ["--r", "1,1,1,1,1,1,1,1", "--s", "1,1,1,1,1,1,1,1"]
+
+
+class TestStreamedListings:
+    @pytest.mark.parametrize("form", FORM_FLAGS)
+    def test_same_bytes_as_the_in_memory_listing(self, form, capsys):
+        # every type of at most 3 factors with exponents 1..2, then the
+        # feetless word ad^2 and the zero-boundary words a ad and a a
+        inputs = [(["--r", ",".join(map(str, r)), "--s", ",".join(map(str, s))],
+                   StringType(r, s))
+                  for n in (1, 2, 3)
+                  for r in itertools.product((1, 2), repeat=n)
+                  for s in itertools.product((1, 2), repeat=n)]
+        inputs += [(["--word", w], type_from_word(parse_word(w)))
+                   for w in ("ad^2", "a ad", "a a")]
+        for argv, t in inputs:
+            assert main(["colonies", *argv, *FORM_FLAGS[form]]) == 0
+            assert capsys.readouterr().out == _listing_in_memory(t, form), argv
+
+    @pytest.mark.parametrize("form", FORM_FLAGS)
+    def test_out_gets_the_same_bytes(self, form, tmp_path, capsys):
+        path = tmp_path / "listing.txt"
+        assert main(["colonies", "--r", "2,1,2", "--s", "1,2,1",
+                     *FORM_FLAGS[form], "--out", str(path)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert path.read_text(encoding="utf-8") == _listing_in_memory(
+            StringType((2, 1, 2), (1, 2, 1)), form)
+
+    def test_dot_wins_over_json(self, capsys):
+        assert main(["colonies", "--r", "1,1", "--s", "1,1", "--dot",
+                     "--format", "json"]) == 0
+        assert capsys.readouterr().out == _listing_in_memory(
+            StringType((1, 1), (1, 1)), "dot")
+
+    @pytest.mark.parametrize("form", FORM_FLAGS)
+    def test_memory_stays_flat(self, form, tmp_path):
+        # 4 140 colonies, 0.77-1.0 MB of text; built in memory, the listing
+        # peaked at 2.75 (plain), 2.95 (dot) and 7.39 MB (json)
+        path = tmp_path / "listing.txt"
+        main(["colonies", "--r", "1", "--s", "1", "--out", str(path)])
+        tracemalloc.start()
+        try:
+            assert main(["colonies", *EIGHT_BUGS, *FORM_FLAGS[form],
+                         "--out", str(path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 750_000
+        assert peak < 1_500_000
+
+    @pytest.mark.parametrize("name", ["listing.txt", "missing/listing.txt"],
+                             ids=["writable", "missing-parent"])
+    def test_refusal_comes_before_out_is_opened(self, name, tmp_path,
+                                                capsys):
+        path = tmp_path / name
+        assert main(["colonies", "--r", "1,1", "--s", "1,1", "--enum-cap",
+                     "1", "--out", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "exceed the cap of 1" in err
+        assert not path.exists()
+
+    def test_out_directory_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["colonies", "--r", "1,1", "--s", "1,1",
+                     "--out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs a device that refuses every write")
+    def test_write_failing_midstream_is_a_usage_error(self, capsys):
+        assert main(["colonies", *EIGHT_BUGS, "--out", "/dev/full"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: cannot write /dev/full: "
+                       "No space left on device\n")
+
+    def test_closed_pipe_exits_1_without_a_traceback(self):
+        env = dict(os.environ)
+        env.pop("BOSON_ORDER_ENUM_CAP", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bosonorder", "colonies", *EIGHT_BUGS],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"colony 1 (free legs 8)\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert err == ""
