@@ -21,8 +21,8 @@ from .stirling import (DEFAULT_MAX_TERMS, ApproxValue, BellPolynomial,
                        bell_polynomial, closed_form_table,
                        coherent_expectation, dobinski_eval,
                        dobinski_terms, falling_factorial,
-                       falling_factorial_expansion, settlement_product,
-                       stirling_closed_form, stirling_recurrence)
+                       settlement_product, stirling_closed_form,
+                       stirling_recurrence)
 
 __all__ = [
     "ANNIHILATION", "CREATION", "BosonWord", "Letter", "NormalForm",
@@ -41,6 +41,6 @@ __all__ = [
     "DEFAULT_MAX_TERMS", "ApproxValue", "BellPolynomial", "ComplexApproxValue",
     "StirlingTable", "bell_number", "bell_polynomial", "closed_form_table",
     "coherent_expectation", "dobinski_eval", "dobinski_terms",
-    "falling_factorial", "falling_factorial_expansion", "settlement_product",
-    "stirling_closed_form", "stirling_recurrence",
+    "falling_factorial", "settlement_product", "stirling_closed_form",
+    "stirling_recurrence",
 ]

@@ -1,0 +1,106 @@
+"""Cross-checks: every route to a type's coefficient table, and a selfcheck
+that verifies the routes and the colony counts against each other.
+
+The routes are independent on purpose: rewriting, the recurrence, the
+closed form and colony enumeration each reach the same table another way.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from .algebra import (StringType, extract_stirling, normal_order,
+                      word_from_type)
+from .combinat import (DEFAULT_ENUM_CAP, count_colonies_by_free_legs,
+                       empty_cells, enumerate_colonies, free_legs)
+from .errors import NegativeExcess
+from .stirling import (DEFAULT_MAX_TERMS, closed_form_table, dobinski_eval,
+                       settlement_product, stirling_recurrence)
+
+# every route to the coefficient table of a type, in --method order: each
+# takes (type, enumeration cap) and returns {k: S(k)}, keyed by surviving
+# annihilators; rewriting refuses a negative excess (NegativeExcess).  The
+# recurrence is looked up when called, so a test can replace it
+TABLE_ROUTES = {
+    "rewrite": lambda t, cap:
+        extract_stirling(normal_order(word_from_type(t)))[1],
+    "recurrence": lambda t, cap: dict(stirling_recurrence(t).values),
+    "closed-form": lambda t, cap: closed_form_table(t),
+    "enumerate": lambda t, cap: count_colonies_by_free_legs(t, enum_cap=cap),
+}
+
+
+class CheckResult:
+    """One selfcheck line: what was checked, "pass" or "fail", and how."""
+
+    __slots__ = ("name", "status", "detail")
+
+    def __init__(self, name: str, status: str, detail: str = ""):
+        self.name = name
+        self.status = status
+        self.detail = detail
+
+
+def run_selfcheck(t: StringType,
+                  enum_cap: int = DEFAULT_ENUM_CAP) -> list[CheckResult]:
+    """Cross-verify every computation path on one type, that of any word.
+
+    Checks: every route of TABLE_ROUTES gives the recurrence's table (one
+    sits out only when it raises NegativeExcess, rewriting's refusal of a
+    negative excess); every colony's empty cells equal excess plus free
+    legs; their free-leg histogram h gives sum_k h_k (m)_k settlements,
+    the product formula's count; the Dobinski series at x = 1 gives the
+    table's Bell number to a relative error below 1e-25.  Both sides of
+    prod_j (X+d_{j-1})_(s_j) = sum_k S(k) (X)_k have degree at most sum(s),
+    so the closed form, which interpolates it on x = 0..sum(s), proves it
+    in the table check, and the settlement check, on m = 0..sum(s), proves
+    it for the colonies walked.
+    TooLarge propagates if the type exceeds the cap.
+    """
+    results = []
+
+    def check(name: str, failure, passed: str = "") -> None:
+        # failure is the detail of a failed check, falsy when it passed
+        results.append(CheckResult(name, "fail", failure) if failure
+                       else CheckResult(name, "pass", passed))
+
+    tables = {}
+    for name, route in TABLE_ROUTES.items():
+        try:
+            tables[name] = route(t, enum_cap)
+        except NegativeExcess:
+            pass
+    table = tables["recurrence"]
+    mismatched = {name: vals for name, vals in tables.items() if vals != table}
+    check("stirling tables agree",
+          mismatched and f"recurrence gives {table}, others {mismatched}",
+          f"{len(tables)} methods on table {table}")
+
+    hist = [0] * (t.total_s + 1)
+    bad = None
+    for c in enumerate_colonies(t, enum_cap):
+        k = free_legs(c)
+        hist[k] += 1
+        if bad is None and empty_cells(c) != t.excess + k:
+            bad = c
+    check("empty cells equal excess plus free legs",
+          bad is not None
+          and f"{empty_cells(bad)} cells vs {t.excess} + {free_legs(bad)}")
+
+    bad_counts = [(m, enumerated, product) for m in range(t.total_s + 1)
+                  if (enumerated := sum(v * math.perm(m, k)
+                                        for k, v in enumerate(hist) if v))
+                  != (product := settlement_product(t, m))]
+    check("settlement counts agree",
+          bad_counts and f"(m, enumerated, product) = {bad_counts}",
+          f"m = 0..{t.total_s}")
+
+    # the stop rule cannot fire before m = sum(s) + 1: count terms from there
+    bell = sum(table.values())
+    approx = dobinski_eval(t, 1, 30, t.total_s + DEFAULT_MAX_TERMS)
+    check("dobinski series gives the bell number",
+          abs(Fraction(approx.value) - bell) * 10 ** 25 >= bell
+          and f"{approx.value} vs {bell}",
+          f"bell {bell} to 1e-25 in {approx.terms_used} terms")
+    return results

@@ -157,12 +157,13 @@ def _colony(t: StringType,
 
 
 def _colony_stream(t: StringType) -> Iterator[Colony]:
-    ref: dict[int, Placement] = {0: None}
-    bit = 1
-    for i, r in enumerate(t.r, start=1):
-        for c in range(1, r + 1):
-            ref[bit] = (i, c)
-            bit <<= 1
+    # the target of a foot holding bit, read at ref[bit.bit_length()]: the
+    # cell of id i sits at i + 1, the ground at 0.  No foot reaches the last
+    # bug's cells, and the last bug's feet reach every earlier one, so the
+    # enumeration cap bounds this list too
+    ref: list[Placement] = [None]
+    for i, r in enumerate(t.r[:-1], start=1):
+        ref += [(i, c) for c in range(1, r + 1)]
     spans = []
     bug_of = []
     for j, s in enumerate(t.s):
@@ -172,13 +173,14 @@ def _colony_stream(t: StringType) -> Iterator[Colony]:
     held = [0] * t.total_s
     changed = [0]
     cell = ref.__getitem__
+    bit_length = int.bit_length
     # a bug's feet tuple is rebuilt only when one of its feet moved, so
     # colonies share the tuples of the bugs they agree on
     bugs: list[tuple[Placement, ...]] = [()] * t.n
     for _ in _walk(t, held, changed):
         for j in range(bug_of[changed[0]], t.n):
             a, z = spans[j]
-            bugs[j] = tuple(map(cell, held[a:z]))
+            bugs[j] = tuple(map(cell, map(bit_length, held[a:z])))
         yield _colony(t, tuple(bugs))
 
 
@@ -292,8 +294,9 @@ def count_increasing_forests(r: int, n: int,
     stack: list[tuple[int, tuple[tuple[int, int], ...]]] = [(1, ())]
     while stack:
         j, open_slots = stack.pop()
-        if j > n:
-            total += 1
+        if j == n:
+            # the last vertex is a root or takes one open slot
+            total += len(open_slots) + 1
             continue
         own = tuple((j, c) for c in range(1, r + 1))
         stack.append((j + 1, open_slots + own))

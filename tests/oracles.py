@@ -37,6 +37,49 @@ def bell_poly_recursion(prev: BellPolynomial, d_prev: int,
     return BellPolynomial(tuple(c))
 
 
+def _classical_stirling2(nmax: int) -> list[list[int]]:
+    # rows[n][k] = S2(n,k) from the textbook recurrence, used only as the
+    # monomial -> falling-factorial basis change
+    rows = [[1]]
+    for n in range(1, nmax + 1):
+        prev = rows[-1]
+        row = [0] * (n + 1)
+        for k in range(1, n + 1):
+            row[k] = prev[k - 1] + (k * prev[k] if k < n else 0)
+        rows.append(row)
+    return rows
+
+
+def falling_factorial_expansion(t: StringType) -> dict[int, int]:
+    """Coefficients c_k of prod_j (X+d_{j-1})_(s_j) = sum_k c_k (X)_k.
+
+    Expands the product into ordinary monomial coefficients and changes
+    basis with the classical Stirling triangle; independent of the
+    recurrence, so comparing the result against stirling_recurrence checks
+    the polynomial identity coefficient by coefficient.
+    """
+    ds = t.prefix_excesses
+    poly = [1]
+    for j in range(t.n):
+        for i in range(t.s[j]):
+            root = ds[j] - i
+            new = [0] * (len(poly) + 1)
+            for a, c in enumerate(poly):
+                new[a] += root * c
+                new[a + 1] += c
+            poly = new
+    s2 = _classical_stirling2(len(poly) - 1)
+    out: dict[int, int] = {}
+    for n, c in enumerate(poly):
+        if not c:
+            continue
+        for k in range(n + 1):
+            v = c * s2[n][k]
+            if v:
+                out[k] = out.get(k, 0) + v
+    return {k: v for k, v in sorted(out.items()) if v}
+
+
 def check_polynomial_identity(t: StringType, x: int) -> bool:
     """Test prod_j (x+d_{j-1})_(s_j) == sum_k S(k) (x)_k at one integer x,
     of either sign."""

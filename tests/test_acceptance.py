@@ -20,7 +20,8 @@ from bosonorder import (ANNIHILATION, CREATION, DEFAULT_ENUM_CAP, BosonWord,
                         forest_egf, forest_to_colony, free_legs,
                         settlement_product, stirling_recurrence,
                         tree_series, tree_series_closed_form)
-from bosonorder.cli import TABLE_ROUTES, parse_word, word_to_text
+from bosonorder.check import TABLE_ROUTES
+from bosonorder.cli import parse_word, word_to_text
 
 SHOWCASE = StringType((3, 2, 1, 3), (2, 2, 2, 3))
 

@@ -22,10 +22,10 @@ from bosonorder import (ANNIHILATION, CREATION, ApproxValue, BosonWord,
                         LengthMismatch, NormalForm, ParseError, StirlingTable,
                         StringType, apply_crossing, normal_order,
                         stirling_recurrence, type_from_word)
-from bosonorder import cli, combinat
+from bosonorder import check, cli, combinat
+from bosonorder.check import run_selfcheck
 from bosonorder.cli import (MAX_DIGITS, MAX_EXPONENT_DIGITS, build_parser,
-                            main, parse_type, parse_word, run_selfcheck,
-                            word_to_text)
+                            main, parse_type, parse_word, word_to_text)
 
 SHOWCASE = StringType((3, 2, 1, 3), (2, 2, 2, 3))
 
@@ -137,6 +137,21 @@ def run_cli(*argv, env_overrides=None):
                           capture_output=True, text=True, env=env)
 
 
+def imported_modules(*argv) -> set[str]:
+    """The modules a python child imports running argv.  -S keeps site
+    from preloading typing; -X importtime writes one stderr line per
+    module imported, so no timing is compared."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", *argv],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
 class TestParseWord:
     def test_plain_tokens(self):
         assert parse_word("ad a").letters == (CREATION, ANNIHILATION)
@@ -244,7 +259,7 @@ class TestSelfcheck:
         right = stirling_recurrence(t).values
         top = max(right)
         wrong = {**right, top: right[top] + 1}
-        monkeypatch.setattr(cli, "stirling_recurrence",
+        monkeypatch.setattr(check, "stirling_recurrence",
                             lambda u: StirlingTable(u, wrong))
         tables = run_selfcheck(t)[0]
         assert tables.status == "fail"
@@ -256,7 +271,7 @@ class TestSelfcheck:
         # sum(s) = 13 and excess -11: the closed form reads p(0..13), and
         # the series cannot stop before m = 14, so its term cap counts
         # from there: 41 terms fit a cap of 13 + 30, not one of 30
-        monkeypatch.setattr(cli, "DEFAULT_MAX_TERMS", 30)
+        monkeypatch.setattr(check, "DEFAULT_MAX_TERMS", 30)
         results = run_selfcheck(StringType((1, 1), (1, 12)))
         assert results[0].detail == "3 methods on table {12: 12, 13: 1}"
         assert results[2].detail == "m = 0..13"
@@ -280,8 +295,8 @@ class TestSelfcheck:
     def test_settlement_check_reads_the_walked_colonies(self, monkeypatch):
         # the first colony, all three feet on the ground, goes missing:
         # only (m)_3 at m = 3 sees it, 27 settlements counted as 21
-        every = cli.enumerate_colonies
-        monkeypatch.setattr(cli, "enumerate_colonies",
+        every = check.enumerate_colonies
+        monkeypatch.setattr(check, "enumerate_colonies",
                             lambda t, cap: islice(every(t, cap), 1, None))
         results = run_selfcheck(StringType.uniform(1, 1, 3))
         assert [r.status for r in results] == ["pass", "pass", "fail", "pass"]
@@ -289,10 +304,10 @@ class TestSelfcheck:
 
     def test_numeric_check_fails_one_unit_off(self, monkeypatch):
         t = StringType.uniform(1, 1, 3)
-        right = cli.dobinski_eval(t, 1, 30)
+        right = check.dobinski_eval(t, 1, 30)
         assert right.value == 5
         wrong = right.value + 1
-        monkeypatch.setattr(cli, "dobinski_eval", lambda *args: ApproxValue(
+        monkeypatch.setattr(check, "dobinski_eval", lambda *args: ApproxValue(
             wrong, right.precision_digits, right.terms_used))
         results = run_selfcheck(t)
         assert [r.status for r in results] == ["pass"] * 3 + ["fail"]
@@ -741,19 +756,15 @@ class TestSubprocess:
         ("-m", "bosonorder", "bell", "--r", "1,1", "--s", "1,1"),
     ], ids=["import", "bell"])
     def test_startup_skips_slow_modules(self, argv):
-        # -S keeps site from preloading typing; -X importtime writes one
-        # stderr line per module imported, so no timing is compared
-        src = Path(__file__).resolve().parent.parent / "src"
-        proc = subprocess.run(
-            [sys.executable, "-S", "-X", "importtime", *argv],
-            capture_output=True, text=True,
-            env=dict(os.environ, PYTHONPATH=str(src)))
-        assert proc.returncode == 0, proc.stderr
-        imported = {line.rsplit("|", 1)[1].strip()
-                    for line in proc.stderr.splitlines()
-                    if line.startswith("import time:")}
+        imported = imported_modules(*argv)
         assert "bosonorder.cli" in imported
         assert not imported & {"dataclasses", "inspect", "typing"}
+
+    def test_checks_load_without_the_front_end(self):
+        # the route table and selfcheck are library code
+        imported = imported_modules("-c", "import bosonorder.check")
+        assert "bosonorder.check" in imported
+        assert not imported & {"argparse", "bosonorder.cli"}
 
     def test_selfcheck_passes(self):
         proc = run_cli("selfcheck", "--r", "1,1,1", "--s", "1,1,1")

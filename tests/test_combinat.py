@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -37,6 +38,16 @@ def naive_placements(t):
             start += s
         placements.append(tuple(feet))
     return placements
+
+
+def traced_peak(f):
+    """f() and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        value = f()
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestColonies:
@@ -88,6 +99,14 @@ class TestColonies:
     def test_walk_colonies_equal_validated_ones(self):
         for colony in enumerate_colonies(SHOWCASE):
             assert Colony(colony.type, colony.placement) == colony
+
+    def test_listing_memory_ignores_unreachable_cells(self):
+        # two colonies: a million cells no foot can reach cost nothing
+        t = StringType((1, 10**6), (1, 1))
+        count, peak = traced_peak(
+            lambda: sum(1 for _ in enumerate_colonies(t)))
+        assert count == 2
+        assert peak < 1_000_000
 
 
 class TestManyFeet:
@@ -214,6 +233,17 @@ class TestForests:
     def test_cap(self):
         with pytest.raises(TooLarge):
             count_increasing_forests(3, 8, enum_cap=1000)
+
+    @pytest.mark.parametrize("r, n, count, bound", [
+        (100_000, 2, 100_001, 15_000_000),
+        (10**6, 1, 1, 1_000_000),
+    ])
+    def test_last_vertex_is_counted_not_walked(self, r, n, count, bound):
+        # the last vertex's choices are counted at once: no tuple per leaf
+        # and none of its own slots
+        got, peak = traced_peak(lambda: count_increasing_forests(r, n))
+        assert got == count
+        assert peak < bound
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):

@@ -16,13 +16,13 @@ from bosonorder import (ApproxValue, BellPolynomial, ComplexApproxValue,
                         bell_r1_terms, closed_form_table,
                         coherent_expectation, count_colonies_by_free_legs,
                         dobinski_eval, dobinski_terms, enumerate_settlements,
-                        extract_stirling, falling_factorial,
-                        falling_factorial_expansion, normal_order,
+                        extract_stirling, falling_factorial, normal_order,
                         settlement_product, stirling_closed_form,
                         stirling_recurrence, word_from_type)
-from bosonorder.cli import run_selfcheck
+from bosonorder.check import run_selfcheck
 from bosonorder.stirling import _difference_quotient, _dobinski_sum
-from oracles import bell_poly_recursion, check_polynomial_identity
+from oracles import (bell_poly_recursion, check_polynomial_identity,
+                     falling_factorial_expansion)
 
 SHOWCASE = StringType((3, 2, 1, 3), (2, 2, 2, 3))
 

@@ -14,7 +14,8 @@ from bosonorder import (ANNIHILATION, CREATION, DEFAULT_ENUM_CAP,
                         bell_polynomial, count_colonies_by_free_legs,
                         dobinski_eval, enumerate_colonies, normal_order,
                         stirling_recurrence, type_from_word)
-from bosonorder.cli import TABLE_ROUTES, main, parse_word, run_selfcheck
+from bosonorder.check import TABLE_ROUTES, run_selfcheck
+from bosonorder.cli import main, parse_word
 
 
 def words_up_to(size):
