@@ -54,15 +54,16 @@ def _byte_offset(text: str, index: int) -> int:
     return len(text[:index].encode("utf-8"))
 
 
-def _read_exponent(digits: str, total: int, offset: int) -> int:
+def _read_exponent(digits: str, total: int, text: str, index: int) -> int:
     # the value of digits, refused when it would bring the running total of
-    # its argument's exponents to 10^MAX_EXPONENT_DIGITS or more
+    # its argument's exponents to 10^MAX_EXPONENT_DIGITS or more, with the
+    # byte offset of text[index]
     value = (int(digits) if len(digits) <= MAX_EXPONENT_DIGITS
              else _EXPONENT_BOUND)
     if total + value >= _EXPONENT_BOUND:
         raise ParseError(
             f"exponents must sum to less than 10^{MAX_EXPONENT_DIGITS}",
-            offset)
+            _byte_offset(text, index))
     return value
 
 
@@ -102,17 +103,17 @@ def parse_word(text: str) -> BosonWord:
     runs = []
     total = 0
     for match in re.finditer(r"\S+", text):
-        token = match.group(0)
-        offset = _byte_offset(text, match.start())
+        token, start = match.group(0), match.start()
         m = _TOKEN.fullmatch(token)
         if m is None:
             raise ParseError(
                 f"unrecognized token {token!r}: expected 'ad' or 'a', "
-                "optionally with ^<positive integer>", offset)
-        count = _read_exponent(m.group(2) or "1", total, offset)
+                "optionally with ^<positive integer>",
+                _byte_offset(text, start))
+        count = _read_exponent(m.group(2) or "1", total, text, start)
         if count < 1:
             raise ParseError(f"exponent must be positive in {token!r}",
-                             offset)
+                             _byte_offset(text, start))
         total += count
         letter = CREATION if m.group(1) == "ad" else ANNIHILATION
         runs.append((letter, count))
@@ -130,14 +131,15 @@ def word_to_text(word: BosonWord) -> str:
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
     values = []
-    offset = total = 0
+    index = total = 0
     for part in text.split(","):
         if not re.fullmatch(r"[0-9]+", part) \
-                or (value := _read_exponent(part, total, offset)) < 1:
-            raise ParseError(f"expected a positive integer, got {part!r}", offset)
+                or (value := _read_exponent(part, total, text, index)) < 1:
+            raise ParseError(f"expected a positive integer, got {part!r}",
+                             _byte_offset(text, index))
         values.append(value)
         total += value
-        offset += len(part.encode("utf-8")) + 1
+        index += len(part) + 1
     return tuple(values)
 
 
@@ -333,6 +335,17 @@ def _cmd_bell(args, t):
 
 
 def _cmd_dobinski(args, t):
+    # the digits of --x plus the size of its decimal exponent bound the
+    # digits of x's numerator and denominator: past MAX_DIGITS it is
+    # refused before Fraction() spends seconds building 10^exponent
+    head, _, exponent = args.x.lower().partition("e")
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    size = sum(map(str.isdecimal, head))
+    if exponent.isdecimal():
+        size += int(exponent) if len(exponent) < 8 else MAX_DIGITS + 1
+    if size > MAX_DIGITS:
+        raise ParseError(f"x may have at most {MAX_DIGITS} digits, counting "
+                         "its decimal exponent", 0)
     try:
         x = Fraction(args.x)
     except (ValueError, ZeroDivisionError):
@@ -343,7 +356,7 @@ def _cmd_dobinski(args, t):
     if args.format == "json":
         return {
             "type": _type_payload(t),
-            "x": str(x),
+            "x": _number_text(x),
             "value": str(approx.value),
             "precision_digits": approx.precision_digits,
             "terms_used": approx.terms_used,

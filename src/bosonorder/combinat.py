@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
+from itertools import repeat
 from operator import attrgetter
 
 from .algebra import StringType, _Value
-from .errors import NotUnary, TooLarge
+from .errors import NotUnary, TooLarge, _count_text
 from .stirling import bell_number
 
 DEFAULT_ENUM_CAP = 10_000_000
@@ -64,7 +65,8 @@ class Colony(_Value):
 
 def _require_under_cap(predicted: int, enum_cap: int, what: str) -> None:
     if predicted > enum_cap:
-        raise TooLarge(f"{predicted} {what} exceed the cap of {enum_cap}")
+        raise TooLarge(f"{_count_text(predicted)} {what} exceed the cap of "
+                       f"{enum_cap}")
 
 
 def free_legs(colony: Colony) -> int:
@@ -191,18 +193,14 @@ def enumerate_colonies(t: StringType,
     return _colony_stream(t)
 
 
-def _free_leg_histogram(t: StringType) -> dict[int, int]:
-    counts = [0] * (t.total_s + 1)
-    for ground in _walk(t, [0] * t.total_s, [0]):
-        counts[ground] += 1
-    return {k: v for k, v in enumerate(counts) if v}
-
-
 def count_colonies_by_free_legs(t: StringType,
                                 enum_cap: int = DEFAULT_ENUM_CAP) -> dict[int, int]:
     """Histogram of colonies by free-leg count, walking every placement."""
     _require_under_cap(bell_number(t), enum_cap, "colonies")
-    return _free_leg_histogram(t)
+    counts = [0] * (t.total_s + 1)
+    for ground in _walk(t, [0] * t.total_s, [0]):
+        counts[ground] += 1
+    return {k: v for k, v in enumerate(counts) if v}
 
 
 def enumerate_settlements(t: StringType, m: int,
@@ -212,8 +210,8 @@ def enumerate_settlements(t: StringType, m: int,
     m is, so only the colony count is held to the cap."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    _require_under_cap(bell_number(t), enum_cap, "colonies")
-    return sum(v * math.perm(m, k) for k, v in _free_leg_histogram(t).items())
+    return sum(v * math.perm(m, k)
+               for k, v in count_colonies_by_free_legs(t, enum_cap).items())
 
 
 def count_surjective_settlements(t: StringType, m: int,
@@ -222,8 +220,8 @@ def count_surjective_settlements(t: StringType, m: int,
     with exactly m free legs, times the m! bijections."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    _require_under_cap(bell_number(t), enum_cap, "colonies")
-    return _free_leg_histogram(t).get(m, 0) * math.factorial(m)
+    return (count_colonies_by_free_legs(t, enum_cap).get(m, 0)
+            * math.factorial(m))
 
 
 class IncreasingForest(_Value):
@@ -290,18 +288,18 @@ def count_increasing_forests(r: int, n: int,
         return 1
     _require_under_cap(bell_number(StringType.uniform(r, 1, n)), enum_cap,
                        "forests")
+    # a partial forest is (next vertex, number of open slots): which slots
+    # are open never changes how many forests extend it
     total = 0
-    stack: list[tuple[int, tuple[tuple[int, int], ...]]] = [(1, ())]
+    stack = [(1, 0)]
     while stack:
-        j, open_slots = stack.pop()
+        j, free = stack.pop()
         if j == n:
             # the last vertex is a root or takes one open slot
-            total += len(open_slots) + 1
+            total += free + 1
             continue
-        own = tuple((j, c) for c in range(1, r + 1))
-        stack.append((j + 1, open_slots + own))
-        for idx in range(len(open_slots)):
-            stack.append((j + 1, open_slots[:idx] + open_slots[idx + 1:] + own))
+        stack.append((j + 1, free + r))
+        stack += repeat((j + 1, free + r - 1), free)
     return total
 
 

@@ -1,4 +1,18 @@
-"""Exception types shared by every module in the package."""
+"""Exception types shared by every module in the package, and the one way
+their messages show a count."""
+
+
+def _count_text(n: int) -> str:
+    # str(n), or past the interpreter's int-to-str limit n's leading six
+    # digits in scientific notation, rounded down, so a refusal always
+    # formats; shift is floor(log10 n) - 5 or one less
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    shift = int((n.bit_length() - 1) * 0.3010299956639812) - 5
+    lead = str(n // 10 ** shift)
+    return f"{lead[0]}.{lead[1:6]}e+{shift + len(lead) - 1}"
 
 
 class BosonOrderError(Exception):

@@ -18,7 +18,7 @@ from operator import add, attrgetter, index, mul, sub
 
 from .algebra import StringType, _Value
 from .errors import (NegativeExcess, NonCanonicalPrefix, OutOfRange,
-                     PrecisionUnreachable)
+                     PrecisionUnreachable, _count_text)
 
 DEFAULT_MAX_TERMS = 10000
 
@@ -360,8 +360,8 @@ def _dobinski_sum(numerators: Iterable[int], m0: int, total_s: int,
     needed = total_s - (-2 * p // q) - m0
     if needed > max_terms:
         raise PrecisionUnreachable(
-            f"the tail bound needs at least {needed} terms, over the cap of "
-            f"{max_terms}")
+            f"the tail bound needs at least {_count_text(needed)} terms, over "
+            f"the cap of {max_terms}")
     two_scale_p = 2 * 10 ** (target_digits + 2) * p
     acc = acc_e = 0
     ppow = 1

@@ -194,6 +194,22 @@ class TestParseWord:
         with pytest.raises(ParseError):
             parse_word("ada")
 
+    def test_offset_is_computed_only_for_an_error(self, monkeypatch):
+        # encoding the prefix of every token made parsing quadratic
+        calls = []
+
+        def byte_offset(text, index):
+            calls.append(index)
+            return len(text[:index].encode("utf-8"))
+
+        monkeypatch.setattr(cli, "_byte_offset", byte_offset)
+        assert len(parse_word("ad a " * 100).letters) == 200
+        assert len(calls) <= 1
+        calls.clear()
+        with pytest.raises(ParseError) as exc:
+            parse_word("ad a " * 100 + "\u00e9")
+        assert exc.value.offset == 500 and len(calls) == 1
+
 
 class TestWordText:
     def test_round_trip_example(self):
@@ -418,6 +434,35 @@ class TestMainInProcess:
     def test_dobinski_bad_x(self, capsys):
         assert main(["dobinski", "--r", "1", "--s", "1", "--x", "nope"]) == 2
         assert main(["dobinski", "--r", "1", "--s", "1", "--x", "-1"]) == 2
+
+    @pytest.mark.parametrize("x", [
+        "1e100000", "1e-100000", "1e10000000", "1e-1000000",
+        "1" * (MAX_DIGITS + 1), "1.5e+00_99999", "1e" + "9" * 5000,
+    ], ids=["1e100000", "1e-100000", "1e10000000", "1e-1000000",
+            "long-integer", "1.5e+00_99999", "long-exponent"])
+    def test_dobinski_x_past_max_digits_is_a_usage_error(self, x, capsys):
+        # refused before Fraction() builds 10^exponent or sums the series
+        assert main(["dobinski", "--r", "1", "--s", "1", "--x", x]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: x may have at most {MAX_DIGITS} digits, "
+                       "counting its decimal exponent (byte 0)\n")
+
+    def test_dobinski_x_at_max_digits_is_read(self, capsys):
+        # 2 * 10^99999 terms are needed before the tail bound can hold: a
+        # refusal that prints the count in scientific notation
+        assert main(["dobinski", "--r", "1", "--s", "1",
+                     "--x", "1e99999"]) == 1
+        assert capsys.readouterr().err == (
+            "error: the tail bound needs at least 2.00000e+99999 terms, "
+            "over the cap of 10000\n")
+
+    def test_dobinski_tiny_x_prints_in_json(self, capsys):
+        assert main(["dobinski", "--r", "1", "--s", "1", "--x", "1e-5000",
+                     "--digits", "5", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["x"] == "1/1" + "0" * 5000
+        assert payload["value"] == "1.0000E-5000"
 
     def test_parse_error_exit_code(self, capsys):
         assert main(["stirling", "--word", "ad qq"]) == 2
@@ -800,6 +845,26 @@ class TestSubprocess:
                        env_overrides={"BOSON_ORDER_ENUM_CAP": "1"})
         assert proc.returncode == 0
         assert proc.stdout == "3\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("colonies",), ("settlements", "--m", "3"),
+        ("bell", "--method", "enumerate"),
+        ("stirling", "--method", "enumerate"), ("selfcheck",),
+    ], ids=lambda argv: argv[0])
+    def test_refusal_of_a_count_past_the_int_to_str_limit(self, argv):
+        # 9.99999e+4799 colonies: str() would refuse the count
+        proc = run_cli(*argv, "--r", f"{10**120},1", "--s", "1,40")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: 9.99999e+4799 colonies exceed the cap "
+                               "of 10000000\n")
+
+    def test_forest_refusal_past_the_int_to_str_limit(self):
+        proc = run_cli("forests", "--arity", str(10**120), "--n", "40")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: 2.03978e+4726 forests exceed the cap "
+                               "of 10000000\n")
 
     def test_bad_env_cap(self):
         proc = run_cli("colonies", "--r", "1", "--s", "1",

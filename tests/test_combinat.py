@@ -1,11 +1,12 @@
 import itertools
 import math
+import sys
 import tracemalloc
 
 import pytest
 
-from bosonorder import (Colony, IncreasingForest, NotUnary, StringType,
-                        TooLarge, bell_number, colony_to_dot,
+from bosonorder import (DEFAULT_ENUM_CAP, Colony, IncreasingForest, NotUnary,
+                        StringType, TooLarge, bell_number, colony_to_dot,
                         colony_to_forest, colony_to_text,
                         count_colonies_by_free_legs,
                         count_increasing_forests,
@@ -78,6 +79,27 @@ class TestColonies:
     def test_cap(self):
         with pytest.raises(TooLarge):
             enumerate_colonies(SHOWCASE, enum_cap=1000)
+
+    def test_refusal_of_a_count_past_the_int_to_str_limit(self):
+        # str() refuses the count's 4 800 digits; the message gives its
+        # leading six digits in scientific notation, rounded down
+        t = StringType((10**120, 1), (1, 40))
+        old_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            digits = str(bell_number(t))
+        finally:
+            sys.set_int_max_str_digits(old_limit)
+        assert len(digits) > 4300
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(TooLarge) as exc:
+                enumerate_colonies(t)
+            message = str(exc.value)
+        finally:
+            sys.set_int_max_str_digits(old_limit)
+        assert message == (f"{digits[0]}.{digits[1:6]}e+{len(digits) - 1} "
+                           f"colonies exceed the cap of {DEFAULT_ENUM_CAP}")
 
     def test_free_leg_histogram(self, every_small_type):
         # the histogram total is the number of leaves the walk visited
@@ -183,6 +205,12 @@ class TestSettlements:
         with pytest.raises(ValueError):
             enumerate_settlements(StringType((1,), (1,)), -1)
 
+    @pytest.mark.parametrize("count", [enumerate_settlements,
+                                       count_surjective_settlements])
+    def test_negative_m_is_refused_before_the_cap(self, count):
+        with pytest.raises(ValueError):
+            count(SHOWCASE, -1, enum_cap=1)
+
 
 class TestSurjectiveSettlements:
     def test_two_bugs(self):
@@ -223,12 +251,12 @@ class TestForests:
         assert count_increasing_forests(1, 3) == 5
 
     def test_matches_colony_count(self):
-        for r in range(1, 4):
-            for n in range(5):
-                if n == 0:
-                    continue
-                assert count_increasing_forests(r, n) \
-                    == bell_number(StringType.uniform(r, 1, n))
+        # every small arity and size, then wide arities near the cap
+        cases = [(r, n) for r in range(1, 6) for n in range(1, 8)]
+        cases += [(100, 4), (2000, 3), (100_000, 2), (10**6, 1)]
+        for r, n in cases:
+            assert count_increasing_forests(r, n) \
+                == bell_number(StringType.uniform(r, 1, n))
 
     def test_cap(self):
         with pytest.raises(TooLarge):
@@ -237,10 +265,11 @@ class TestForests:
     @pytest.mark.parametrize("r, n, count, bound", [
         (100_000, 2, 100_001, 15_000_000),
         (10**6, 1, 1, 1_000_000),
+        (2000, 3, 8_004_001, 1_000_000),
     ])
     def test_last_vertex_is_counted_not_walked(self, r, n, count, bound):
-        # the last vertex's choices are counted at once: no tuple per leaf
-        # and none of its own slots
+        # the last vertex's choices are counted at once, and a partial
+        # forest is two ints: no slot tuples, whatever the arity
         got, peak = traced_peak(lambda: count_increasing_forests(r, n))
         assert got == count
         assert peak < bound
