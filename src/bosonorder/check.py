@@ -10,13 +10,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import combinat
 from .algebra import (StringType, extract_stirling, normal_order,
                       word_from_type)
-from .combinat import (DEFAULT_ENUM_CAP, count_colonies_by_free_legs,
-                       empty_cells, enumerate_colonies, free_legs)
+from .combinat import DEFAULT_ENUM_CAP, count_colonies_by_free_legs
 from .errors import NegativeExcess
-from .stirling import (DEFAULT_MAX_TERMS, closed_form_table, dobinski_eval,
-                       settlement_product, stirling_recurrence)
+from .stirling import (DEFAULT_MAX_TERMS, bell_number, closed_form_table,
+                       dobinski_eval, settlement_product, stirling_recurrence)
 
 # every route to the coefficient table of a type, in --method order: each
 # takes (type, enumeration cap) and returns {k: S(k)}, keyed by surviving
@@ -42,6 +42,35 @@ class CheckResult:
         self.detail = detail
 
 
+def _walk_colonies(t: StringType) -> tuple[list[int], tuple[int, int] | None]:
+    # One walk over every colony, read from the walk's own leaf state: the
+    # histogram of free legs (the walk's yield), and the first colony whose
+    # empty cells, counted from the cells its feet hold, differ from excess
+    # plus free legs, as (empty cells, free legs).  union[f] is the union of
+    # the cells held by feet 0..f-1, rebuilt from the first foot that moved,
+    # so most leaves cost one step
+    feet = t.total_s
+    held = [0] * feet
+    changed = [0]
+    union = [0] * (feet + 1)
+    hist = [0] * (feet + 1)
+    bad = None
+    total_r, excess = t.total_r, t.excess
+    bit_count = int.bit_count
+    for ground in combinat._walk(t, held, changed):
+        hist[ground] += 1
+        f = changed[0]
+        cells = union[f]
+        while f < feet:
+            cells |= held[f]
+            f += 1
+            union[f] = cells
+        empty = total_r - bit_count(cells)
+        if empty != excess + ground and bad is None:
+            bad = (empty, ground)
+    return hist, bad
+
+
 def run_selfcheck(t: StringType,
                   enum_cap: int = DEFAULT_ENUM_CAP) -> list[CheckResult]:
     """Cross-verify every computation path on one type, that of any word.
@@ -55,9 +84,12 @@ def run_selfcheck(t: StringType,
     prod_j (X+d_{j-1})_(s_j) = sum_k S(k) (X)_k have degree at most sum(s),
     so the closed form, which interpolates it on x = 0..sum(s), proves it
     in the table check, and the settlement check, on m = 0..sum(s), proves
-    it for the colonies walked.
-    TooLarge propagates if the type exceeds the cap.
+    it for the colonies walked.  One walk over the colonies gives the
+    enumeration route's table and checks 2 and 3.
+    TooLarge is raised before any route runs if the type exceeds the cap.
     """
+    combinat._require_under_cap(bell_number(t), enum_cap, "colonies")
+    hist, bad = _walk_colonies(t)
     results = []
 
     def check(name: str, failure, passed: str = "") -> None:
@@ -65,10 +97,13 @@ def run_selfcheck(t: StringType,
         results.append(CheckResult(name, "fail", failure) if failure
                        else CheckResult(name, "pass", passed))
 
+    # the walk above is the enumeration route's: its table comes from there
+    walked = {k: v for k, v in enumerate(hist) if v}
     tables = {}
     for name, route in TABLE_ROUTES.items():
         try:
-            tables[name] = route(t, enum_cap)
+            tables[name] = (walked if name == "enumerate"
+                            else route(t, enum_cap))
         except NegativeExcess:
             pass
     table = tables["recurrence"]
@@ -77,16 +112,8 @@ def run_selfcheck(t: StringType,
           mismatched and f"recurrence gives {table}, others {mismatched}",
           f"{len(tables)} methods on table {table}")
 
-    hist = [0] * (t.total_s + 1)
-    bad = None
-    for c in enumerate_colonies(t, enum_cap):
-        k = free_legs(c)
-        hist[k] += 1
-        if bad is None and empty_cells(c) != t.excess + k:
-            bad = c
     check("empty cells equal excess plus free legs",
-          bad is not None
-          and f"{empty_cells(bad)} cells vs {t.excess} + {free_legs(bad)}")
+          bad and f"{bad[0]} cells vs {t.excess} + {bad[1]}")
 
     bad_counts = [(m, enumerated, product) for m in range(t.total_s + 1)
                   if (enumerated := sum(v * math.perm(m, k)

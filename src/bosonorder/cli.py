@@ -349,7 +349,10 @@ def _cmd_dobinski(args, t):
     try:
         x = Fraction(args.x)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"cannot read {args.x!r} as a rational number", 0)
+        # a long --x is quoted by its head and length, not echoed back
+        quoted = (repr(args.x) if len(args.x) <= 40 else
+                  f"{args.x[:20] + '...'!r} ({len(args.x)} characters)")
+        raise ParseError(f"cannot read {quoted} as a rational number", 0)
     if x < 0:
         raise ParseError("x must be nonnegative", 0)
     approx = dobinski_eval(t, x, args.digits, args.max_terms)

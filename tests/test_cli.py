@@ -11,7 +11,6 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -20,9 +19,9 @@ from hypothesis import strategies as st
 
 from bosonorder import (ANNIHILATION, CREATION, ApproxValue, BosonWord,
                         LengthMismatch, NormalForm, ParseError, StirlingTable,
-                        StringType, apply_crossing, normal_order,
+                        StringType, TooLarge, apply_crossing, normal_order,
                         stirling_recurrence, type_from_word)
-from bosonorder import check, cli, combinat
+from bosonorder import check, cli, combinat, stirling
 from bosonorder.check import run_selfcheck
 from bosonorder.cli import (MAX_DIGITS, MAX_EXPONENT_DIGITS, build_parser,
                             main, parse_type, parse_word, word_to_text)
@@ -294,8 +293,8 @@ class TestSelfcheck:
         assert results[-1].detail == "bell 13 to 1e-25 in 41 terms"
         assert all(r.status == "pass" for r in results)
 
-    def test_walks_the_colonies_twice(self, monkeypatch):
-        # check 1's enumeration route, then one stream for checks 2 and 3
+    def test_walks_the_colonies_once(self, monkeypatch):
+        # one walk gives the enumeration route's table and checks 2 and 3
         walks = []
         walk = combinat._walk
 
@@ -306,17 +305,79 @@ class TestSelfcheck:
         monkeypatch.setattr(combinat, "_walk", counted)
         t = StringType.uniform(1, 1, 3)
         assert [r.status for r in run_selfcheck(t)] == ["pass"] * 4
-        assert walks == [t, t]
+        assert walks == [t]
 
     def test_settlement_check_reads_the_walked_colonies(self, monkeypatch):
-        # the first colony, all three feet on the ground, goes missing:
-        # only (m)_3 at m = 3 sees it, 27 settlements counted as 21
-        every = check.enumerate_colonies
-        monkeypatch.setattr(check, "enumerate_colonies",
-                            lambda t, cap: islice(every(t, cap), 1, None))
+        # the first colony, all three feet on the ground, goes missing from
+        # the one walk: the enumeration route's table loses it, and only
+        # (m)_3 at m = 3 sees it, 27 settlements counted as 21
+        walk = combinat._walk
+
+        def first_dropped(*args):
+            leaves = walk(*args)
+            next(leaves)
+            return leaves
+
+        monkeypatch.setattr(combinat, "_walk", first_dropped)
         results = run_selfcheck(StringType.uniform(1, 1, 3))
-        assert [r.status for r in results] == ["pass", "pass", "fail", "pass"]
+        assert [r.status for r in results] == ["fail", "pass", "fail", "pass"]
         assert results[2].detail == "(m, enumerated, product) = [(3, 21, 27)]"
+
+    def test_empty_cells_are_counted_from_the_held_cells(self, monkeypatch):
+        # on the leaf where feet 2 and 3 hold cells 1 and 2, foot 3 takes
+        # foot 2's cell instead: the free legs stay right, so only the
+        # cell count sees the doubled cell, 2 empty cells against 0 + 1
+        walk = combinat._walk
+
+        def doubled(t, held, changed):
+            for ground in walk(t, held, changed):
+                if held[1] and held[2]:
+                    own = held[2]
+                    held[2] = held[1]
+                    changed[0] = min(changed[0], 2)
+                    yield ground
+                    held[2] = own
+                else:
+                    yield ground
+
+        monkeypatch.setattr(combinat, "_walk", doubled)
+        results = run_selfcheck(StringType.uniform(1, 1, 3))
+        assert [r.status for r in results] == ["pass", "fail", "pass", "pass"]
+        assert results[1].detail == "2 cells vs 0 + 1"
+
+    def test_refuses_over_the_cap_before_any_route(self, monkeypatch):
+        # the cap is checked first: rewriting and the closed form (seconds
+        # on this type) never run, and the walk never starts
+        def never(*args):
+            raise AssertionError("a route ran on a type over the cap")
+
+        monkeypatch.setattr(check, "normal_order", never)
+        monkeypatch.setattr(check, "closed_form_table", never)
+        monkeypatch.setattr(combinat, "_walk", never)
+        with pytest.raises(TooLarge) as exc:
+            run_selfcheck(StringType((1000, 1000), (1000, 1000)))
+        message = str(exc.value)
+        assert message.startswith("3663372254504244251780987358615642035612")
+        assert message.endswith("0001 colonies exceed the cap of 10000000")
+        assert len(message) == 2630
+        with pytest.raises(TooLarge, match=r"^4213597 colonies exceed the "
+                                           r"cap of 10$"):
+            run_selfcheck(StringType.uniform(1, 1, 12), enum_cap=10)
+
+    def test_runs_the_recurrence_at_most_twice(self, monkeypatch):
+        # once for the cap, once as a table route
+        calls = []
+        recurrence = stirling.stirling_recurrence
+
+        def counted(t):
+            calls.append(t)
+            return recurrence(t)
+
+        monkeypatch.setattr(stirling, "stirling_recurrence", counted)
+        monkeypatch.setattr(check, "stirling_recurrence", counted)
+        t = StringType((1, 1, 3), (1, 3, 1))
+        assert [r.status for r in run_selfcheck(t)] == ["pass"] * 4
+        assert calls == [t, t]
 
     def test_numeric_check_fails_one_unit_off(self, monkeypatch):
         t = StringType.uniform(1, 1, 3)
@@ -434,6 +495,22 @@ class TestMainInProcess:
     def test_dobinski_bad_x(self, capsys):
         assert main(["dobinski", "--r", "1", "--s", "1", "--x", "nope"]) == 2
         assert main(["dobinski", "--r", "1", "--s", "1", "--x", "-1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot read 'nope' as a rational number (byte 0)\n"
+            "error: x must be nonnegative (byte 0)\n")
+
+    @pytest.mark.parametrize("x", [
+        "1" * 5000, "1" * MAX_DIGITS, "0." + "0" * 4400 + "1", "x" * MAX_DIGITS,
+    ], ids=["5000-ones", "max-digits-ones", "long-decimal", "max-digits-letters"])
+    def test_dobinski_long_unreadable_x_is_quoted_short(self, x, capsys):
+        # a digit run past the int-to-str limit is unreadable: the error
+        # quotes the head of --x and its length, not the whole input
+        assert main(["dobinski", "--r", "1", "--s", "1", "--x", x]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: cannot read {x[:20] + '...'!r} ({len(x)} "
+                       "characters) as a rational number (byte 0)\n")
+        assert len(err.encode()) < 200
 
     @pytest.mark.parametrize("x", [
         "1e100000", "1e-100000", "1e10000000", "1e-1000000",
