@@ -8,7 +8,7 @@ from .combinat import (DEFAULT_ENUM_CAP, Colony, IncreasingForest,
                        colony_to_dot, colony_to_forest, colony_to_text,
                        count_colonies_by_free_legs,
                        count_increasing_forests, count_surjective_settlements,
-                       empty_cells, enumerate_colonies, enumerate_settlements,
+                       enumerate_colonies, enumerate_settlements,
                        forest_to_colony, free_legs)
 from .errors import (BosonOrderError, LengthMismatch, NegativeExcess,
                      NonCanonicalPrefix, NonzeroConstantTerm, NotUnary,
@@ -31,7 +31,7 @@ __all__ = [
     "DEFAULT_ENUM_CAP", "Colony", "IncreasingForest",
     "colony_to_dot", "colony_to_forest", "colony_to_text",
     "count_colonies_by_free_legs", "count_increasing_forests",
-    "count_surjective_settlements", "empty_cells", "enumerate_colonies",
+    "count_surjective_settlements", "enumerate_colonies",
     "enumerate_settlements", "forest_to_colony", "free_legs",
     "BosonOrderError", "LengthMismatch", "NegativeExcess",
     "NonCanonicalPrefix", "NonzeroConstantTerm", "NotUnary", "OutOfRange",

@@ -15,8 +15,8 @@ from .algebra import (StringType, extract_stirling, normal_order,
                       word_from_type)
 from .combinat import DEFAULT_ENUM_CAP, count_colonies_by_free_legs
 from .errors import NegativeExcess
-from .stirling import (DEFAULT_MAX_TERMS, bell_number, closed_form_table,
-                       dobinski_eval, settlement_product, stirling_recurrence)
+from .stirling import (DEFAULT_MAX_TERMS, _settlement_products, bell_number,
+                       closed_form_table, dobinski_eval, stirling_recurrence)
 
 # every route to the coefficient table of a type, in --method order: each
 # takes (type, enumeration cap) and returns {k: S(k)}, keyed by surviving
@@ -115,10 +115,13 @@ def run_selfcheck(t: StringType,
     check("empty cells equal excess plus free legs",
           bad and f"{bad[0]} cells vs {t.excess} + {bad[1]}")
 
-    bad_counts = [(m, enumerated, product) for m in range(t.total_s + 1)
+    # the product's counts for m = 0..sum(s), as one window of p
+    products = _settlement_products(t, 0, t.total_s + 1)
+    bad_counts = [(m, enumerated, product)
+                  for m, product in enumerate(products)
                   if (enumerated := sum(v * math.perm(m, k)
                                         for k, v in enumerate(hist) if v))
-                  != (product := settlement_product(t, m))]
+                  != product]
     check("settlement counts agree",
           bad_counts and f"(m, enumerated, product) = {bad_counts}",
           f"m = 0..{t.total_s}")

@@ -74,13 +74,6 @@ def free_legs(colony: Colony) -> int:
     return sum(1 for feet in colony.placement for ref in feet if ref is None)
 
 
-def empty_cells(colony: Colony) -> int:
-    """Number of unoccupied body cells, counted directly (not via the
-    excess-plus-free-legs identity, which tests check against this)."""
-    occupied = {ref for feet in colony.placement for ref in feet if ref is not None}
-    return colony.type.total_r - len(occupied)
-
-
 def _walk(t: StringType, held: list[int], changed: list[int]) -> Iterator[int]:
     # Depth-first walk over the flattened feet, one level per foot, without
     # recursion.  Cells are numbered 0..total_r-1 in (bug, cell) order and

@@ -5,10 +5,18 @@ module), the bug-colony recurrence, an inclusion-exclusion closed form, and
 brute enumeration (combinat module).  Everything here is exact: integers are
 Python ints, series partial sums are integer numerators over a known
 denominator, and decimal output is produced only at the final rounding step.
+
+The closed form, the Dobinski sums and the settlement counts all read one
+polynomial, p(m) = prod_j (m+d_{j-1})_(s_j).  It is built from its maximal
+falling-factorial runs, p(m) = prod (m+top)_len^mult: the runs are found
+once per type, by one sweep over the factors' windows, and each run costs
+one column of values, raised to its multiplicity.  So ((a+)^2 a^2)^n gives
+p(m) = (m)_2^n, one column and one power, not n columns.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable, Iterator, Mapping
 from decimal import Context, Decimal, localcontext
@@ -119,12 +127,6 @@ class ComplexApproxValue(_Value):
         object.__setattr__(self, "coefficients_used", coefficients_used)
 
 
-def _prefix_product(t: StringType, x: int) -> int:
-    # p(x) = prod_j (x + d_{j-1})_(s_j) at one integer x, any signs
-    return math.prod(map(falling_factorial, map(add, repeat(x),
-                                                t.prefix_excesses), t.s))
-
-
 def stirling_recurrence(t: StringType) -> StirlingTable:
     """Build the coefficient table one annihilator (leg) at a time.
 
@@ -169,29 +171,68 @@ def bell_number(t: StringType) -> int:
     return stirling_recurrence(t).bell()
 
 
-def _settlement_products(t: StringType, lo: int, hi: int) -> list[int]:
-    # [p(lo), ..., p(hi - 1)], p as in _prefix_product: each factor
-    # multiplies p by the values (v)_s over its window v = lo+d..hi-1+d.
-    # The factors sharing an s share one column over their windows' hull
-    # when it is no longer than the windows together (dense d values);
-    # otherwise each factor builds just its own window, so a far-off d
-    # costs hi-lo values, not a column up to it
-    width = hi - lo
-    by_s: dict[int, list[int]] = {}
+@functools.lru_cache(maxsize=32)
+def _runs(t: StringType) -> tuple[tuple[int, tuple], ...]:
+    # The maximal falling-factorial runs of p, grouped by length:
+    # ((len, ((top, mult), ...)), ...) with p(m) the product of
+    # (m+top)_len^mult over them.  Factor j puts the linear terms m+v,
+    # v = d-s+1..d, into p, so p(m) = prod_v (m+v)^(e_v); each layer
+    # {v : e_v >= c} cuts into maximal intervals [top-len+1, top], read in
+    # one sweep over the sorted window ends.  The stack holds the open
+    # layers' starts, innermost last, as [start, layers]
+    steps: dict[int, int] = {}
     for d, s in zip(t.prefix_excesses, t.s):
-        by_s.setdefault(s, []).append(d)
+        steps[d - s + 1] = steps.get(d - s + 1, 0) + 1
+        steps[d + 1] = steps.get(d + 1, 0) - 1
+    runs: dict[int, list[tuple[int, int]]] = {}
+    stack: list[list[int]] = []
+    for v in sorted(steps):
+        step = steps[v]
+        if step > 0:
+            stack.append([v, step])
+        while step < 0:
+            start, layers = stack[-1]
+            closed = min(layers, -step)
+            runs.setdefault(v - start, []).append((v - 1, closed))
+            step += closed
+            if closed == layers:
+                stack.pop()
+            else:
+                stack[-1][1] -= closed
+    return tuple((length, tuple(tops))
+                 for length, tops in sorted(runs.items()))
+
+
+def _falling_column(lo: int, hi: int, length: int) -> list[int]:
+    # (v)_length for v = lo..hi-1; a listed range shares its ints among
+    # the windows sliced from it, where a range would make them anew
+    if length == 1:
+        return list(range(lo, hi))
+    column = list(map(math.perm, range(max(lo, 0), hi), repeat(length)))
+    if lo < 0:
+        column[:0] = map(falling_factorial, range(lo, min(hi, 0)),
+                         repeat(length))
+    return column
+
+
+def _settlement_products(t: StringType, lo: int, hi: int) -> list[int]:
+    # [p(lo), ..., p(hi - 1)] for p(m) = prod_j (m+d_{j-1})_(s_j), one
+    # column per run of _runs.  The runs sharing a length share one column
+    # over their windows' hull when it is no longer than the windows
+    # together (dense tops); otherwise each run builds just its own window,
+    # so a far-off top costs hi-lo values, not a column up to it
+    width = hi - lo
     p = [1] * width
-    for s, ds in by_s.items():
-        d_lo, d_hi = min(ds), max(ds)
-        if d_hi - d_lo <= len(ds) * width:
-            column = list(map(falling_factorial, range(lo + d_lo, hi + d_hi),
-                              repeat(s)))
-            for d in ds:
-                p = list(map(mul, p, column[d - d_lo:d - d_lo + width]))
-        else:
-            for d in ds:
-                p = list(map(mul, p, map(falling_factorial,
-                                         range(lo + d, hi + d), repeat(s))))
+    for length, runs in _runs(t):
+        top_lo, top_hi = runs[0][0], runs[-1][0]
+        shared = top_hi - top_lo <= len(runs) * width
+        if shared:
+            column = _falling_column(lo + top_lo, hi + top_hi, length)
+        for top, mult in runs:
+            window = (column[top - top_lo:top - top_lo + width] if shared
+                      else _falling_column(lo + top, hi + top, length))
+            p = list(map(mul, p, window if mult == 1
+                         else map(pow, window, repeat(mult))))
     return p
 
 
@@ -325,8 +366,9 @@ def dobinski_eval(t: StringType, x, target_digits: int,
     if x == 0 or not t.total_s:
         # B(0) = S(0) = p(0), which is 0 unless s_1 = 0; with no feet p = 1,
         # so B(x) = 1 for every x
-        return ApproxValue(_rounded(Fraction(_prefix_product(t, 0)),
-                                    target_digits), target_digits, 1)
+        p0 = _settlement_products(t, 0, 1)[0]
+        return ApproxValue(_rounded(Fraction(p0), target_digits),
+                           target_digits, 1)
     return _dobinski_sum(_dobinski_numerators(t, x.numerator), t.s[0],
                          t.total_s, x, target_digits, max_terms)
 
@@ -392,7 +434,7 @@ def settlement_product(t: StringType, m: int) -> int:
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    return _prefix_product(t, m)
+    return _settlement_products(t, m, m + 1)[0]
 
 
 def _gaussian_parts(z) -> tuple[Fraction, Fraction]:

@@ -3,8 +3,8 @@ package another way, so the tests can compare the two."""
 
 import math
 
-from bosonorder import (BellPolynomial, NonCanonicalPrefix, StringType,
-                        falling_factorial, stirling_recurrence)
+from bosonorder import (BellPolynomial, Colony, NonCanonicalPrefix,
+                        StringType, falling_factorial, stirling_recurrence)
 
 
 def bell_poly_recursion(prev: BellPolynomial, d_prev: int,
@@ -88,3 +88,11 @@ def check_polynomial_identity(t: StringType, x: int) -> bool:
     table = stirling_recurrence(t)
     rhs = sum(v * falling_factorial(x, k) for k, v in table.values.items())
     return lhs == rhs
+
+
+def empty_cells(colony: Colony) -> int:
+    """Number of unoccupied body cells, counted directly (not via the
+    excess-plus-free-legs identity, which tests check against this)."""
+    occupied = {ref for feet in colony.placement for ref in feet
+                if ref is not None}
+    return colony.type.total_r - len(occupied)

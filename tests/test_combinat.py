@@ -10,10 +10,11 @@ from bosonorder import (DEFAULT_ENUM_CAP, Colony, IncreasingForest, NotUnary,
                         colony_to_forest, colony_to_text,
                         count_colonies_by_free_legs,
                         count_increasing_forests,
-                        count_surjective_settlements, empty_cells,
-                        enumerate_colonies, enumerate_settlements,
-                        falling_factorial, forest_to_colony, free_legs,
-                        settlement_product, stirling_recurrence)
+                        count_surjective_settlements, enumerate_colonies,
+                        enumerate_settlements, falling_factorial,
+                        forest_to_colony, free_legs, settlement_product,
+                        stirling_recurrence)
+from oracles import empty_cells
 
 SHOWCASE = StringType((3, 2, 1, 3), (2, 2, 2, 3))
 

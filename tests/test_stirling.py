@@ -20,7 +20,8 @@ from bosonorder import (ApproxValue, BellPolynomial, ComplexApproxValue,
                         settlement_product, stirling_closed_form,
                         stirling_recurrence, word_from_type)
 from bosonorder.check import run_selfcheck
-from bosonorder.stirling import _difference_quotient, _dobinski_sum
+from bosonorder.stirling import (_difference_quotient, _dobinski_sum,
+                                _runs, _settlement_products)
 from oracles import (bell_poly_recursion, check_polynomial_identity,
                      falling_factorial_expansion)
 
@@ -182,6 +183,15 @@ class TestStirlingTableType:
     def test_bell(self):
         assert stirling_recurrence(StringType.uniform(1, 1, 3)).bell() == 5
 
+# prefix excesses up to 10^30 apart, next to close ones
+HUGE_PREFIX_TYPES = [
+    StringType((300000, 1), (1, 1)),
+    StringType((1, 1, 10 ** 6, 2, 1), (1, 1, 1, 1, 1)),
+    StringType((3, 10 ** 12, 2, 1, 10 ** 9), (2, 1, 3, 2, 2)),
+    StringType((2, 7, 3, 10 ** 30, 3), (2, 3, 2, 3, 3)),
+]
+HUGE_PREFIX_IDS = ["one-far", "two-clusters", "mixed-s", "dense-and-far"]
+
 
 class TestClosedForm:
     def test_top_coefficient_is_one(self):
@@ -230,12 +240,8 @@ class TestClosedForm:
             == {k: table.get(k, 0) for k in range(t.s[0], t.total_s + 1)}
         assert closed_form_table(t) == table
 
-    @pytest.mark.parametrize("t", [
-        StringType((300000, 1), (1, 1)),
-        StringType((1, 1, 10 ** 6, 2, 1), (1, 1, 1, 1, 1)),
-        StringType((3, 10 ** 12, 2, 1, 10 ** 9), (2, 1, 3, 2, 2)),
-        StringType((2, 7, 3, 10 ** 30, 3), (2, 3, 2, 3, 3)),
-    ], ids=["one-far", "two-clusters", "mixed-s", "dense-and-far"])
+    @pytest.mark.parametrize("t", HUGE_PREFIX_TYPES,
+                             ids=HUGE_PREFIX_IDS)
     def test_huge_prefix_excesses_match_recurrence(self, t):
         # far-apart d values build their own windows, close ones a column
         table = dict(stirling_recurrence(t).values)
@@ -513,6 +519,65 @@ class TestSettlementProduct:
     def test_rejects_negative_m(self):
         with pytest.raises(ValueError):
             settlement_product(StringType((1,), (1,)), -1)
+
+
+def factor_by_factor_products(t, lo, hi):
+    # p(m) for m = lo..hi-1, one falling factorial per factor
+    return [math.prod(falling_factorial(m + d, s)
+                      for d, s in zip(t.prefix_excesses, t.s))
+            for m in range(lo, hi)]
+
+
+class TestSettlementProducts:
+    """The run-by-run kernel behind every p(m) against the product taken
+    one factor at a time."""
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_matches_factor_by_factor_product(self, data):
+        n = data.draw(st.integers(1, 6))
+        r = [data.draw(st.integers(1, 6)) for _ in range(n)]
+        s = [data.draw(st.integers(1, 6)) for _ in range(n)]
+        # the two exponents allowed to be zero: s_1 and r_n
+        if data.draw(st.booleans()):
+            s[0] = 0
+        if data.draw(st.booleans()):
+            r[-1] = 0
+        t = StringType(r, s)
+        lo = data.draw(st.integers(0, 6))
+        hi = lo + data.draw(st.integers(1, t.total_s + 2))
+        assert _settlement_products(t, lo, hi) \
+            == factor_by_factor_products(t, lo, hi)
+
+    def test_small_types_of_both_prefix_signs(self, every_small_type):
+        for t in every_small_type[::17]:
+            for lo in range(7):
+                assert _settlement_products(t, lo, lo + 5) \
+                    == factor_by_factor_products(t, lo, lo + 5), (t, lo)
+
+    @pytest.mark.parametrize("t", HUGE_PREFIX_TYPES, ids=HUGE_PREFIX_IDS)
+    def test_huge_prefix_excesses(self, t):
+        for lo in range(7):
+            assert _settlement_products(t, lo, lo + t.total_s + 1) \
+                == factor_by_factor_products(t, lo, lo + t.total_s + 1)
+
+    @pytest.mark.parametrize("t", [SHOWCASE, DIPPING,
+                                   StringType.uniform(2, 1, 300),
+                                   StringType.uniform(2, 2, 150),
+                                   StringType((5, 1, 0), (0, 4, 2)),
+                                   *HUGE_PREFIX_TYPES])
+    def test_runs_hold_every_leg(self, t):
+        # each run (m+top)_len^mult holds len * mult of the sum(s) terms
+        assert sum(length * mult for length, runs in _runs(t)
+                   for _, mult in runs) == t.total_s
+
+    def test_merged_runs(self):
+        # ((a+)^2 a^2)^n is (m)_2^n; ((a+)^2 a)^n is (m+n-1)_n
+        assert _runs(StringType.uniform(2, 2, 150)) == ((2, ((0, 150),)),)
+        assert _runs(StringType.uniform(2, 1, 300)) == ((300, ((299, 1),)),)
+        # prefix excesses 0, 1, 1, 0: terms m-2, (m-1)^2, m^4, (m+1)^2
+        assert _runs(SHOWCASE) \
+            == ((1, ((0, 2),)), (3, ((1, 1),)), (4, ((1, 1),)))
 
 
 class TestPolynomialIdentity:
