@@ -228,17 +228,6 @@ class NormalForm(_Value):
         return runs
 
 
-def apply_crossing(k: int, l: int) -> list[tuple[int, int]]:
-    """Coefficients of a^k (a+)^l = sum_p C(k,p) l!/(l-p)! (a+)^(l-p) a^(k-p).
-
-    Returns the list of (p, coefficient) for p = 0..min(k, l); every
-    coefficient is a positive integer.
-    """
-    if k < 0 or l < 0:
-        raise ValueError("exponents must be nonnegative")
-    return [(p, math.comb(k, p) * math.perm(l, p)) for p in range(min(k, l) + 1)]
-
-
 def _collapse(acc: dict[tuple[int, int], int], excess: int) -> NormalForm:
     coeffs: dict[int, int] = {}
     for (i, j), c in acc.items():
@@ -256,8 +245,7 @@ def _times_creations(lo: int, row: list[int], l: int) -> tuple[int, list[int]]:
 
     The row holds (a+)^(j + e) a^j for j = lo, lo + 1, ...; the product has
     excess e + l.  Each term crosses as
-    a^j (a+)^l = sum_p C(l,p) (j)_p (a+)^(l-p) a^(j-p), the coefficient of
-    ``apply_crossing`` (C(j,p) (l)_p = C(l,p) (j)_p), and every p is one
+    a^j (a+)^l = sum_p C(l,p) (j)_p (a+)^(l-p) a^(j-p), and every p is one
     vector pass: p = 0 is the row shifted, and the weights (j)_p of pass p
     are those of pass p - 1 times j - p + 1.
     """

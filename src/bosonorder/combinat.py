@@ -207,16 +207,6 @@ def enumerate_settlements(t: StringType, m: int,
                for k, v in count_colonies_by_free_legs(t, enum_cap).items())
 
 
-def count_surjective_settlements(t: StringType, m: int,
-                                 enum_cap: int = DEFAULT_ENUM_CAP) -> int:
-    """Count settlements covering all m ground cells: enumerated colonies
-    with exactly m free legs, times the m! bijections."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    return (count_colonies_by_free_legs(t, enum_cap).get(m, 0)
-            * math.factorial(m))
-
-
 class IncreasingForest(_Value):
     """Forest of planar trees: vertex j carries arities[j-1] ordered child
     slots; parent[j-1] is (i, slot) with i < j, or None for a root.  The

@@ -17,8 +17,7 @@ from itertools import accumulate
 
 from .algebra import _Value
 from .errors import NonzeroConstantTerm
-from .stirling import (DEFAULT_MAX_TERMS, ApproxValue, _dobinski_sum,
-                       _term_denominators)
+from .stirling import DEFAULT_MAX_TERMS, ApproxValue, _dobinski_sum
 
 EGF = "egf"
 
@@ -107,32 +106,21 @@ def forest_egf(r: int, order: int) -> PowerSeries:
 
 def _bell_r1_numerators(r: int, n: int) -> Iterator[int]:
     # q(k) = prod_{i<n} (i(r-1) + k) for k = 1, 2, ...: the p(k) of the type
-    # uniform(r,1,n), so q(k)/k! is (r-1)^(n-1) times the k-th term below
+    # uniform(r,1,n), so q(k)/k! is (r-1)^(n-1) times bell_r1_numeric's
+    # k-th term
     k = 1
     while True:
         yield math.prod(range(k, k + n * (r - 1), r - 1))
         k += 1
 
 
-def bell_r1_terms(r: int, n: int) -> Iterator[Fraction]:
-    """Exact terms of the infinite single-leg sum, for k = 1, 2, ...
-
-    Each term is prod_{i=1}^{n-1}(i + k/(r-1)) / (k-1)!; the gamma-function
-    ratio in the printed formula reduces to this rational rising product, so
-    no transcendental evaluation is needed.
-    """
-    if r < 2:
-        raise ValueError("needs r >= 2")
-    if n < 1:
-        raise ValueError("needs n >= 1")
-    return map(Fraction, _bell_r1_numerators(r, n),
-               _term_denominators(1, 1, (r - 1) ** (n - 1)))
-
-
 def bell_r1_numeric(r: int, n: int, target_digits: int,
                     max_terms: int = DEFAULT_MAX_TERMS) -> ApproxValue:
     """Numeric single-leg uniform Bell number from the explicit k-sum.
 
+    Its k-th term, k = 1, 2, ..., is prod_{i=1}^{n-1}(i + k/(r-1)) / (k-1)!:
+    the gamma-function ratio in the printed formula reduces to this
+    rational rising product, so no transcendental evaluation is needed.
     (r-1)^(n-1) times the k-th term is q(k)/k! with the integer
     q(k) = prod_{i<n}(i(r-1) + k), the Dobinski term p(k)/k! at x = 1 of the
     type uniform(r,1,n), whose s-exponents sum to n.  So the sum runs in
@@ -142,6 +130,9 @@ def bell_r1_numeric(r: int, n: int, target_digits: int,
     """
     if target_digits < 1:
         raise ValueError("target_digits must be positive")
-    bell_r1_terms(r, n)  # validates r and n
+    if r < 2:
+        raise ValueError("needs r >= 2")
+    if n < 1:
+        raise ValueError("needs n >= 1")
     return _dobinski_sum(_bell_r1_numerators(r, n), 1, n, Fraction(1),
                          target_digits, max_terms)

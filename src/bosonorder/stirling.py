@@ -21,7 +21,7 @@ import math
 from collections.abc import Iterable, Iterator, Mapping
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
-from itertools import accumulate, chain, count, repeat
+from itertools import chain, count, repeat
 from operator import add, attrgetter, index, mul, sub
 
 from .algebra import StringType, _Value
@@ -308,23 +308,6 @@ def _dobinski_numerators(t: StringType, p: int) -> Iterator[int]:
         width *= 2
 
 
-def _term_denominators(m0: int, q: int, base: int) -> Iterator[int]:
-    # base * q^m m! for m = m0, m0 + 1, ...
-    return accumulate(count(m0 + 1), lambda den, m: den * q * m,
-                      initial=base * q ** m0 * math.factorial(m0))
-
-
-def dobinski_terms(t: StringType, x) -> Iterator[Fraction]:
-    """Exact terms p(m) x^m / m! of the infinite-series Bell representation,
-    starting at m = s_1, where p(m) = prod_j (m+d_{j-1})_(s_j), for any
-    type."""
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    return map(Fraction, _dobinski_numerators(t, x.numerator),
-               _term_denominators(t.s[0], x.denominator, 1))
-
-
 def dobinski_eval(t: StringType, x, target_digits: int,
                   max_terms: int = DEFAULT_MAX_TERMS) -> ApproxValue:
     """Numerically sum B(x) = e^(-x) sum_{m>=s_1} p(m) x^m / m!.
@@ -362,7 +345,8 @@ def dobinski_eval(t: StringType, x, target_digits: int,
     if target_digits < 1:
         raise ValueError("target_digits must be positive")
     x = Fraction(x)
-    dobinski_terms(t, x)  # validates x
+    if x < 0:
+        raise ValueError("x must be nonnegative")
     if x == 0 or not t.total_s:
         # B(0) = S(0) = p(0), which is 0 unless s_1 = 0; with no feet p = 1,
         # so B(x) = 1 for every x

@@ -2,9 +2,14 @@
 package another way, so the tests can compare the two."""
 
 import math
+from collections.abc import Iterator
+from fractions import Fraction
+from itertools import count
 
-from bosonorder import (BellPolynomial, Colony, NonCanonicalPrefix,
-                        StringType, falling_factorial, stirling_recurrence)
+from bosonorder import (DEFAULT_ENUM_CAP, BellPolynomial, Colony,
+                        NonCanonicalPrefix, StringType,
+                        count_colonies_by_free_legs, falling_factorial,
+                        stirling_recurrence)
 
 
 def bell_poly_recursion(prev: BellPolynomial, d_prev: int,
@@ -80,14 +85,64 @@ def falling_factorial_expansion(t: StringType) -> dict[int, int]:
     return {k: v for k, v in sorted(out.items()) if v}
 
 
+def factor_by_factor_product(t: StringType, x: int) -> int:
+    """prod_j (x+d_{j-1})_(s_j), one falling factorial per factor."""
+    return math.prod(falling_factorial(x + d, s)
+                     for d, s in zip(t.prefix_excesses, t.s))
+
+
 def check_polynomial_identity(t: StringType, x: int) -> bool:
     """Test prod_j (x+d_{j-1})_(s_j) == sum_k S(k) (x)_k at one integer x,
     of either sign."""
-    lhs = math.prod(falling_factorial(x + d, s)
-                    for d, s in zip(t.prefix_excesses, t.s))
     table = stirling_recurrence(t)
     rhs = sum(v * falling_factorial(x, k) for k, v in table.values.items())
-    return lhs == rhs
+    return factor_by_factor_product(t, x) == rhs
+
+
+def dobinski_terms(t: StringType, x) -> Iterator[Fraction]:
+    """Exact terms p(m) x^m / m! of the infinite-series Bell representation,
+    starting at m = s_1, where p(m) = prod_j (m+d_{j-1})_(s_j), for any
+    type.  Each p(m) is multiplied out factor by factor, apart from the
+    windowed kernel that dobinski_eval sums."""
+    x = Fraction(x)
+    if x < 0:
+        raise ValueError("x must be nonnegative")
+    return (factor_by_factor_product(t, m) * x ** m / math.factorial(m)
+            for m in count(t.s[0]))
+
+
+def bell_r1_terms(r: int, n: int) -> Iterator[Fraction]:
+    """Exact terms of the infinite single-leg sum, for k = 1, 2, ...: the
+    printed formula prod_{i=1}^{n-1}(i + k/(r-1)) / (k-1)!, evaluated in
+    Fractions."""
+    if r < 2:
+        raise ValueError("needs r >= 2")
+    if n < 1:
+        raise ValueError("needs n >= 1")
+    return (Fraction(math.prod(i + Fraction(k, r - 1) for i in range(1, n)),
+                     math.factorial(k - 1))
+            for k in count(1))
+
+
+def apply_crossing(k: int, l: int) -> list[tuple[int, int]]:
+    """Coefficients of a^k (a+)^l = sum_p C(k,p) l!/(l-p)! (a+)^(l-p) a^(k-p).
+
+    Returns the list of (p, coefficient) for p = 0..min(k, l); every
+    coefficient is a positive integer.
+    """
+    if k < 0 or l < 0:
+        raise ValueError("exponents must be nonnegative")
+    return [(p, math.comb(k, p) * math.perm(l, p)) for p in range(min(k, l) + 1)]
+
+
+def count_surjective_settlements(t: StringType, m: int,
+                                 enum_cap: int = DEFAULT_ENUM_CAP) -> int:
+    """Count settlements covering all m ground cells: enumerated colonies
+    with exactly m free legs, times the m! bijections."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    return (count_colonies_by_free_legs(t, enum_cap).get(m, 0)
+            * math.factorial(m))
 
 
 def empty_cells(colony: Colony) -> int:

@@ -13,16 +13,14 @@ from bosonorder import (ANNIHILATION, CREATION, DEFAULT_ENUM_CAP, BosonWord,
                         NegativeExcess, StringType, bell_number,
                         bell_polynomial, bell_r1_numeric,
                         coherent_expectation, colony_to_forest,
-                        count_increasing_forests,
-                        count_surjective_settlements, dobinski_eval,
-                        dobinski_terms, enumerate_colonies,
-                        enumerate_settlements, falling_factorial,
-                        forest_egf, forest_to_colony, free_legs,
-                        settlement_product, stirling_recurrence,
+                        count_increasing_forests, dobinski_eval,
+                        enumerate_colonies, enumerate_settlements,
+                        falling_factorial, forest_egf, forest_to_colony,
+                        free_legs, settlement_product, stirling_recurrence,
                         tree_series, tree_series_closed_form)
 from bosonorder.check import TABLE_ROUTES
 from bosonorder.cli import parse_word, word_to_text
-from oracles import empty_cells
+from oracles import count_surjective_settlements, dobinski_terms, empty_cells
 
 SHOWCASE = StringType((3, 2, 1, 3), (2, 2, 2, 3))
 

@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosonorder import (ANNIHILATION, CREATION, BosonWord, NegativeExcess,
-                        NormalForm, StringType, algebra, apply_crossing,
-                        extract_stirling, falling_factorial, normal_order,
-                        settlement_product, stirling_recurrence,
-                        type_from_word, word_from_type)
+                        NormalForm, StringType, algebra, extract_stirling,
+                        falling_factorial, normal_order, settlement_product,
+                        stirling_recurrence, type_from_word, word_from_type)
+from oracles import apply_crossing
 
 AD, A = CREATION, ANNIHILATION
 

@@ -19,12 +19,13 @@ from hypothesis import strategies as st
 
 from bosonorder import (ANNIHILATION, CREATION, ApproxValue, BosonWord,
                         LengthMismatch, NormalForm, ParseError, StirlingTable,
-                        StringType, TooLarge, apply_crossing, normal_order,
+                        StringType, TooLarge, normal_order,
                         stirling_recurrence, type_from_word)
 from bosonorder import check, cli, combinat, stirling
 from bosonorder.check import run_selfcheck
 from bosonorder.cli import (MAX_DIGITS, MAX_EXPONENT_DIGITS, build_parser,
                             main, parse_type, parse_word, word_to_text)
+from oracles import apply_crossing
 
 SHOWCASE = StringType((3, 2, 1, 3), (2, 2, 2, 3))
 

@@ -9,12 +9,11 @@ from bosonorder import (DEFAULT_ENUM_CAP, Colony, IncreasingForest, NotUnary,
                         StringType, TooLarge, bell_number, colony_to_dot,
                         colony_to_forest, colony_to_text,
                         count_colonies_by_free_legs,
-                        count_increasing_forests,
-                        count_surjective_settlements, enumerate_colonies,
+                        count_increasing_forests, enumerate_colonies,
                         enumerate_settlements, falling_factorial,
                         forest_to_colony, free_legs, settlement_product,
                         stirling_recurrence)
-from oracles import empty_cells
+from oracles import count_surjective_settlements, empty_cells
 
 SHOWCASE = StringType((3, 2, 1, 3), (2, 2, 2, 3))
 
@@ -165,6 +164,11 @@ class TestColonyValidation:
         with pytest.raises(ValueError):
             Colony(StringType((1,), (2,)), ((None,),))
 
+    def test_placement_count_enforced(self):
+        with pytest.raises(ValueError) as exc:
+            Colony(StringType.uniform(1, 1, 2), ((None,),))
+        assert str(exc.value) == "one placement tuple per bug required"
+
     def test_hand_built_example(self):
         # four bugs with shapes (3,2),(2,2),(1,2),(3,3); feet 1,2,4,6,9 on
         # the ground, the rest grabbing earlier cells
@@ -309,6 +313,15 @@ class TestForestBijection:
             IncreasingForest((2, 2), ((1, 1),))
         with pytest.raises(ValueError):
             IncreasingForest((1, 1, 1), (None, (1, 1), (1, 1)))
+
+    @pytest.mark.parametrize("arities, parent, message", [
+        ((2, 0), (None, (1, 1)), "arities must be positive"),
+        ((2, 2), (None, (1, 3)), "vertex 1 has no slot 3"),
+    ], ids=["zero-arity", "missing-slot"])
+    def test_forest_validation_messages(self, arities, parent, message):
+        with pytest.raises(ValueError) as exc:
+            IncreasingForest(arities, parent)
+        assert str(exc.value) == message
 
 
 class TestSerialization:

@@ -6,8 +6,10 @@ import pytest
 
 from bosonorder import (EGF, NonzeroConstantTerm, PowerSeries,
                         PrecisionUnreachable, StringType, bell_number,
-                        bell_r1_numeric, bell_r1_terms, forest_egf,
-                        series_exp, tree_series, tree_series_closed_form)
+                        bell_r1_numeric, forest_egf, series_exp,
+                        stirling_recurrence, tree_series,
+                        tree_series_closed_form)
+from oracles import bell_r1_terms
 
 
 def product_counts(f, g):
@@ -94,6 +96,12 @@ class TestTreeSeries:
         with pytest.raises(ValueError):
             tree_series_closed_form(1, 5)
 
+    @pytest.mark.parametrize("build", [tree_series, tree_series_closed_form])
+    def test_rejects_negative_order(self, build):
+        with pytest.raises(ValueError) as exc:
+            build(2, -1)
+        assert str(exc.value) == "order must be nonnegative"
+
 
 class TestForestEgf:
     def test_binary_counts(self):
@@ -172,3 +180,48 @@ class TestExplicitSum:
     def test_rejects_bad_digits(self):
         with pytest.raises(ValueError):
             bell_r1_numeric(2, 2, 0)
+
+    @pytest.mark.parametrize("r, n, message", [(1, 2, "needs r >= 2"),
+                                               (2, 0, "needs n >= 1")])
+    def test_numeric_rejects_bad_args(self, r, n, message):
+        with pytest.raises(ValueError) as exc:
+            bell_r1_numeric(r, n, 10)
+        assert str(exc.value) == message
+
+
+def single_leg_tables(r, order):
+    # a reference for the series layer, kept out of the package: uniform
+    # types grow one factor at a time, so one leg-by-leg pass over
+    # uniform(r,1,order) holds the table of uniform(r,1,n) after factor n.
+    # Factor n's one leg meets d = (n-1)(r-1) creators before it:
+    # S'(k) = (d+k) S(k) + S(k-1), row[k] = S(k) from k = 0
+    row = [1]
+    yield row
+    for n in range(1, order + 1):
+        d = (n - 1) * (r - 1)
+        row = [(d + k) * row[k] + (row[k - 1] if k else 0)
+               for k in range(len(row))] + [row[-1]]
+        yield row
+
+
+class TestSingleLegReference:
+    """The series layer at order 400 against the leg-by-leg pass: each
+    table's row sum is the forest count B_{r,1}(n), its k = 1 entry the
+    tree count."""
+
+    ORDER = 400
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_forests_and_trees(self, r):
+        tables = list(single_leg_tables(r, self.ORDER))
+        assert forest_egf(r, self.ORDER).counts \
+            == tuple(sum(row) for row in tables)
+        assert tree_series(r, self.ORDER).counts[1:] \
+            == tuple(row[1] for row in tables[1:])
+
+    def test_small_tables_match_recurrence(self):
+        for r in (1, 2, 3):
+            tables = list(single_leg_tables(r, 6))
+            for n, row in enumerate(tables[1:], start=1):
+                assert {k: v for k, v in enumerate(row) if v} \
+                    == stirling_recurrence(StringType.uniform(r, 1, n)).values

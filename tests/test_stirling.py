@@ -13,17 +13,18 @@ from bosonorder import (ApproxValue, BellPolynomial, ComplexApproxValue,
                         NegativeExcess, NonCanonicalPrefix, OutOfRange,
                         PrecisionUnreachable, StirlingTable, StringType,
                         bell_number, bell_polynomial, bell_r1_numeric,
-                        bell_r1_terms, closed_form_table,
-                        coherent_expectation, count_colonies_by_free_legs,
-                        dobinski_eval, dobinski_terms, enumerate_settlements,
-                        extract_stirling, falling_factorial, normal_order,
-                        settlement_product, stirling_closed_form,
-                        stirling_recurrence, word_from_type)
+                        closed_form_table, coherent_expectation,
+                        count_colonies_by_free_legs, dobinski_eval,
+                        enumerate_settlements, extract_stirling,
+                        falling_factorial, normal_order, settlement_product,
+                        stirling_closed_form, stirling_recurrence,
+                        word_from_type)
 from bosonorder.check import run_selfcheck
 from bosonorder.stirling import (_difference_quotient, _dobinski_sum,
                                 _runs, _settlement_products)
-from oracles import (bell_poly_recursion, check_polynomial_identity,
-                     falling_factorial_expansion)
+from oracles import (bell_poly_recursion, bell_r1_terms,
+                     check_polynomial_identity, dobinski_terms,
+                     factor_by_factor_product, falling_factorial_expansion)
 
 SHOWCASE = StringType((3, 2, 1, 3), (2, 2, 2, 3))
 
@@ -375,6 +376,15 @@ class TestDobinski:
         with pytest.raises(ValueError):
             dobinski_eval(StringType((1,), (1,)), -1, 10)
 
+    @pytest.mark.parametrize("x, digits, message", [
+        (Fraction(-1, 3), 10, "x must be nonnegative"),
+        (1, 0, "target_digits must be positive"),
+    ], ids=["negative-x", "no-digits"])
+    def test_refusal_messages(self, x, digits, message):
+        with pytest.raises(ValueError) as exc:
+            dobinski_eval(StringType.uniform(2, 1, 2), x, digits)
+        assert str(exc.value) == message
+
     def test_term_cap(self):
         with pytest.raises(PrecisionUnreachable):
             dobinski_eval(StringType.uniform(1, 1, 3), 1, 30, max_terms=3)
@@ -435,8 +445,9 @@ def _assert_exp_tail_lemma(terms, m0, total_s, x, used):
 
 class TestIntegerKernelParity:
     """dobinski_eval and bell_r1_numeric sum in integers; a Fraction sum of
-    the public terms under the documented rule gives the same value and
-    the same stop point, where the tail lemma of the proof holds."""
+    the oracle terms, which share no kernel with them, under the documented
+    rule gives the same value and the same stop point, where the tail lemma
+    of the proof holds."""
 
     TYPES = (StringType.uniform(1, 1, 3), StringType((2, 1), (1, 1)),
              StringType((3, 1), (1, 2)), StringType.uniform(2, 2, 2))
@@ -523,9 +534,7 @@ class TestSettlementProduct:
 
 def factor_by_factor_products(t, lo, hi):
     # p(m) for m = lo..hi-1, one falling factorial per factor
-    return [math.prod(falling_factorial(m + d, s)
-                      for d, s in zip(t.prefix_excesses, t.s))
-            for m in range(lo, hi)]
+    return [factor_by_factor_product(t, m) for m in range(lo, hi)]
 
 
 class TestSettlementProducts:
@@ -654,6 +663,11 @@ class TestCoherentExpectation:
         with pytest.raises(NegativeExcess):
             coherent_expectation(StringType((1, 1), (1, 2)), 1, 10)
 
+    def test_refuses_no_digits(self):
+        with pytest.raises(ValueError) as exc:
+            coherent_expectation(StringType.uniform(1, 1, 2), 1, 0)
+        assert str(exc.value) == "target_digits must be positive"
+
     @pytest.mark.parametrize("z, digits, real, imag", [
         (1, 20, "2.0000000000000000000", "0"),
         ((0, 1), 10, "0", "-2.000000000"),
@@ -675,6 +689,9 @@ class TestApproxCarriers:
             ApproxValue(Decimal(1), 5, 0)
         with pytest.raises(ValueError):
             ComplexApproxValue(Decimal(0), Decimal(0), 5, 0)
+        with pytest.raises(ValueError) as exc:
+            ComplexApproxValue(Decimal(0), Decimal(0), 0, 1)
+        assert str(exc.value) == "precision_digits must be positive"
 
     def test_coherent_counts_coefficients(self):
         # B(x) = x + 3x^2 + x^3 has three nonzero coefficients

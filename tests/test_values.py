@@ -80,6 +80,16 @@ def test_copies_are_equal_and_frozen(name, how):
     assert getattr(twin, field) is stored and twin == make()
 
 
+@pytest.mark.parametrize("value, text", [
+    (StringType((2, 1), (1, 1)), "<StringType ((2, 1), (1, 1))>"),
+    (ApproxValue(Decimal("1.5"), 2, 3),
+     "<ApproxValue (Decimal('1.5'), 2, 3)>"),
+    (PowerSeries((1, 1, 3)), "<PowerSeries (1, 1, 3)>"),
+], ids=["type", "approx", "series"])
+def test_repr_names_the_class_and_its_fields(value, text):
+    assert repr(value) == text
+
+
 @pytest.mark.parametrize("build", [
     lambda: StringType((1.9, 2), (1, 3)),
     lambda: StringType((1, 2), (1, "3")),
