@@ -43,31 +43,35 @@ class CheckResult:
 
 
 def _walk_colonies(t: StringType) -> tuple[list[int], tuple[int, int] | None]:
-    # One walk over every colony, read from the walk's own leaf state: the
-    # histogram of free legs (the walk's yield), and the first colony whose
-    # empty cells, counted from the cells its feet hold, differ from excess
-    # plus free legs, as (empty cells, free legs).  union[f] is the union of
-    # the cells held by feet 0..f-1, rebuilt from the first foot that moved,
-    # so most leaves cost one step
-    feet = t.total_s
-    held = [0] * feet
+    # One walk over every colony, read from the walk's own state: the
+    # histogram of free legs, and the first colony whose empty cells,
+    # counted from the cells its feet hold, differ from excess plus free
+    # legs, as (empty cells, free legs).  union[f] is the union of the cells
+    # held by feet 0..f-1, rebuilt from the first foot that moved; each cell
+    # of the last foot's mask joins union[last] alone: every colony counts
+    last = t.total_s - 1
+    held = [0] * t.total_s
     changed = [0]
-    union = [0] * (feet + 1)
-    hist = [0] * (feet + 1)
+    union = [0] * (t.total_s + 1)
+    hist = [0] * (t.total_s + 1)
     bad = None
     total_r, excess = t.total_r, t.excess
-    bit_count = int.bit_count
-    for ground in combinat._walk(t, held, changed):
-        hist[ground] += 1
+    for ground, free in combinat._walk(t, held, changed):
+        hist[ground + 1] += 1
+        hist[ground] += free.bit_count()
         f = changed[0]
         cells = union[f]
-        while f < feet:
+        while f < last:
             cells |= held[f]
             f += 1
             union[f] = cells
-        empty = total_r - bit_count(cells)
-        if empty != excess + ground and bad is None:
-            bad = (empty, ground)
+        if (empty := total_r - cells.bit_count()) != excess + ground + 1:
+            bad = bad or (empty, ground + 1)
+        while free:
+            bit = free & -free
+            free ^= bit
+            if (empty := total_r - (cells | bit).bit_count()) != excess + ground:
+                bad = bad or (empty, ground)
     return hist, bad
 
 

@@ -7,8 +7,10 @@ outputs stay byte-stable.
 
 Colonies come from one iterative depth-first walk over integer cell ids
 with a bitmask of occupied cells.  It does not recurse, so no type is too
-deep for it, and it visits every colony one by one: the histograms and
-settlement counts are tallies over those leaves, never a shortcut.
+deep for it.  One step per placement of all feet but the last hands over
+the last foot's free cells as a mask: the histogram counts its set bits,
+the listing and selfcheck take one colony per bit.  Reading only occupied
+cells, never the excess or S(k), the walk stays independent of the recurrence.
 """
 
 from __future__ import annotations
@@ -74,17 +76,19 @@ def free_legs(colony: Colony) -> int:
     return sum(1 for feet in colony.placement for ref in feet if ref is None)
 
 
-def _walk(t: StringType, held: list[int], changed: list[int]) -> Iterator[int]:
+def _walk(t: StringType, held: list[int],
+          changed: list[int]) -> Iterator[tuple[int, int]]:
     # Depth-first walk over the flattened feet, one level per foot, without
     # recursion.  Cells are numbered 0..total_r-1 in (bug, cell) order and
     # foot f may take ground or any free cell of an earlier bug, i.e. an id
     # below the cell count of the bugs before its own.  A cell is held as
     # its bit 1 << id (ground as 0), the occupied cells as one int mask.
-    # Options go ground first, then ascending id, so leaves come in the
-    # lexicographic order of the flattened choices.  At every leaf the
-    # yielded value is the number of feet on the ground, held[f] is foot
-    # f's choice and changed[0] the first foot whose choice differs from
-    # the previous leaf.
+    # One yield per placement of all feet but the last: (ground, free), the
+    # number of those feet on the ground and the mask of cells the last
+    # foot may take.  Its colonies, the last foot on the ground and then on
+    # each set bit of free in ascending order, come in the lexicographic
+    # order of the flattened choices.  For f < last, held[f] is foot f's
+    # choice and changed[0] the first foot that moved since the last yield.
     reach = []
     below = 0
     for r, s in zip(t.r, t.s):
@@ -92,12 +96,10 @@ def _walk(t: StringType, held: list[int], changed: list[int]) -> Iterator[int]:
         below += r
     last = len(held) - 1
     rest = [0] * len(held)
-    occupied = 0
-    ground = 0
-    level = 0
+    occupied = ground = level = 0
     changed[0] = 0
     if last < 0:
-        yield 0  # no feet: the one empty colony
+        yield -1, 0  # no feet: the one empty colony, counted as a ground leaf
         return
     while True:
         # descend on ground feet down to the last level
@@ -106,15 +108,7 @@ def _walk(t: StringType, held: list[int], changed: list[int]) -> Iterator[int]:
             held[level] = 0
             ground += 1
             level += 1
-        held[last] = 0
-        yield ground + 1
-        free = reach[last] & ~occupied
-        changed[0] = last
-        while free:
-            bit = free & -free
-            free ^= bit
-            held[last] = bit
-            yield ground
+        yield ground, reach[last] & ~occupied
         # back up to the deepest level with an option left and take it
         level = last - 1
         while level >= 0:
@@ -164,19 +158,29 @@ def _colony_stream(t: StringType) -> Iterator[Colony]:
     for j, s in enumerate(t.s):
         spans.append((len(bug_of), len(bug_of) + s))
         bug_of += [j] * s
-    bug_of.append(t.n)  # read only by a feetless walk's one leaf
+    # a bug's feet tuple is rebuilt only when one of its feet moved, so
+    # colonies share the tuples of the bugs they agree on.  Only s_1 may be
+    # 0, so the last foot is the last bug's: its head is built once a yield
+    bugs: list[tuple[Placement, ...]] = [()] * t.n
+    if not bug_of:
+        yield _colony(t, tuple(bugs))  # no feet: the one empty colony
+        return
     held = [0] * t.total_s
     changed = [0]
     cell = ref.__getitem__
-    bit_length = int.bit_length
-    # a bug's feet tuple is rebuilt only when one of its feet moved, so
-    # colonies share the tuples of the bugs they agree on
-    bugs: list[tuple[Placement, ...]] = [()] * t.n
-    for _ in _walk(t, held, changed):
-        for j in range(bug_of[changed[0]], t.n):
+    first, last = spans[-1][0], len(held) - 1
+    for _, free in _walk(t, held, changed):
+        for j in range(bug_of[changed[0]], t.n - 1):
             a, z = spans[j]
-            bugs[j] = tuple(map(cell, map(bit_length, held[a:z])))
+            bugs[j] = tuple(map(cell, map(int.bit_length, held[a:z])))
+        head = tuple(map(cell, map(int.bit_length, held[first:last])))
+        bugs[-1] = head + (None,)
         yield _colony(t, tuple(bugs))
+        while free:
+            bit = free & -free
+            free ^= bit
+            bugs[-1] = head + (ref[bit.bit_length()],)
+            yield _colony(t, tuple(bugs))
 
 
 def enumerate_colonies(t: StringType,
@@ -188,18 +192,20 @@ def enumerate_colonies(t: StringType,
 
 def count_colonies_by_free_legs(t: StringType,
                                 enum_cap: int = DEFAULT_ENUM_CAP) -> dict[int, int]:
-    """Histogram of colonies by free-leg count, walking every placement."""
+    """Histogram of colonies by free-leg count: per placement of all feet
+    but the last, one on the ground plus the last foot's free cells."""
     _require_under_cap(bell_number(t), enum_cap, "colonies")
     counts = [0] * (t.total_s + 1)
-    for ground in _walk(t, [0] * t.total_s, [0]):
-        counts[ground] += 1
+    for ground, free in _walk(t, [0] * t.total_s, [0]):
+        counts[ground + 1] += 1
+        counts[ground] += free.bit_count()
     return {k: v for k, v in enumerate(counts) if v}
 
 
 def enumerate_settlements(t: StringType, m: int,
                           enum_cap: int = DEFAULT_ENUM_CAP) -> int:
     """Count m-settlements by walking colonies: a colony with k free legs
-    has (m)_k injective ground maps.  The walk visits every colony whatever
+    has (m)_k injective ground maps.  The walk covers every colony whatever
     m is, so only the colony count is held to the cap."""
     if m < 0:
         raise ValueError("m must be nonnegative")

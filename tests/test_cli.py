@@ -309,37 +309,35 @@ class TestSelfcheck:
         assert walks == [t]
 
     def test_settlement_check_reads_the_walked_colonies(self, monkeypatch):
-        # the first colony, all three feet on the ground, goes missing from
-        # the one walk: the enumeration route's table loses it, and only
-        # (m)_3 at m = 3 sees it, 27 settlements counted as 21
+        # the first yield, feet 1 and 2 on the ground, hands foot 3 the
+        # cells of bugs 1 and 2; bug 1's goes missing from the one walk: the
+        # enumeration route's table loses a colony with two free legs, and
+        # (m)_2 sees it at m = 2 and 3, 6 and 21 settlements against 8 and 27
         walk = combinat._walk
 
         def first_dropped(*args):
-            leaves = walk(*args)
-            next(leaves)
-            return leaves
+            yields = walk(*args)
+            ground, free = next(yields)
+            yield ground, free & (free - 1)
+            yield from yields
 
         monkeypatch.setattr(combinat, "_walk", first_dropped)
         results = run_selfcheck(StringType.uniform(1, 1, 3))
         assert [r.status for r in results] == ["fail", "pass", "fail", "pass"]
-        assert results[2].detail == "(m, enumerated, product) = [(3, 21, 27)]"
+        assert results[2].detail == \
+            "(m, enumerated, product) = [(2, 6, 8), (3, 21, 27)]"
 
     def test_empty_cells_are_counted_from_the_held_cells(self, monkeypatch):
-        # on the leaf where feet 2 and 3 hold cells 1 and 2, foot 3 takes
-        # foot 2's cell instead: the free legs stay right, so only the
-        # cell count sees the doubled cell, 2 empty cells against 0 + 1
+        # where foot 2 holds bug 1's cell, foot 3 is handed that cell in
+        # place of bug 2's: the free legs stay right, so only the cell count
+        # sees the doubled cell, 2 empty cells against 0 + 1
         walk = combinat._walk
 
         def doubled(t, held, changed):
-            for ground in walk(t, held, changed):
-                if held[1] and held[2]:
-                    own = held[2]
-                    held[2] = held[1]
-                    changed[0] = min(changed[0], 2)
-                    yield ground
-                    held[2] = own
-                else:
-                    yield ground
+            for ground, free in walk(t, held, changed):
+                if held[1] and free:
+                    free = free & (free - 1) | held[1]
+                yield ground, free
 
         monkeypatch.setattr(combinat, "_walk", doubled)
         results = run_selfcheck(StringType.uniform(1, 1, 3))

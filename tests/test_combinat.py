@@ -2,8 +2,11 @@ import itertools
 import math
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from bosonorder import (DEFAULT_ENUM_CAP, Colony, IncreasingForest, NotUnary,
                         StringType, TooLarge, bell_number, colony_to_dot,
@@ -13,6 +16,7 @@ from bosonorder import (DEFAULT_ENUM_CAP, Colony, IncreasingForest, NotUnary,
                         enumerate_settlements, falling_factorial,
                         forest_to_colony, free_legs, settlement_product,
                         stirling_recurrence)
+from bosonorder.check import run_selfcheck
 from oracles import count_surjective_settlements, empty_cells
 
 SHOWCASE = StringType((3, 2, 1, 3), (2, 2, 2, 3))
@@ -39,6 +43,18 @@ def naive_placements(t):
             start += s
         placements.append(tuple(feet))
     return placements
+
+
+@st.composite
+def boundary_types(draw):
+    """Types of 1..5 factors with exponents 1..3, except the two boundary
+    ones, s_1 and r_n, drawn from 0..3."""
+    n = draw(st.integers(1, 5))
+    r = [draw(st.integers(1, 3)) for _ in range(n)]
+    s = [draw(st.integers(1, 3)) for _ in range(n)]
+    s[0] = draw(st.integers(0, 3))
+    r[-1] = draw(st.integers(0, 3))
+    return StringType(r, s)
 
 
 def traced_peak(f):
@@ -102,11 +118,32 @@ class TestColonies:
                            f"colonies exceed the cap of {DEFAULT_ENUM_CAP}")
 
     def test_free_leg_histogram(self, every_small_type):
-        # the histogram total is the number of leaves the walk visited
+        # the histogram counts one colony per placement of all feet but the
+        # last, plus the set bits of the last foot's free-cell mask: its
+        # total is the number of colonies the walk covered
         for t in every_small_type:
             hist = count_colonies_by_free_legs(t)
             assert hist == stirling_recurrence(t).values, t
             assert sum(hist.values()) == bell_number(t)
+
+    @given(boundary_types())
+    @example(StringType((0,), (0,)))   # the empty word: no feet at all
+    @example(StringType((2,), (0,)))   # no feet under two cells
+    @example(StringType((1, 0), (0, 3)))   # s_1 = r_n = 0, last bug's feet
+    @settings(deadline=None, max_examples=300)
+    def test_walk_consumers_agree(self, t):
+        # the histogram, the listing and selfcheck each read the one walk
+        # their own way: on types with zero boundary exponents (s_1 = 0,
+        # r_n = 0, even no feet at all) they agree with each other and with
+        # the recurrence, and every listed colony is a valid one
+        assume(bell_number(t) <= 3000)
+        hist = count_colonies_by_free_legs(t)
+        colonies = list(enumerate_colonies(t))
+        tally = dict(Counter(map(free_legs, colonies)))
+        assert hist == tally == stirling_recurrence(t).values
+        assert len({c.placement for c in colonies}) == bell_number(t)
+        assert all(Colony(t, c.placement) == c for c in colonies)
+        assert [r.status for r in run_selfcheck(t)] == ["pass"] * 4
 
     def test_order_matches_naive_oracle(self, every_small_type):
         checked = 0
