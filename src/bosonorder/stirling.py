@@ -11,7 +11,10 @@ polynomial, p(m) = prod_j (m+d_{j-1})_(s_j).  It is built from its maximal
 falling-factorial runs, p(m) = prod (m+top)_len^mult: the runs are found
 once per type, by one sweep over the factors' windows, and each run costs
 one column of values, raised to its multiplicity.  So ((a+)^2 a^2)^n gives
-p(m) = (m)_2^n, one column and one power, not n columns.
+p(m) = (m)_2^n, one column and one power, not n columns.  The closed form
+has one implementation, the forward-difference table of p(0..sum(s)): it
+is built at most once per type across consecutive calls, and a single
+coefficient reads it as the full table does.
 """
 
 from __future__ import annotations
@@ -240,49 +243,44 @@ def _over_factorial(total: int, k: int) -> int:
     # Delta^k p(0) / k!, exact divisibility asserted
     quotient, remainder = divmod(total, math.factorial(k))
     if remainder:
-        raise AssertionError(f"alternating sum {total} not divisible by {k}!")
+        raise AssertionError(f"difference {total} not divisible by {k}!")
     return quotient
 
 
-def _difference_quotient(p: list[int]) -> int:
-    # Delta^k p(0) / k! for k = len(p) - 1: the signed-binomial sum
-    # sum_m C(k,m) (-1)^(k-m) p(m), kept integral and divided by k! once
-    k = len(p) - 1
-    binomials = list(map(math.comb, repeat(k), range(k + 1)))
-    plus, minus = k % 2, 1 - k % 2
-    return _over_factorial(sum(map(mul, p[plus::2], binomials[plus::2]))
-                           - sum(map(mul, p[minus::2], binomials[minus::2])),
-                           k)
+@functools.lru_cache(maxsize=1)
+def _closed_form_row(t: StringType) -> tuple[int, ...]:
+    # S(0..total_s) from one forward-difference table of p(0..total_s),
+    # its k-th pass leaving Delta^k p(0) in front.  One entry: the traffic
+    # that shares a row is calls on one type back to back
+    p = _settlement_products(t, 0, t.total_s + 1)
+    row = []
+    for k in range(t.total_s + 1):
+        row.append(_over_factorial(p[0], k))
+        p = list(map(sub, p[1:], p[:-1]))
+    return tuple(row)
 
 
 def stirling_closed_form(t: StringType, k: int) -> int:
-    """Single coefficient by inclusion-exclusion over monomial actions.
-
-    Computes (1/k!) sum_m C(k,m)(-1)^(k-m) prod_j (m+d_{j-1})_(s_j).  The
-    alternating sum is kept integral and divided by k! once at the end; exact
-    divisibility is asserted.  The identity behind it holds for every type,
-    as ``closed_form_table`` shows, but a negative prefix excess is refused
-    (NonCanonicalPrefix): the benchmark still scores that refusal.
+    """Single coefficient by inclusion-exclusion over monomial actions:
+    (1/k!) sum_m C(k,m)(-1)^(k-m) prod_j (m+d_{j-1})_(s_j), read off its
+    type's one closed-form table, which consecutive calls on one type
+    share.  A lone call with a small k on a large type pays for the whole
+    table (k = 5 on uniform(2,1,1000): about 0.3 s).  The identity holds
+    for every type, as ``closed_form_table`` shows, but a negative prefix
+    excess is refused (NonCanonicalPrefix) before any work: the benchmark
+    still scores that refusal.
     """
     if not t.has_nonnegative_prefixes():
         raise NonCanonicalPrefix(
             f"prefix excesses {t.prefix_excesses} contain a negative entry")
     if not t.s[0] <= k <= t.total_s:
         raise OutOfRange(f"k={k} outside [{t.s[0]}, {t.total_s}]")
-    return _difference_quotient(_settlement_products(t, 0, k + 1))
+    return _closed_form_row(t)[k]
 
 
 def closed_form_table(t: StringType) -> dict[int, int]:
-    """The closed form at every k, zeros omitted, for every type: one
-    forward-difference table of p(0..total_s) serves every k, its k-th
-    pass leaving Delta^k p(0) in front."""
-    p = _settlement_products(t, 0, t.total_s + 1)
-    table = {}
-    for k in range(t.total_s + 1):
-        if v := _over_factorial(p[0], k):
-            table[k] = v
-        p = list(map(sub, p[1:], p[:-1]))
-    return table
+    """The closed form at every k, zeros omitted, for every type."""
+    return {k: v for k, v in enumerate(_closed_form_row(t)) if v}
 
 
 def bell_polynomial(t: StringType) -> BellPolynomial:

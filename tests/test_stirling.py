@@ -20,8 +20,9 @@ from bosonorder import (ApproxValue, BellPolynomial, ComplexApproxValue,
                         stirling_closed_form, stirling_recurrence,
                         word_from_type)
 from bosonorder.check import run_selfcheck
-from bosonorder.stirling import (_difference_quotient, _dobinski_sum,
-                                _runs, _settlement_products)
+from bosonorder import stirling
+from bosonorder.stirling import (_closed_form_row, _dobinski_sum,
+                                _over_factorial, _runs, _settlement_products)
 from oracles import (bell_poly_recursion, bell_r1_terms,
                      check_polynomial_identity, dobinski_terms,
                      factor_by_factor_product, falling_factorial_expansion)
@@ -259,9 +260,42 @@ class TestClosedForm:
     def test_indivisible_difference_is_refused(self):
         # (m)_2 at m = 0, 1, 2 has second difference 2 = 2!; a second
         # difference of 1 cannot come from an integer table entry
-        assert _difference_quotient([0, 0, 2]) == 1
+        assert _over_factorial(2, 2) == 1
         with pytest.raises(AssertionError):
-            _difference_quotient([0, 0, 1])
+            _over_factorial(1, 2)
+
+    def test_one_type_builds_p_once(self, monkeypatch):
+        _closed_form_row.cache_clear()
+        builds = []
+
+        def counted(*args):
+            builds.append(args)
+            return _settlement_products(*args)
+
+        monkeypatch.setattr(stirling, "_settlement_products", counted)
+        t = StringType(tuple(2 + i % 2 for i in range(30)), (2,) * 30)
+        table = {k: stirling_closed_form(t, k)
+                 for k in range(t.s[0], t.total_s + 1)}
+        assert closed_form_table(t) == {k: v for k, v in table.items() if v}
+        assert builds == [(t, 0, t.total_s + 1)]
+
+    def test_alternating_types_do_not_cross(self):
+        _closed_form_row.cache_clear()
+        one, two = CLOSED_FORM_TYPES[0], CLOSED_FORM_TYPES[-1]
+        tables = {t: stirling_recurrence(t).values for t in (one, two)}
+        for k in range(2, 2 * one.n + 1):
+            for t in (one, two):
+                assert stirling_closed_form(t, k) == tables[t].get(k, 0)
+        assert closed_form_table(one) == tables[one]
+        assert closed_form_table(two) == tables[two]
+
+    def test_returned_table_is_a_copy(self):
+        _closed_form_row.cache_clear()
+        expected = dict(stirling_recurrence(SHOWCASE).values)
+        table = closed_form_table(SHOWCASE)
+        table.clear()
+        assert closed_form_table(SHOWCASE) == expected
+        assert stirling_closed_form(SHOWCASE, 9) == 1
 
 
 class TestBellNumbers:
