@@ -47,31 +47,39 @@ def _walk_colonies(t: StringType) -> tuple[list[int], tuple[int, int] | None]:
     # histogram of free legs, and the first colony whose empty cells,
     # counted from the cells its feet hold, differ from excess plus free
     # legs, as (empty cells, free legs).  union[f] is the union of the cells
-    # held by feet 0..f-1, rebuilt from the first foot that moved; each cell
-    # of the last foot's mask joins union[last] alone: every colony counts
-    last = t.total_s - 1
+    # held by feet 0..f-1, rebuilt from the first foot that moved; the last
+    # two feet's cells join union[stop] one colony at a time
+    stop = t.total_s - 2
     held = [0] * t.total_s
     changed = [0]
     union = [0] * (t.total_s + 1)
-    hist = [0] * (t.total_s + 1)
+    hist = [0] * (t.total_s + 2)
     bad = None
     total_r, excess = t.total_r, t.excess
-    for ground, free in combinat._walk(t, held, changed):
-        hist[ground + 1] += 1
-        hist[ground] += free.bit_count()
+    for ground, near, far in combinat._walk(t, held, changed):
+        hist[ground + 2] += 1
+        hist[ground + 1] += (a := near.bit_count()) + (b := far.bit_count())
+        hist[ground] += a * (b - 1)
         f = changed[0]
         cells = union[f]
-        while f < last:
+        while f < stop:
             cells |= held[f]
             f += 1
             union[f] = cells
-        if (empty := total_r - cells.bit_count()) != excess + ground + 1:
-            bad = bad or (empty, ground + 1)
-        while free:
-            bit = free & -free
-            free ^= bit
-            if (empty := total_r - (cells | bit).bit_count()) != excess + ground:
-                bad = bad or (empty, ground)
+        # foot last-1 steps through near shifted up one, bit 0 the ground
+        xs = near << 1 | 1
+        while xs:
+            x = xs & -xs
+            xs ^= x
+            hx, legs = cells | x >> 1, ground + (x == 1)
+            if (empty := total_r - hx.bit_count()) != excess + legs + 1:
+                bad = bad or (empty, legs + 1)
+            free = far & ~(x >> 1)
+            while free:
+                y = free & -free
+                free ^= y
+                if (empty := total_r - (hx | y).bit_count()) != excess + legs:
+                    bad = bad or (empty, legs)
     return hist, bad
 
 

@@ -7,17 +7,18 @@ outputs stay byte-stable.
 
 Colonies come from one iterative depth-first walk over integer cell ids
 with a bitmask of occupied cells.  It does not recurse, so no type is too
-deep for it.  One step per placement of all feet but the last hands over
-the last foot's free cells as a mask: the histogram counts its set bits,
-the listing and selfcheck take one colony per bit.  Reading only occupied
-cells, never the excess or S(k), the walk stays independent of the recurrence.
+deep for it.  One step per placement of all feet but the last two hands
+over the cells those two may take as masks near within far: the histogram
+counts the pair from the masks' bit counts, the listing and selfcheck
+take one colony at a time.  Reading only occupied cells, never the excess
+or S(k), the walk stays independent of the recurrence.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import attrgetter
 
 from .algebra import StringType, _Value
@@ -77,40 +78,40 @@ def free_legs(colony: Colony) -> int:
 
 
 def _walk(t: StringType, held: list[int],
-          changed: list[int]) -> Iterator[tuple[int, int]]:
+          changed: list[int]) -> Iterator[tuple[int, int, int]]:
     # Depth-first walk over the flattened feet, one level per foot, without
     # recursion.  Cells are numbered 0..total_r-1 in (bug, cell) order and
     # foot f may take ground or any free cell of an earlier bug, i.e. an id
     # below the cell count of the bugs before its own.  A cell is held as
     # its bit 1 << id (ground as 0), the occupied cells as one int mask.
-    # One yield per placement of all feet but the last: (ground, free), the
-    # number of those feet on the ground and the mask of cells the last
-    # foot may take.  Its colonies, the last foot on the ground and then on
-    # each set bit of free in ascending order, come in the lexicographic
-    # order of the flattened choices.  For f < last, held[f] is foot f's
-    # choice and changed[0] the first foot that moved since the last yield.
-    reach = []
-    below = 0
-    for r, s in zip(t.r, t.s):
-        reach += [(1 << below) - 1] * s
-        below += r
-    last = len(held) - 1
-    rest = [0] * len(held)
-    occupied = ground = level = 0
+    # One yield per placement of all feet but the last two: (ground, near,
+    # far), the number of those feet on the ground and the masks of cells
+    # feet last-1 and last may take; reach never shrinks, so near is within
+    # far.  Foot last-1 on the ground, then on each bit of near, each time
+    # with foot last on the ground, then on each bit of far left free, is
+    # the lexicographic order of the flattened choices.  For f < last-1,
+    # held[f] is foot f's choice and changed[0] the first foot that moved.
+    reach = [(1 << below) - 1 for below, s in
+             zip(accumulate(t.r, initial=0), t.s) for _ in range(s)]
+    stop = len(held) - 2
     changed[0] = 0
-    if last < 0:
-        yield -1, 0  # no feet: the one empty colony, counted as a ground leaf
+    if stop < 0:
+        # fewer than two feet: each missing one is a ground foot counted -1
+        yield stop, 0, reach[-1] if reach else 0
         return
+    near, far = reach[stop], reach[stop + 1]
+    rest = [0] * stop
+    occupied = ground = level = 0
     while True:
-        # descend on ground feet down to the last level
-        while level < last:
+        # descend on ground feet down to foot last-1
+        while level < stop:
             rest[level] = reach[level] & ~occupied
             held[level] = 0
             ground += 1
             level += 1
-        yield ground, reach[last] & ~occupied
+        yield ground, near & ~occupied, far & ~occupied
         # back up to the deepest level with an option left and take it
-        level = last - 1
+        level = stop - 1
         while level >= 0:
             bit = held[level]
             if bit:
@@ -160,27 +161,41 @@ def _colony_stream(t: StringType) -> Iterator[Colony]:
         bug_of += [j] * s
     # a bug's feet tuple is rebuilt only when one of its feet moved, so
     # colonies share the tuples of the bugs they agree on.  Only s_1 may be
-    # 0, so the last foot is the last bug's: its head is built once a yield
+    # 0, so the last foot is the last bug's, and foot last-1 is that bug's
+    # or the bug before's last: the head of its bug is built once a yield
     bugs: list[tuple[Placement, ...]] = [()] * t.n
-    if not bug_of:
-        yield _colony(t, tuple(bugs))  # no feet: the one empty colony
+    if len(bug_of) < 2:  # no feet, or the last bug's one foot on each target
+        for feet in zip(ref) if bug_of else [()]:
+            bugs[-1] = feet
+            yield _colony(t, tuple(bugs))
         return
     held = [0] * t.total_s
     changed = [0]
     cell = ref.__getitem__
-    first, last = spans[-1][0], len(held) - 1
-    for _, free in _walk(t, held, changed):
-        for j in range(bug_of[changed[0]], t.n - 1):
+    stop = len(held) - 2
+    pair_bug = bug_of[stop]
+    first, split = spans[pair_bug][0], pair_bug < t.n - 1
+    # the last two feet step through their masks shifted up one bit, bit 0
+    # for the ground: the target of bit b is ref[b.bit_length() - 1]
+    for _, near, far in _walk(t, held, changed):
+        for j in range(bug_of[changed[0]], pair_bug):
             a, z = spans[j]
             bugs[j] = tuple(map(cell, map(int.bit_length, held[a:z])))
-        head = tuple(map(cell, map(int.bit_length, held[first:last])))
-        bugs[-1] = head + (None,)
-        yield _colony(t, tuple(bugs))
-        while free:
-            bit = free & -free
-            free ^= bit
-            bugs[-1] = head + (ref[bit.bit_length()],)
-            yield _colony(t, tuple(bugs))
+        head = tuple(map(cell, map(int.bit_length, held[first:stop])))
+        xs = near << 1 | 1
+        while xs:
+            x = xs & -xs
+            xs ^= x
+            feet = head + (ref[x.bit_length() - 1],)
+            if split:
+                bugs[pair_bug] = feet
+                feet = ()
+            ys = (far & ~(x >> 1)) << 1 | 1
+            while ys:
+                y = ys & -ys
+                ys ^= y
+                bugs[-1] = feet + (ref[y.bit_length() - 1],)
+                yield _colony(t, tuple(bugs))
 
 
 def enumerate_colonies(t: StringType,
@@ -193,12 +208,14 @@ def enumerate_colonies(t: StringType,
 def count_colonies_by_free_legs(t: StringType,
                                 enum_cap: int = DEFAULT_ENUM_CAP) -> dict[int, int]:
     """Histogram of colonies by free-leg count: per placement of all feet
-    but the last, one on the ground plus the last foot's free cells."""
+    but the last two, the pair counted from its cell masks near within far."""
     _require_under_cap(bell_number(t), enum_cap, "colonies")
-    counts = [0] * (t.total_s + 1)
-    for ground, free in _walk(t, [0] * t.total_s, [0]):
-        counts[ground + 1] += 1
-        counts[ground] += free.bit_count()
+    # one spare entry: a feetless type yields ground -2 and adds 0 there
+    counts = [0] * (t.total_s + 2)
+    for ground, near, far in _walk(t, [0] * t.total_s, [0]):
+        counts[ground + 2] += 1
+        counts[ground + 1] += (a := near.bit_count()) + (b := far.bit_count())
+        counts[ground] += a * (b - 1)
     return {k: v for k, v in enumerate(counts) if v}
 
 

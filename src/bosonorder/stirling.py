@@ -387,6 +387,9 @@ def _dobinski_sum(numerators: Iterable[int], m0: int, total_s: int,
             f"the tail bound needs at least {_count_text(needed)} terms, over "
             f"the cap of {max_terms}")
     two_scale_p = 2 * 10 ** (target_digits + 2) * p
+    # a*b >= 2^(la+lb-2) for a, b > 0 and c*d < 2^(lc+ld) in bit lengths, so
+    # a*b < c*d is false unless la + lb < lc + ld + 2 (num > 0 once acc is)
+    scale_bits = two_scale_p.bit_length() - 2
     acc = acc_e = 0
     ppow = 1
     for m, num in enumerate(chain(repeat(0, m0), numerators)):
@@ -394,7 +397,9 @@ def _dobinski_sum(numerators: Iterable[int], m0: int, total_s: int,
         acc_e = acc_e * (q * m) + ppow
         ppow *= p
         q_room = q * (m + 1 - total_s)
-        if 2 * p <= q_room and two_scale_p * num < acc * q_room:
+        if (2 * p <= q_room and scale_bits + num.bit_length()
+                < acc.bit_length() + q_room.bit_length()
+                and two_scale_p * num < acc * q_room):
             break
         if m - m0 + 1 >= max_terms:
             raise PrecisionUnreachable(

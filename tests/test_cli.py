@@ -309,40 +309,45 @@ class TestSelfcheck:
         assert walks == [t]
 
     def test_settlement_check_reads_the_walked_colonies(self, monkeypatch):
-        # the first yield, feet 1 and 2 on the ground, hands foot 3 the
-        # cells of bugs 1 and 2; bug 1's goes missing from the one walk: the
-        # enumeration route's table loses a colony with two free legs, and
-        # (m)_2 sees it at m = 2 and 3, 6 and 21 settlements against 8 and 27
+        # the second yield, foot 2 on bug 1's cell, leaves foot 3 no cell
+        # and foot 4 only bug 2's; with that cell gone the one walk loses
+        # one colony, feet 1 and 3 on the ground: the enumeration route's
+        # table has 1 colony with two free legs, not 2, and (m)_2 sees it
+        # at m = 2, 3 and 4, 2, 30 and 132 settlements against 4, 36 and 144
         walk = combinat._walk
 
-        def first_dropped(*args):
-            yields = walk(*args)
-            ground, free = next(yields)
-            yield ground, free & (free - 1)
-            yield from yields
+        def one_dropped(*args):
+            for ground, near, far in walk(*args):
+                if not near:
+                    far &= far - 1
+                yield ground, near, far
 
-        monkeypatch.setattr(combinat, "_walk", first_dropped)
-        results = run_selfcheck(StringType.uniform(1, 1, 3))
+        monkeypatch.setattr(combinat, "_walk", one_dropped)
+        results = run_selfcheck(StringType((1, 1, 1), (1, 2, 1)))
         assert [r.status for r in results] == ["fail", "pass", "fail", "pass"]
+        assert results[0].detail == (
+            "recurrence gives {2: 2, 3: 4, 4: 1}, others "
+            "{'enumerate': {2: 1, 3: 4, 4: 1}}")
         assert results[2].detail == \
-            "(m, enumerated, product) = [(2, 6, 8), (3, 21, 27)]"
+            "(m, enumerated, product) = [(2, 2, 4), (3, 30, 36), (4, 132, 144)]"
 
     def test_empty_cells_are_counted_from_the_held_cells(self, monkeypatch):
-        # where foot 2 holds bug 1's cell, foot 3 is handed that cell in
-        # place of bug 2's: the free legs stay right, so only the cell count
-        # sees the doubled cell, 2 empty cells against 0 + 1
+        # where foot 2 holds bug 1's cell, foot 4 is handed that cell in
+        # place of bug 3's, which foot 3 cannot take: the masks keep their
+        # bit counts, so the free legs stay right and only the cell count
+        # sees the doubled cell, 3 empty cells against 0 + 2
         walk = combinat._walk
 
         def doubled(t, held, changed):
-            for ground, free in walk(t, held, changed):
-                if held[1] and free:
-                    free = free & (free - 1) | held[1]
-                yield ground, free
+            for ground, near, far in walk(t, held, changed):
+                if held[1]:
+                    far = far & ~(1 << 2) | held[1]
+                yield ground, near, far
 
         monkeypatch.setattr(combinat, "_walk", doubled)
-        results = run_selfcheck(StringType.uniform(1, 1, 3))
+        results = run_selfcheck(StringType.uniform(1, 1, 4))
         assert [r.status for r in results] == ["pass", "fail", "pass", "pass"]
-        assert results[1].detail == "2 cells vs 0 + 1"
+        assert results[1].detail == "3 cells vs 0 + 2"
 
     def test_refuses_over_the_cap_before_any_route(self, monkeypatch):
         # the cap is checked first: rewriting and the closed form (seconds

@@ -16,6 +16,7 @@ from bosonorder import (DEFAULT_ENUM_CAP, Colony, IncreasingForest, NotUnary,
                         enumerate_settlements, falling_factorial,
                         forest_to_colony, free_legs, settlement_product,
                         stirling_recurrence)
+from bosonorder import combinat
 from bosonorder.check import run_selfcheck
 from oracles import count_surjective_settlements, empty_cells
 
@@ -118,8 +119,8 @@ class TestColonies:
                            f"colonies exceed the cap of {DEFAULT_ENUM_CAP}")
 
     def test_free_leg_histogram(self, every_small_type):
-        # the histogram counts one colony per placement of all feet but the
-        # last, plus the set bits of the last foot's free-cell mask: its
+        # the histogram counts the colonies of each placement of all feet
+        # but the last two from the pair's cell masks, near within far: its
         # total is the number of colonies the walk covered
         for t in every_small_type:
             hist = count_colonies_by_free_legs(t)
@@ -130,6 +131,9 @@ class TestColonies:
     @example(StringType((0,), (0,)))   # the empty word: no feet at all
     @example(StringType((2,), (0,)))   # no feet under two cells
     @example(StringType((1, 0), (0, 3)))   # s_1 = r_n = 0, last bug's feet
+    @example(StringType((1, 1), (0, 1)))   # one foot
+    @example(StringType((2, 1), (1, 1)))   # two feet in two bugs
+    @example(StringType((2, 1), (0, 2)))   # two feet in one bug
     @settings(deadline=None, max_examples=300)
     def test_walk_consumers_agree(self, t):
         # the histogram, the listing and selfcheck each read the one walk
@@ -144,6 +148,18 @@ class TestColonies:
         assert len({c.placement for c in colonies}) == bell_number(t)
         assert all(Colony(t, c.placement) == c for c in colonies)
         assert [r.status for r in run_selfcheck(t)] == ["pass"] * 4
+
+    def test_near_lies_within_far(self, every_small_type):
+        # the histogram counts |near| (|far| - 1) colonies with both of the
+        # last two feet on cells: that needs every cell foot last-1 may
+        # take to be one foot last may take too
+        yields = 0
+        for t in every_small_type:
+            held = [0] * t.total_s
+            for _, near, far in combinat._walk(t, held, [0]):
+                assert near & ~far == 0, (t, held)
+                yields += 1
+        assert yields > 1000
 
     def test_order_matches_naive_oracle(self, every_small_type):
         checked = 0

@@ -522,6 +522,46 @@ class TestIntegerKernelParity:
                 1, n, Fraction(1), digits)
 
 
+class TestStopTestShortcut:
+    """The kernel's stop test a*b < c*d skips its two products where the
+    factors' bit lengths already decide it false; the same sum with both
+    products taken on every term stops at the same term, same value."""
+
+    @staticmethod
+    def _unguarded(t, x, digits):
+        p, q = x.numerator, x.denominator
+        two_scale_p = 2 * 10 ** (digits + 2) * p
+        acc = acc_e = 0
+        for m in count():
+            num = settlement_product(t, m) * p ** m if m >= t.s[0] else 0
+            acc = acc * (q * m) + num
+            acc_e = acc_e * (q * m) + p ** m
+            q_room = q * (m + 1 - t.total_s)
+            if 2 * p <= q_room and two_scale_p * num < acc * q_room:
+                break
+        with localcontext() as ctx:
+            ctx.prec = digits + 10
+            value = Decimal(acc) / Decimal(acc_e)
+            ctx.prec = digits
+            return +value, m - t.s[0] + 1
+
+    def test_same_stop_and_value_as_every_product_taken(self):
+        rng = random.Random(2805)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            r = [rng.randint(1, 4) for _ in range(n)]
+            s = [rng.randint(1, 4) for _ in range(n)]
+            s[0], r[-1] = rng.randint(0, 4), rng.randint(0, 4)
+            t = StringType(r, s)
+            if not t.total_s:
+                continue
+            x = Fraction(rng.randint(1, 400), rng.choice((1, 2, 3, 7)))
+            digits = rng.randint(5, 200)
+            approx = dobinski_eval(t, x, digits, 10 ** 6)
+            assert (approx.value, approx.terms_used) \
+                == self._unguarded(t, x, digits), (t, x, digits)
+
+
 def _assert_within_one_ulp(value, exact, digits):
     ulp = Fraction(10) ** (value.adjusted() - digits + 1)
     assert len(value.as_tuple().digits) == digits
