@@ -112,9 +112,6 @@ class BosonWord(_Value):
         """Number of creations minus number of annihilations."""
         return sum(c if l is CREATION else -c for l, c in self.runs)
 
-    def concat(self, other: "BosonWord") -> "BosonWord":
-        return BosonWord.from_runs(self.runs + other.runs)
-
 
 class StringType(_Value):
     """Exponent vectors (r, s) of a word (a+)^r_n a^s_n ... (a+)^r_1 a^s_1.
@@ -196,36 +193,6 @@ class NormalForm(_Value):
         down = max(-self.excess, 0)
         for k, c in self.coeffs.items():
             yield k + up, k + down, c
-
-    def multiply(self, other: "NormalForm") -> "NormalForm":
-        """Normally ordered product; excesses add.
-
-        A * B is the sum over B's monomials (a+)^i a^j with coefficient c of
-        c * (A (a+)^i) a^j: each run of self's consecutive degrees (so no
-        row holds a gap) goes through one (a+)^i step of ``normal_order``'s
-        kernel, and a^j only shifts it.
-        """
-        excess = self.excess + other.excess
-        shift = max(-excess, 0)
-        coeffs: dict[int, int] = {}
-        for lo, row in self._runs():
-            for i, j, c in other.monomials():
-                new_lo, new = _times_creations(lo, row, i)
-                for k, v in enumerate(new, new_lo + j - shift):
-                    coeffs[k] = coeffs.get(k, 0) + c * v
-        return NormalForm(excess, coeffs)
-
-    def _runs(self) -> list[tuple[int, list[int]]]:
-        # (lo, row) for each run of consecutive degrees: row[i] multiplies
-        # (a+)^(j + excess) a^j with j = lo + i
-        shift = max(-self.excess, 0)
-        runs: list[tuple[int, list[int]]] = []
-        for k, c in self.coeffs.items():
-            if runs and k + shift == runs[-1][0] + len(runs[-1][1]):
-                runs[-1][1].append(c)
-            else:
-                runs.append((k + shift, [c]))
-        return runs
 
 
 def _collapse(acc: dict[tuple[int, int], int], excess: int) -> NormalForm:

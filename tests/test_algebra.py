@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosonorder import (ANNIHILATION, CREATION, BosonWord, NegativeExcess,
-                        NormalForm, StringType, algebra, extract_stirling,
+                        NormalForm, StringType, extract_stirling,
                         falling_factorial, normal_order, settlement_product,
                         stirling_recurrence, type_from_word, word_from_type)
 from oracles import apply_crossing
@@ -102,13 +102,6 @@ class TestNormalOrder:
         assert form.excess == w.excess
         assert all(v > 0 for v in form.coeffs.values())
 
-    @given(words_st, words_st)
-    @settings(deadline=None)
-    def test_product_homomorphism(self, u, v):
-        lhs = normal_order(u.concat(v))
-        rhs = normal_order(u).multiply(normal_order(v))
-        assert lhs == rhs
-
 
 def _dict_fold(w):
     # an independent reference for the row kernel: a dict of monomials
@@ -148,63 +141,6 @@ class TestRowKernel:
     def test_matches_dict_fold_on_few_long_runs(self, w):
         assert normal_order(w) == _dict_fold(w)
 
-    @given(few_runs_st, few_runs_st)
-    @settings(deadline=None, max_examples=40)
-    def test_multiply_is_normal_order_of_the_concatenation(self, u, v):
-        # both operands have many terms whenever a run of a precedes a+
-        assert (normal_order(u).multiply(normal_order(v))
-                == normal_order(u.concat(v)))
-
-    @pytest.mark.parametrize("left, right", [
-        ((AD, [3, 5, 2]), (A, [4, 6, 1])),
-        ((A, [4, 6, 1]), (A, [2, 3, 5, 1])),
-        ((AD, [1, 7]), (AD, [2, 3, 3])),
-    ])
-    def test_multiply_multi_term_operands(self, left, right):
-        u, v = _alternating(*left), _alternating(*right)
-        fu, fv = normal_order(u), normal_order(v)
-        assert len(fv.coeffs) > 1
-        assert fu.multiply(fv) == normal_order(u.concat(v))
-
-    def test_multiply_by_zero_and_sparse_forms(self):
-        zero = NormalForm(1, {})
-        n_op = normal_order(word(AD, A))
-        assert n_op.multiply(zero) == zero
-        assert zero.multiply(n_op) == zero
-        # 2 a + 5 (a+)^3 a^4 times a (a+)^2, one monomial at a time
-        sparse = NormalForm(-1, {0: 2, 3: 5})
-        right = word(A, AD, AD)
-        expected = {}
-        for i, j, c in sparse.monomials():
-            runs = [(l, n) for l, n in ((AD, i), (A, j)) if n]
-            term = normal_order(BosonWord.from_runs(runs).concat(right))
-            for k, v in term.coeffs.items():
-                expected[k] = expected.get(k, 0) + c * v
-        assert sparse.multiply(normal_order(right)) == NormalForm(0, expected)
-
-    def test_sparse_left_operand_keeps_gaps_out_of_rows(self, monkeypatch):
-        # runs of degrees 0..1 and 10^6: no row handed to the crossing
-        # kernel may span the gap between them
-        left = NormalForm(0, {0: 1, 1: 2, 10 ** 6: 1})
-        right = BosonWord.from_runs([(A, 1), (AD, 3)])
-        expected = {}
-        for i, j, c in left.monomials():
-            runs = [(l, n) for l, n in ((AD, i), (A, j)) if n]
-            term = normal_order(BosonWord.from_runs(runs).concat(right))
-            for k, v in term.coeffs.items():
-                expected[k] = expected.get(k, 0) + c * v
-        lengths = []
-        crossing = algebra._times_creations
-
-        def recording(lo, row, l):
-            lengths.append(len(row))
-            return crossing(lo, row, l)
-
-        monkeypatch.setattr(algebra, "_times_creations", recording)
-        product = left.multiply(normal_order(right))
-        assert product == NormalForm(2, expected)
-        assert lengths and max(lengths) <= 2
-
 
 class TestNormalForm:
     def test_monomials_nonnegative_excess(self):
@@ -221,10 +157,6 @@ class TestNormalForm:
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
             NormalForm(0, {-1: 1})
-
-    def test_multiply_matches_rewriting(self):
-        n_op = normal_order(word(AD, A))
-        assert n_op.multiply(n_op) == normal_order(word(AD, A, AD, A))
 
 
 class TestWordsAndTypes:
@@ -318,11 +250,6 @@ class TestRuns:
             BosonWord.from_runs([("a", 1)])
         with pytest.raises(TypeError):
             BosonWord(("ad",))
-
-    def test_concat_merges_the_seam(self):
-        u = BosonWord.from_runs([(AD, 2), (A, 1)])
-        v = BosonWord.from_runs([(A, 4), (AD, 3)])
-        assert u.concat(v).runs == ((AD, 2), (A, 5), (AD, 3))
 
     @given(st.lists(st.tuples(st.sampled_from([AD, A]), st.integers(1, 4)),
                     max_size=8))

@@ -427,6 +427,18 @@ class TestReadme:
         assert main(argv) == 0
         assert capsys.readouterr().out == expected
 
+    def test_python_blocks_run(self):
+        # every ```python block of README.md runs cleanly against src/
+        root = Path(__file__).resolve().parents[1]
+        blocks = re.findall(r"^```python\n(.*?)^```",
+                            (root / "README.md").read_text(), re.S | re.M)
+        assert blocks
+        for code in blocks:
+            proc = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+                env=dict(os.environ, PYTHONPATH=str(root / "src")))
+            assert (proc.returncode, proc.stderr) == (0, "")
+
 
 class TestMainInProcess:
     def test_order_expression(self, capsys):
