@@ -35,13 +35,23 @@ ANNIHILATION = Letter.ANNIHILATION
 
 class _Value:
     """Base of the package's immutable values.  Each subclass names its
-    fields in ``_key``, an attrgetter; two values are equal when they are of
-    the same class with equal fields, and hash and print by them.  Each
-    ``__init__`` stores the fields with ``object.__setattr__``; after that,
-    setting or deleting an attribute raises AttributeError.  Values copy,
-    deep-copy and pickle."""
+    fields once, in ``__slots__``, and two hooks read them from there:
+    ``__init_subclass__`` makes ``_key``, the attrgetter of the slots, unless
+    the class names its own, and ``_store(*values)`` writes the slots in
+    order past the frozen ``__setattr__``, as each ``__init__`` does.  Two
+    values are equal when they are of the same class with equal keys, and
+    hash and print by them; setting or deleting an attribute raises
+    AttributeError.  Values copy, deep-copy and pickle."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        if "_key" not in vars(cls):
+            cls._key = attrgetter(*cls.__slots__)
+
+    def _store(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -75,7 +85,6 @@ class BosonWord(_Value):
     """
 
     __slots__ = ("runs",)
-    _key = attrgetter("runs")
 
     def __init__(self, letters: Iterable[Letter] = ()):
         self._merge((l, 1) for l in letters)
@@ -97,7 +106,7 @@ class BosonWord(_Value):
             if merged and merged[-1][0] is letter:
                 count += merged.pop()[1]
             merged.append((letter, count))
-        object.__setattr__(self, "runs", tuple(merged))
+        self._store(tuple(merged))
 
     @property
     def letters(self) -> tuple[Letter, ...]:
@@ -123,6 +132,7 @@ class StringType(_Value):
     included, has exactly one type.
     """
 
+    # the key leaves out prefix_excesses, which r and s determine
     __slots__ = ("r", "s", "prefix_excesses")
     _key = attrgetter("r", "s")
 
@@ -136,11 +146,8 @@ class StringType(_Value):
         if min(r[-1], s[0]) < 0 or min(r[:-1] + s[1:], default=1) < 1:
             raise ValueError(
                 "exponents must be positive, except s_1 and r_n may be 0")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", s)
         # d_0..d_n where d_j is the creation surplus of factors 1..j; d_0 = 0
-        object.__setattr__(self, "prefix_excesses",
-                           tuple(accumulate(map(sub, r, s), initial=0)))
+        self._store(r, s, tuple(accumulate(map(sub, r, s), initial=0)))
 
     @classmethod
     def uniform(cls, r: int, s: int, n: int) -> "StringType":
@@ -177,15 +184,13 @@ class NormalForm(_Value):
     """
 
     __slots__ = ("excess", "coeffs")
-    _key = attrgetter("excess", "coeffs")
 
     def __init__(self, excess: int, coeffs: Mapping[int, int]):
         clean = {index(k): c for k, v in sorted(coeffs.items())
                  if (c := index(v))}
         if clean and min(clean) < 0:
             raise ValueError("diagonal degree k must be nonnegative")
-        object.__setattr__(self, "excess", excess)
-        object.__setattr__(self, "coeffs", clean)
+        self._store(excess, clean)
 
     def monomials(self) -> Iterator[tuple[int, int, int]]:
         """Yield (creation degree, annihilation degree, coefficient)."""
@@ -198,8 +203,6 @@ class NormalForm(_Value):
 def _collapse(acc: dict[tuple[int, int], int], excess: int) -> NormalForm:
     coeffs: dict[int, int] = {}
     for (i, j), c in acc.items():
-        if c == 0:
-            continue
         if i - j != excess:
             raise AssertionError("rewriting changed the excess")
         k = min(i, j)

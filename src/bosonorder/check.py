@@ -15,7 +15,7 @@ from .algebra import (StringType, extract_stirling, normal_order,
                       word_from_type)
 from .combinat import DEFAULT_ENUM_CAP, count_colonies_by_free_legs
 from .errors import NegativeExcess
-from .stirling import (DEFAULT_MAX_TERMS, _settlement_products, bell_number,
+from .stirling import (DEFAULT_MAX_TERMS, _settlement_products,
                        closed_form_table, dobinski_eval, stirling_recurrence)
 
 # every route to the coefficient table of a type, in --method order: each
@@ -100,7 +100,7 @@ def run_selfcheck(t: StringType,
     enumeration route's table and checks 2 and 3.
     TooLarge is raised before any route runs if the type exceeds the cap.
     """
-    combinat._require_under_cap(bell_number(t), enum_cap, "colonies")
+    combinat._require_under_cap(t, enum_cap)
     hist, bad = _walk_colonies(t)
     results = []
 

@@ -14,8 +14,7 @@ import json
 import os
 import re
 import sys
-from decimal import (MAX_EMAX, MAX_PREC, Decimal, Inexact,
-                     localcontext)
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact
 from fractions import Fraction
 from itertools import islice
 from json.encoder import encode_basestring_ascii
@@ -77,13 +76,13 @@ def _number_text(v) -> str:
         return f"{text}/{_number_text(v.denominator)}"
     if v.bit_length() <= SPLIT_BITS:
         return str(Decimal(v))
-    with localcontext() as ctx:
-        ctx.prec, ctx.Emax = MAX_PREC, MAX_EMAX
-        ctx.traps[Inexact] = True
-        return str(_split_decimal(v, v.bit_length(), {}))
+    ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX)
+    ctx.traps[Inexact] = True
+    return str(_split_decimal(v, v.bit_length(), {}, ctx))
 
 
-def _split_decimal(n: int, bits: int, powers: dict[int, Decimal]) -> Decimal:
+def _split_decimal(n: int, bits: int, powers: dict[int, Decimal],
+                   ctx: Context) -> Decimal:
     # n as an exact Decimal: split n at 2^w, convert both halves and
     # recombine with one multiply-add, which libmpdec does by number-
     # theoretic transform at MAX_PREC; powers caches 2^w for each width w
@@ -92,9 +91,10 @@ def _split_decimal(n: int, bits: int, powers: dict[int, Decimal]) -> Decimal:
     w = bits >> 1
     high = n >> w
     if w not in powers:
-        powers[w] = Decimal(2) ** w
-    return (_split_decimal(n - (high << w), w, powers)
-            + _split_decimal(high, bits - w, powers) * powers[w])
+        powers[w] = ctx.power(2, w)
+    return ctx.add(_split_decimal(n - (high << w), w, powers, ctx),
+                   ctx.multiply(_split_decimal(high, bits - w, powers, ctx),
+                                powers[w]))
 
 
 def parse_word(text: str) -> BosonWord:
@@ -189,12 +189,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact normal ordering and the combinatorics it counts.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name: str, summary: str, word: bool = True,
+    def add(name: str, summary: str, handler, word: bool = True,
             enum_cap: bool = False, formats: tuple[str, ...] = ("plain", "json")):
         # a subcommand with the flags every one takes, and with the input
-        # and enumeration-cap flags where its handler reads them
+        # and enumeration-cap flags where its handler reads them.  The
+        # handler takes the parsed flags and the input type (None without
+        # --word) and returns (result, exit code): the result is a JSON
+        # payload as a dict, plain, CSV or DOT text as a str, or an
+        # iterator of text chunks, and main writes it
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(parser=p)
+        p.set_defaults(parser=p, handler=handler)
         p.add_argument("--format", choices=formats, default="plain",
                        help="output format")
         p.add_argument("--out", metavar="PATH",
@@ -209,41 +213,44 @@ def build_parser() -> argparse.ArgumentParser:
                            help="enumeration size cap")
         return p
 
-    add("order", "normal order a word")
-    p = add("stirling", "coefficient table of a word or type", enum_cap=True,
-            formats=("plain", "json", "csv"))
+    add("order", "normal order a word", _cmd_order)
+    p = add("stirling", "coefficient table of a word or type", _cmd_stirling,
+            enum_cap=True, formats=("plain", "json", "csv"))
     p.add_argument("--method", default="auto", choices=("auto", *TABLE_ROUTES))
-    p = add("bell", "sum of the coefficient table", enum_cap=True)
+    p = add("bell", "sum of the coefficient table", _cmd_bell, enum_cap=True)
     p.add_argument("--method", default="auto", choices=("auto", *TABLE_ROUTES))
-    p = add("dobinski", "numeric series value of the Bell polynomial")
+    p = add("dobinski", "numeric series value of the Bell polynomial",
+            _cmd_dobinski)
     p.add_argument("--x", default="1", help="nonnegative rational argument")
     p.add_argument("--digits", type=_count(1, MAX_DIGITS), default=50,
                    help="significant digits for numeric results "
                         f"(at most {MAX_DIGITS})")
     p.add_argument("--max-terms", type=_count(1), default=DEFAULT_MAX_TERMS,
                    dest="max_terms", help="series term cap before giving up")
-    p = add("colonies", "enumerate colonies of a type", enum_cap=True)
+    p = add("colonies", "enumerate colonies of a type", _cmd_colonies,
+            enum_cap=True)
     p.add_argument("--dot", action="store_true",
                    help="emit DOT graphs instead of text placements")
-    p = add("settlements", "count settlements of a type", enum_cap=True)
+    p = add("settlements", "count settlements of a type", _cmd_settlements,
+            enum_cap=True)
     p.add_argument("--m", type=_count(0), required=True,
                    help="number of distinguishable ground cells")
     p.add_argument("--method", default="enumerate",
                    choices=("enumerate", "product"))
-    p = add("forests", "count increasing planar forests", word=False,
-            enum_cap=True)
+    p = add("forests", "count increasing planar forests", _cmd_forests,
+            word=False, enum_cap=True)
     p.add_argument("--arity", type=_count(1), required=True)
     p.add_argument("--n", type=_count(0), required=True,
                    help="number of internal vertices")
     p = add("series", "tree/forest generating function coefficients",
-            word=False)
+            _cmd_series, word=False)
     p.add_argument("--kind", default="tree",
                    choices=("tree", "tree-closed", "forest"))
     p.add_argument("--arity", type=_count(2), required=True,
                    help="at least 2 (arity 1 is the Bell case: see forests)")
     p.add_argument("--order", type=_count(0), default=10)
     add("selfcheck", "cross-verify all computation paths on one type",
-        enum_cap=True)
+        _cmd_selfcheck, enum_cap=True)
     return parser
 
 
@@ -466,23 +473,6 @@ def _cmd_selfcheck(args, t):
         for r in results), code
 
 
-# each handler takes the parsed flags and the input type (None for forests
-# and series) and returns (result, exit code): the result is a JSON payload
-# as a dict, plain, CSV or DOT text as a str, or an iterator of text chunks,
-# and main writes it
-_HANDLERS = {
-    "order": _cmd_order,
-    "stirling": _cmd_stirling,
-    "bell": _cmd_bell,
-    "dobinski": _cmd_dobinski,
-    "colonies": _cmd_colonies,
-    "settlements": _cmd_settlements,
-    "forests": _cmd_forests,
-    "series": _cmd_series,
-    "selfcheck": _cmd_selfcheck,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args, extra = parser.parse_known_args(argv)
@@ -493,7 +483,7 @@ def main(argv: list[str] | None = None) -> int:
         if "enum_cap" in args and args.enum_cap is None:
             args.enum_cap = _default_enum_cap()
         t = _resolve_input(args) if "word" in args else None
-        result, code = _HANDLERS[args.subcommand](args, t)
+        result, code = args.handler(args, t)
     except (ParseError, LengthMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from itertools import accumulate, repeat
-from operator import attrgetter
 
 from .algebra import StringType, _Value
 from .errors import NotUnary, TooLarge, _count_text
@@ -39,7 +38,6 @@ class Colony(_Value):
     one foot per cell; bug 1 therefore stands fully on the ground."""
 
     __slots__ = ("type", "placement")
-    _key = attrgetter("type", "placement")
 
     def __init__(self, type: StringType,
                  placement: Iterable[Iterable[Placement]]):
@@ -62,12 +60,13 @@ class Colony(_Value):
                 if ref in seen:
                     raise ValueError(f"cell {ref} occupied twice")
                 seen.add(ref)
-        object.__setattr__(self, "type", t)
-        object.__setattr__(self, "placement", placement)
+        self._store(t, placement)
 
 
-def _require_under_cap(predicted: int, enum_cap: int, what: str) -> None:
-    if predicted > enum_cap:
+def _require_under_cap(t: StringType, enum_cap: int,
+                       what: str = "colonies") -> None:
+    # the type's colonies, predicted by its Bell number, against the cap
+    if (predicted := bell_number(t)) > enum_cap:
         raise TooLarge(f"{_count_text(predicted)} {what} exceed the cap of "
                        f"{enum_cap}")
 
@@ -201,7 +200,7 @@ def _colony_stream(t: StringType) -> Iterator[Colony]:
 def enumerate_colonies(t: StringType,
                        enum_cap: int = DEFAULT_ENUM_CAP) -> Iterator[Colony]:
     """Every colony of the type, exactly once, in canonical order."""
-    _require_under_cap(bell_number(t), enum_cap, "colonies")
+    _require_under_cap(t, enum_cap)
     return _colony_stream(t)
 
 
@@ -209,7 +208,7 @@ def count_colonies_by_free_legs(t: StringType,
                                 enum_cap: int = DEFAULT_ENUM_CAP) -> dict[int, int]:
     """Histogram of colonies by free-leg count: per placement of all feet
     but the last two, the pair counted from its cell masks near within far."""
-    _require_under_cap(bell_number(t), enum_cap, "colonies")
+    _require_under_cap(t, enum_cap)
     # one spare entry: a feetless type yields ground -2 and adds 0 there
     counts = [0] * (t.total_s + 2)
     for ground, near, far in _walk(t, [0] * t.total_s, [0]):
@@ -236,7 +235,6 @@ class IncreasingForest(_Value):
     label-increase rule is exactly the earlier-bug rule for colonies."""
 
     __slots__ = ("arities", "parent")
-    _key = attrgetter("arities", "parent")
 
     def __init__(self, arities: Iterable[int],
                  parent: Iterable[tuple[int, int] | None]):
@@ -258,8 +256,7 @@ class IncreasingForest(_Value):
             if ref in seen:
                 raise ValueError(f"slot {ref} used twice")
             seen.add(ref)
-        object.__setattr__(self, "arities", arities)
-        object.__setattr__(self, "parent", parent)
+        self._store(arities, parent)
 
     @property
     def roots(self) -> tuple[int, ...]:
@@ -292,8 +289,7 @@ def count_increasing_forests(r: int, n: int,
         raise ValueError("vertex count must be nonnegative")
     if n == 0:
         return 1
-    _require_under_cap(bell_number(StringType.uniform(r, 1, n)), enum_cap,
-                       "forests")
+    _require_under_cap(StringType.uniform(r, 1, n), enum_cap, "forests")
     # a partial forest is (next vertex, number of open slots): which slots
     # are open never changes how many forests extend it
     total = 0

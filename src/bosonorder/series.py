@@ -26,14 +26,13 @@ class PowerSeries(_Value):
     """Truncated EGF sum_n counts[n] x^n / n!: counts[n] objects at size n."""
 
     __slots__ = ("counts",)
-    _key = operator.attrgetter("counts")
     convention = EGF
 
     def __init__(self, counts: Iterable[int]):
         counts = tuple(map(operator.index, counts))
         if not counts:
             raise ValueError("a series carries at least its constant term")
-        object.__setattr__(self, "counts", counts)
+        self._store(counts)
 
     @property
     def order(self) -> int:

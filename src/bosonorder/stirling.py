@@ -22,10 +22,10 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterable, Iterator, Mapping
-from decimal import Context, Decimal, localcontext
+from decimal import Context, Decimal
 from fractions import Fraction
 from itertools import chain, count, repeat
-from operator import add, attrgetter, index, mul, sub
+from operator import add, index, mul, sub
 
 from .algebra import StringType, _Value
 from .errors import (NegativeExcess, NonCanonicalPrefix, OutOfRange,
@@ -53,7 +53,6 @@ class StirlingTable(_Value):
     Holding a dict, a table cannot be hashed."""
 
     __slots__ = ("type", "values")
-    _key = attrgetter("type", "values")
 
     def __init__(self, type: StringType, values: Mapping[int, int]):
         clean = {index(k): c for k, v in sorted(values.items())
@@ -64,8 +63,7 @@ class StirlingTable(_Value):
                 raise ValueError(f"key {k} outside the window [{lo}, {hi}]")
             if v < 0:
                 raise ValueError("coefficients count colonies; got a negative")
-        object.__setattr__(self, "type", type)
-        object.__setattr__(self, "values", clean)
+        self._store(type, clean)
 
     def bell(self) -> int:
         return sum(self.values.values())
@@ -75,13 +73,12 @@ class BellPolynomial(_Value):
     """Dense integer coefficient vector; coeffs[k] multiplies x^k."""
 
     __slots__ = ("coeffs",)
-    _key = attrgetter("coeffs")
 
     def __init__(self, coeffs: Iterable[int]):
         coeffs = tuple(map(index, coeffs))
         if not coeffs:
             raise ValueError("empty coefficient vector")
-        object.__setattr__(self, "coeffs", coeffs)
+        self._store(coeffs)
 
     def evaluate(self, x):
         """Horner evaluation; exact for int or Fraction arguments."""
@@ -95,7 +92,6 @@ class ApproxValue(_Value):
     """A rounded numeric result together with how it was produced."""
 
     __slots__ = ("value", "precision_digits", "terms_used")
-    _key = attrgetter("value", "precision_digits", "terms_used")
 
     def __init__(self, value: Decimal, precision_digits: int,
                  terms_used: int):
@@ -103,9 +99,7 @@ class ApproxValue(_Value):
             raise ValueError("precision_digits must be positive")
         if terms_used < 1:
             raise ValueError("terms_used must be positive")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "precision_digits", precision_digits)
-        object.__setattr__(self, "terms_used", terms_used)
+        self._store(value, precision_digits, terms_used)
 
 
 class ComplexApproxValue(_Value):
@@ -116,7 +110,6 @@ class ComplexApproxValue(_Value):
     """
 
     __slots__ = ("real", "imag", "precision_digits", "coefficients_used")
-    _key = attrgetter("real", "imag", "precision_digits", "coefficients_used")
 
     def __init__(self, real: Decimal, imag: Decimal, precision_digits: int,
                  coefficients_used: int):
@@ -124,10 +117,7 @@ class ComplexApproxValue(_Value):
             raise ValueError("precision_digits must be positive")
         if coefficients_used < 1:
             raise ValueError("coefficients_used must be positive")
-        object.__setattr__(self, "real", real)
-        object.__setattr__(self, "imag", imag)
-        object.__setattr__(self, "precision_digits", precision_digits)
-        object.__setattr__(self, "coefficients_used", coefficients_used)
+        self._store(real, imag, precision_digits, coefficients_used)
 
 
 def stirling_recurrence(t: StringType) -> StirlingTable:
@@ -335,10 +325,11 @@ def dobinski_eval(t: StringType, x, target_digits: int,
         R_D >= p(M) R_E       (p(m) >= p(M) on every term m > M),
     with R_E the tail of e^x after M.  So R_E/E_M <= R_D/D_M < eps, and
     B = (D_M + R_D)/(E_M + R_E) satisfies 0 <= B - D_M/E_M < eps B: the
-    quotient misses B by a relative error below eps, from below.  The
-    division runs with ten guard digits (relative error at most
-    5 * 10^-(target_digits+10)), so the rounded result is within one unit
-    in the last of its target_digits of B.
+    quotient misses B by a relative error below eps, from below.  The one
+    division D_M / E_M is correctly rounded to target_digits: it adds at
+    most half a unit in the last place, and eps B is at most a hundredth
+    of that unit, so the result is within one unit in the last of its
+    target_digits of B.
     """
     if target_digits < 1:
         raise ValueError("target_digits must be positive")
@@ -349,18 +340,18 @@ def dobinski_eval(t: StringType, x, target_digits: int,
         # B(0) = S(0) = p(0), which is 0 unless s_1 = 0; with no feet p = 1,
         # so B(x) = 1 for every x
         p0 = _settlement_products(t, 0, 1)[0]
-        return ApproxValue(_rounded(Fraction(p0), target_digits),
-                           target_digits, 1)
+        return ApproxValue(_rounded(p0, 1, target_digits), target_digits, 1)
     return _dobinski_sum(_dobinski_numerators(t, x.numerator), t.s[0],
                          t.total_s, x, target_digits, max_terms)
 
 
-def _rounded(v: Fraction, digits: int) -> Decimal:
-    # v rounded to digits significant digits, all of them shown, as an
-    # inexact quotient shows them (2.000, not the exact quotient's 2); 0
-    # stays 0
+def _rounded(num: int, den: int, digits: int) -> Decimal:
+    # num/den (den > 0) correctly rounded to digits significant digits by
+    # one division, all of them shown, as an inexact quotient shows them
+    # (2.000, not the exact quotient's 2); 0 stays 0.  Every decimal result
+    # of the package is made here
     ctx = Context(prec=digits)
-    value = ctx.divide(Decimal(v.numerator), Decimal(v.denominator))
+    value = ctx.divide(Decimal(num), Decimal(den))
     if value:
         value = value.quantize(Decimal(
             (0, (1,), value.adjusted() + 1 - digits)), context=ctx)
@@ -404,12 +395,8 @@ def _dobinski_sum(numerators: Iterable[int], m0: int, total_s: int,
         if m - m0 + 1 >= max_terms:
             raise PrecisionUnreachable(
                 f"tail bound still unmet after {max_terms} terms")
-    with localcontext() as ctx:
-        ctx.prec = target_digits + 10
-        value = Decimal(acc) / Decimal(acc_e)
-        ctx.prec = target_digits
-        value = +value
-    return ApproxValue(value, target_digits, m - m0 + 1)
+    return ApproxValue(_rounded(acc, acc_e, target_digits), target_digits,
+                       m - m0 + 1)
 
 
 def settlement_product(t: StringType, m: int) -> int:
@@ -447,11 +434,18 @@ def coherent_expectation(t: StringType, z, target_digits: int) -> ComplexApproxV
         raise NegativeExcess(f"excess {t.excess} < 0: conj(z)^d needs d >= 0")
     zr, zi = _gaussian_parts(z)
     poly = bell_polynomial(t)
-    re, im = Fraction(1), Fraction(0)
-    for _ in range(t.excess):  # conj(z)^excess
-        re, im = re * zr + im * zi, im * zr - re * zi
     b = poly.evaluate(zr * zr + zi * zi)
+    # conj(z) = (wr + i wi) / den, raised to the excess by squaring in
+    # integers, where Fractions would take a gcd at every step
+    den = math.lcm(zr.denominator, zi.denominator)
+    wr, wi = int(zr * den), -int(zi * den)
+    re, im, e = 1, 0, t.excess
+    while e:
+        if e & 1:
+            re, im = re * wr - im * wi, re * wi + im * wr
+        wr, wi, e = wr * wr - wi * wi, 2 * wr * wi, e >> 1
+    den = den ** t.excess * b.denominator
     terms = sum(1 for c in poly.coeffs if c)
-    return ComplexApproxValue(_rounded(re * b, target_digits),
-                              _rounded(im * b, target_digits), target_digits,
-                              max(terms, 1))
+    return ComplexApproxValue(_rounded(re * b.numerator, den, target_digits),
+                              _rounded(im * b.numerator, den, target_digits),
+                              target_digits, max(terms, 1))

@@ -349,6 +349,26 @@ class TestSelfcheck:
         assert [r.status for r in results] == ["pass", "fail", "pass", "pass"]
         assert results[1].detail == "3 cells vs 0 + 2"
 
+    def test_empty_cells_are_counted_for_the_foot_before_last(self,
+                                                              monkeypatch):
+        # where foot 2 holds bug 1's cell, foot 3 is handed that cell in
+        # place of the lowest cell it may take: near keeps its bit count, so
+        # the free legs stay right, and the check of foot 3 itself, before
+        # foot 4 moves, sees the doubled cell, 3 empty cells against 0 + 2
+        # (the check of foot 4 alone would report 2 cells against 0 + 1)
+        walk = combinat._walk
+
+        def traded(t, held, changed):
+            for ground, near, far in walk(t, held, changed):
+                if held[1]:
+                    near = near & (near - 1) | held[1]
+                yield ground, near, far
+
+        monkeypatch.setattr(combinat, "_walk", traded)
+        results = run_selfcheck(StringType.uniform(1, 1, 4))
+        assert [r.status for r in results] == ["pass", "fail", "pass", "pass"]
+        assert results[1].detail == "3 cells vs 0 + 2"
+
     def test_refuses_over_the_cap_before_any_route(self, monkeypatch):
         # the cap is checked first: rewriting and the closed form (seconds
         # on this type) never run, and the walk never starts

@@ -1,8 +1,12 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate, count, islice, tee
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -753,6 +757,52 @@ class TestCoherentExpectation:
         out = coherent_expectation(StringType((1, 2), (1, 1)), z, digits)
         assert (str(out.real), str(out.imag)) == (real, imag)
         assert len(out.real.as_tuple().digits) == digits or out.real == 0
+
+    def test_large_excess_answers_in_time_and_exactly(self):
+        # (a+)^(d+1) a has excess d and B(x) = x, so z = 2 gives 2^(d+2)
+        # and z = 3i gives (-i)^d 3^(d+2) = -i 3^(d+2) at d = 20 001, and
+        # z = (3 + 4i)/5 on the unit circle a value of modulus 1.  One
+        # Fraction multiply per unit of d took 5 s at d = 8 000 on that z;
+        # a child process with a timeout fails the test instead of hanging
+        d = 20_001
+        code = ("from fractions import Fraction\n"
+                "from bosonorder import StringType, coherent_expectation\n"
+                f"t = StringType(({d + 1},), (1,))\n"
+                "for z in (2, (0, 3), (Fraction(3, 5), Fraction(4, 5))):\n"
+                "    out = coherent_expectation(t, z, 40)\n"
+                "    print(out.real, out.imag)\n")
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=20, env=dict(os.environ, PYTHONPATH=str(root / "src")))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        got = list(map(Decimal, proc.stdout.split()))
+        with localcontext() as ctx:
+            ctx.prec = 40
+            expected = [+Decimal(2 ** (d + 2)), 0, 0, -Decimal(3 ** (d + 2))]
+        assert got[:4] == expected
+        assert [len(v.as_tuple().digits) for v in got[:4]] == [40, 1, 1, 40]
+        modulus = Fraction(got[4]) ** 2 + Fraction(got[5]) ** 2
+        assert abs(modulus - 1) < Fraction(1, 10 ** 38)
+
+    def test_power_matches_one_multiply_per_unit(self):
+        # conj(z)^d multiplied in d times, as before squaring, at d <= 300
+        # on Gaussian rationals: equal after one rounding at 40 digits
+        rng = random.Random(30)
+        for d in (0, 1, 2, 3, 64, 255, 300, *rng.sample(range(300), 6)):
+            t = StringType((2, d + 1), (1, 2))
+            poly = bell_polynomial(t)
+            for _ in range(3):
+                z = (Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+                     Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
+                b = poly.evaluate(z[0] ** 2 + z[1] ** 2)
+                re, im = _gaussian_power((z[0], -z[1]), d)
+                out = coherent_expectation(t, z, 40)
+                with localcontext() as ctx:
+                    ctx.prec = 40
+                    for got, exact in ((out.real, re * b), (out.imag, im * b)):
+                        assert got == (Decimal(exact.numerator)
+                                       / Decimal(exact.denominator)), (d, z)
 
 
 class TestApproxCarriers:
