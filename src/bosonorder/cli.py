@@ -14,7 +14,6 @@ import json
 import os
 import re
 import sys
-from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact
 from fractions import Fraction
 from itertools import islice
 from json.encoder import encode_basestring_ascii
@@ -28,7 +27,8 @@ from .combinat import (DEFAULT_ENUM_CAP, colony_to_dot, colony_to_text,
                        enumerate_colonies, enumerate_settlements, free_legs)
 from .errors import BosonOrderError, LengthMismatch, ParseError
 from .series import (forest_egf, tree_series, tree_series_closed_form)
-from .stirling import DEFAULT_MAX_TERMS, dobinski_eval, settlement_product
+from .stirling import (DEFAULT_MAX_TERMS, _exact_decimal, dobinski_eval,
+                       settlement_product)
 
 _TOKEN = re.compile(r"(ad|a)(?:\^([0-9]+))?")
 
@@ -43,10 +43,6 @@ MAX_DIGITS = 100_000
 # digit string is refused before int() spends quadratic time on it
 MAX_EXPONENT_DIGITS = 4300
 _EXPONENT_BOUND = 10 ** MAX_EXPONENT_DIGITS
-
-# Decimal(n) is quadratic in the digits of n; above this many bits
-# _number_text converts by halves instead, in subquadratic time
-SPLIT_BITS = 1 << 14
 
 
 def _byte_offset(text: str, index: int) -> int:
@@ -74,27 +70,7 @@ def _number_text(v) -> str:
         if v.denominator == 1:
             return text
         return f"{text}/{_number_text(v.denominator)}"
-    if v.bit_length() <= SPLIT_BITS:
-        return str(Decimal(v))
-    ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX)
-    ctx.traps[Inexact] = True
-    return str(_split_decimal(v, v.bit_length(), {}, ctx))
-
-
-def _split_decimal(n: int, bits: int, powers: dict[int, Decimal],
-                   ctx: Context) -> Decimal:
-    # n as an exact Decimal: split n at 2^w, convert both halves and
-    # recombine with one multiply-add, which libmpdec does by number-
-    # theoretic transform at MAX_PREC; powers caches 2^w for each width w
-    if bits <= SPLIT_BITS:
-        return Decimal(n)
-    w = bits >> 1
-    high = n >> w
-    if w not in powers:
-        powers[w] = ctx.power(2, w)
-    return ctx.add(_split_decimal(n - (high << w), w, powers, ctx),
-                   ctx.multiply(_split_decimal(high, bits - w, powers, ctx),
-                                powers[w]))
+    return str(_exact_decimal(v))
 
 
 def parse_word(text: str) -> BosonWord:

@@ -4,7 +4,8 @@ The same coefficient table is reachable four ways: direct rewriting (algebra
 module), the bug-colony recurrence, an inclusion-exclusion closed form, and
 brute enumeration (combinat module).  Everything here is exact: integers are
 Python ints, series partial sums are integer numerators over a known
-denominator, and decimal output is produced only at the final rounding step.
+denominator, and decimal output is produced only at the final rounding step,
+one integer division whose quotient alone is converted to decimal.
 
 The closed form, the Dobinski sums and the settlement counts all read one
 polynomial, p(m) = prod_j (m+d_{j-1})_(s_j).  It is built from its maximal
@@ -22,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterable, Iterator, Mapping
-from decimal import Context, Decimal
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact
 from fractions import Fraction
 from itertools import chain, count, repeat
 from operator import add, index, mul, sub
@@ -32,6 +33,12 @@ from .errors import (NegativeExcess, NonCanonicalPrefix, OutOfRange,
                      PrecisionUnreachable, _count_text)
 
 DEFAULT_MAX_TERMS = 10000
+
+# Decimal(n) is quadratic in the digits of n; above this many bits
+# _exact_decimal converts by halves instead, in subquadratic time
+SPLIT_BITS = 1 << 14
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX)
+_EXACT.traps[Inexact] = True
 
 
 def falling_factorial(l: int, p: int) -> int:
@@ -81,11 +88,15 @@ class BellPolynomial(_Value):
         self._store(coeffs)
 
     def evaluate(self, x):
-        """Horner evaluation; exact for int or Fraction arguments."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Horner evaluation, exact for an int or a Fraction x = u/v: it
+        sums c_k u^k v^(K-k) in integers, then takes one gcd, not K."""
+        u, v = x.numerator, x.denominator
+        coeffs = reversed(self.coeffs)
+        acc, scale = next(coeffs), 1
+        for c in coeffs:
+            scale *= v
+            acc = acc * u + c * scale
+        return Fraction(acc, scale) if isinstance(x, Fraction) else acc
 
 
 class ApproxValue(_Value):
@@ -282,16 +293,13 @@ def bell_polynomial(t: StringType) -> BellPolynomial:
     return BellPolynomial(tuple(coeffs))
 
 
-def _dobinski_numerators(t: StringType, p: int) -> Iterator[int]:
-    # p(m) * p^m for m = s_1, s_1 + 1, ...; over q^m m! they are the terms
-    # p(m) x^m / m! at x = p/q.  p(m) comes in windows of doubling width,
-    # so at most half of the values built go unread
+def _dobinski_numerators(t: StringType) -> Iterator[int]:
+    # p(m) for m = s_1, s_1 + 1, ...; times p^m over q^m m! they are the
+    # terms p(m) x^m / m! at x = p/q.  p(m) comes in windows of doubling
+    # width, so at most half of the values built go unread
     m, width = t.s[0], 16
-    ppow = p ** m
     while True:
-        for value in _settlement_products(t, m, m + width):
-            yield value * ppow
-            ppow *= p
+        yield from _settlement_products(t, m, m + width)
         m += width
         width *= 2
 
@@ -341,34 +349,64 @@ def dobinski_eval(t: StringType, x, target_digits: int,
         # so B(x) = 1 for every x
         p0 = _settlement_products(t, 0, 1)[0]
         return ApproxValue(_rounded(p0, 1, target_digits), target_digits, 1)
-    return _dobinski_sum(_dobinski_numerators(t, x.numerator), t.s[0],
+    return _dobinski_sum(_dobinski_numerators(t), t.s[0],
                          t.total_s, x, target_digits, max_terms)
 
 
+def _exact_decimal(n: int, bits: int = -1,
+                   powers: dict[int, Decimal] | None = None) -> Decimal:
+    # n exactly, the package's one int-to-Decimal conversion: split n at
+    # 2^w, convert both halves and recombine with one multiply-add, which
+    # libmpdec does by number-theoretic transform; powers caches each 2^w
+    if powers is None:
+        bits, powers = n.bit_length(), {}
+    if bits <= SPLIT_BITS:
+        return Decimal(n)
+    w = bits >> 1
+    high = n >> w
+    if w not in powers:
+        powers[w] = _EXACT.power(2, w)
+    return _EXACT.add(_exact_decimal(n - (high << w), w, powers),
+                      _EXACT.multiply(_exact_decimal(high, bits - w, powers),
+                                      powers[w]))
+
+
 def _rounded(num: int, den: int, digits: int) -> Decimal:
-    # num/den (den > 0) correctly rounded to digits significant digits by
-    # one division, all of them shown, as an inexact quotient shows them
-    # (2.000, not the exact quotient's 2); 0 stays 0.  Every decimal result
-    # of the package is made here
-    ctx = Context(prec=digits)
-    value = ctx.divide(Decimal(num), Decimal(den))
-    if value:
-        value = value.quantize(Decimal(
-            (0, (1,), value.adjusted() + 1 - digits)), context=ctx)
-    return value
+    # num/den (den > 0) rounded half to even to digits significant digits,
+    # all shown (2.000, not 2); 0 stays 0.  Every decimal result is made
+    # here.  |num|/den lies in (2^(l-1), 2^(l+1)), l the bit lengths'
+    # difference: 0.6 decades, so e below (l-1) log10 2 - digits + 1 by
+    # 0.2 to 1.2 (a float's error is far smaller) leaves num 10^-e // den
+    # digits or digits + 1 digits; only that quotient is converted
+    a = abs(num)
+    if not a:
+        return _exact_decimal(0)
+    e = math.floor((a.bit_length() - den.bit_length() - 1) * math.log10(2)
+                   - 0.2) - digits + 1
+    a, den = (a * 10 ** -e, den) if e < 0 else (a, den * 10 ** e)
+    q, r = divmod(a, den)
+    top = 10 ** digits
+    if q >= top:
+        q, last = divmod(q, 10)
+        r, den, e = last * den + r, 10 * den, e + 1
+    if 2 * r > den or 2 * r == den and q & 1:
+        q += 1
+        if q == top:
+            q, e = q // 10, e + 1
+    return _exact_decimal(q if num > 0 else -q).scaleb(e, _EXACT)
 
 
-def _dobinski_sum(numerators: Iterable[int], m0: int, total_s: int,
+def _dobinski_sum(products: Iterable[int], m0: int, total_s: int,
                   x: Fraction, target_digits: int,
                   max_terms: int) -> ApproxValue:
-    # e^(-x) sum_{m>=m0} num_m / (q^m m!) for x = p/q > 0, as the quotient
-    # of two sums over q^m m!: the Dobinski partial acc, and the partial
-    # acc_e of e^x.  Both run from m = 0, the Dobinski numerators below m0
-    # being zero.  Adding term m is acc = acc*q*m + num_m and
-    # acc_e = acc_e*q*m + p^m.  The stop rule is dobinski_eval's: both
-    # conditions are multiplied through by q^m m!, q, room and
-    # 10^(target_digits+2), all positive once the first holds (p > 0), so
-    # they are compared in integers; it cannot hold while acc is zero.
+    # e^(-x) sum_{m>=m0} p_m x^m / m! for x = p/q > 0, p_m the products from
+    # m0 on, as the quotient of two sums over q^m m!: the Dobinski partial
+    # acc, and the partial acc_e of e^x, both from m = 0 (products below m0
+    # are zero).  Term m adds num = p_m p^m to acc*q*m and p^m to acc_e*q*m,
+    # one p^m for both.  The stop rule is dobinski_eval's: both conditions
+    # are multiplied through by q^m m!, q, room and 10^(target_digits+2),
+    # all positive once the first holds (p > 0), so they are compared in
+    # integers; it cannot hold while acc is zero.
     p, q = x.numerator, x.denominator
     # the first condition needs q (M + 1 - total_s) >= 2p, so no stop comes
     # before total_s + ceil(2x) - m0 terms: a lower cap is refused up front
@@ -383,7 +421,8 @@ def _dobinski_sum(numerators: Iterable[int], m0: int, total_s: int,
     scale_bits = two_scale_p.bit_length() - 2
     acc = acc_e = 0
     ppow = 1
-    for m, num in enumerate(chain(repeat(0, m0), numerators)):
+    for m, product in enumerate(chain(repeat(0, m0), products)):
+        num = product * ppow
         acc = acc * (q * m) + num
         acc_e = acc_e * (q * m) + ppow
         ppow *= p

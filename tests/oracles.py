@@ -3,6 +3,7 @@ package another way, so the tests can compare the two."""
 
 import math
 from collections.abc import Iterator
+from decimal import Context, Decimal
 from fractions import Fraction
 from itertools import count
 
@@ -151,3 +152,16 @@ def empty_cells(colony: Colony) -> int:
     occupied = {ref for feet in colony.placement for ref in feet
                 if ref is not None}
     return colony.type.total_r - len(occupied)
+
+
+def rounded_by_context(num: int, den: int, digits: int) -> Decimal:
+    """num/den (den > 0) to digits significant digits, all shown, by one
+    decimal division and a quantize: the package's rounding before it
+    divided in integers.  Decimal(int) is quadratic in the digits, and the
+    default exponent range bounds the results it can give."""
+    ctx = Context(prec=digits)
+    value = ctx.divide(Decimal(num), Decimal(den))
+    if value:
+        value = value.quantize(Decimal(
+            (0, (1,), value.adjusted() + 1 - digits)), context=ctx)
+    return value

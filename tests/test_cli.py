@@ -877,7 +877,7 @@ class TestBigNumbers:
         # sizes around every split of a conversion by halves: the threshold,
         # and the widths of the top few levels, a few bits either side
         rng = random.Random(16)
-        widths = [(cli.SPLIT_BITS << level) + rng.randint(-3, 3) + skew
+        widths = [(stirling.SPLIT_BITS << level) + rng.randint(-3, 3) + skew
                   for level in range(4) for skew in (-1, 0, 1)]
         values = [rng.getrandbits(bits) | 1 << (bits - 1) for bits in widths]
         values += [(1 << bits) - 1 for bits in widths]
@@ -889,7 +889,7 @@ class TestBigNumbers:
             for v in values:
                 assert cli._number_text(v) == str(v)
                 assert cli._number_text(-v) == str(-v)
-            big = -rng.getrandbits(3 * cli.SPLIT_BITS)
+            big = -rng.getrandbits(3 * stirling.SPLIT_BITS)
             q = Fraction(big, 3 ** 20_000)
             assert cli._number_text(q) == str(q)
         finally:

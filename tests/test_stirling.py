@@ -25,11 +25,14 @@ from bosonorder import (ApproxValue, BellPolynomial, ComplexApproxValue,
                         word_from_type)
 from bosonorder.check import run_selfcheck
 from bosonorder import stirling
-from bosonorder.stirling import (_closed_form_row, _dobinski_sum,
-                                _over_factorial, _runs, _settlement_products)
+from bosonorder.cli import MAX_DIGITS
+from bosonorder.stirling import (SPLIT_BITS, _closed_form_row, _dobinski_sum,
+                                _over_factorial, _rounded, _runs,
+                                _settlement_products)
 from oracles import (bell_poly_recursion, bell_r1_terms,
                      check_polynomial_identity, dobinski_terms,
-                     factor_by_factor_product, falling_factorial_expansion)
+                     factor_by_factor_product, falling_factorial_expansion,
+                     rounded_by_context)
 
 SHOWCASE = StringType((3, 2, 1, 3), (2, 2, 2, 3))
 
@@ -334,6 +337,23 @@ class TestBellPolynomial:
         p = BellPolynomial((0, 2, 1))
         assert p.evaluate(Fraction(1, 2)) == Fraction(5, 4)
 
+    def test_evaluate_matches_fraction_horner(self):
+        # one Fraction built at the end equals a Fraction per coefficient;
+        # an int argument still gives an int
+        rng = random.Random(31)
+        for _ in range(200):
+            p = BellPolynomial(rng.randint(0, 50)
+                               for _ in range(rng.randint(1, 12)))
+            x = Fraction(rng.randint(0, 30), rng.randint(1, 30))
+            horner = Fraction(0)
+            for c in reversed(p.coeffs):
+                horner = horner * x + c
+            got = p.evaluate(x)
+            assert type(got) is Fraction and got == horner
+            got = p.evaluate(x.numerator)
+            assert type(got) is int and got == p.evaluate(
+                Fraction(x.numerator))
+
     def test_degree(self):
         assert len(bell_polynomial(SHOWCASE).coeffs) - 1 == SHOWCASE.total_s
 
@@ -592,6 +612,92 @@ class TestHighPrecision:
                                bell_number(StringType.uniform(r, 1, n)), 3000)
 
 
+class TestRounded:
+    """_rounded divides in integers; the decimal division and quantize it
+    replaced (oracles.rounded_by_context) gives the same string wherever
+    that division's exponent range reaches."""
+
+    @staticmethod
+    def _same(num, den, digits):
+        assert str(_rounded(num, den, digits)) \
+            == str(rounded_by_context(num, den, digits)), (num, den, digits)
+
+    def test_random_sweep(self):
+        rng = random.Random(3001)
+        for _ in range(6000):
+            num = rng.getrandbits(rng.randint(0, 200)) * rng.choice((1, -1))
+            den = rng.getrandbits(rng.randint(1, 200)) or 1
+            self._same(num, den, rng.randint(1, 39))
+
+    def test_exact_ties_of_both_parities(self):
+        # (q + 1/2) 10^j with q of `digits` digits, over a common factor
+        rng = random.Random(3002)
+        for digits in range(1, 40):
+            for q in (10 ** (digits - 1), 10 ** digits - 2,
+                      *(rng.randrange(10 ** (digits - 1), 10 ** digits)
+                        for _ in range(4))):
+                for j in (-25, -1, 0, 1, 25):
+                    num, den = (2 * q + 1) * 10 ** max(j, 0), \
+                        2 * 10 ** max(-j, 0)
+                    k = rng.getrandbits(64) | 1
+                    for sign in (1, -1):
+                        self._same(sign * num * k, den * k, digits)
+                        # one above and one below the tie
+                        self._same(sign * (num * k + 1), den * k, digits)
+                        self._same(sign * (num * k - 1), den * k, digits)
+
+    def test_zero_and_negative_numerators(self):
+        for den in (1, 3, 10 ** 50 + 7):
+            for digits in (1, 7, 39):
+                self._same(0, den, digits)
+                assert str(_rounded(0, den, digits)) == "0"
+                for num in (-1, -2, -10 ** 40, -(3 ** 90)):
+                    self._same(num, den, digits)
+                    assert _rounded(num, den, digits) \
+                        == _rounded(-num, den, digits).copy_negate()
+
+    @pytest.mark.parametrize("num, den, digits, text", [
+        (99996, 10000, 4, "10.00"), (-99996, 10000, 4, "-10.00"),
+        (99995, 10000, 4, "10.00"), (99985, 10000, 4, "9.998"),
+        (95, 1, 1, "1E+2"), (99_999_995, 10 ** 10, 7, "0.01000000"),
+    ])
+    def test_carry_to_a_power_of_ten(self, num, den, digits, text):
+        self._same(num, den, digits)
+        assert str(_rounded(num, den, digits)) == text
+
+    def test_operands_either_side_of_the_split(self):
+        # operands and quotients a few bits either side of SPLIT_BITS; a
+        # quotient of 4 932 digits fits in SPLIT_BITS bits, one of 4 933
+        # does not
+        rng = random.Random(3003)
+        bits = [SPLIT_BITS + k for k in (-2, -1, 0, 1, 2)] + [1, 40]
+        for digits in (1, 39, 4932, 4933, 10 ** 4):
+            for num_bits in bits:
+                den_bits = rng.choice(bits)
+                num = rng.getrandbits(num_bits) | 1 << (num_bits - 1)
+                den = rng.getrandbits(den_bits) | 1 << (den_bits - 1)
+                self._same(num, den, digits)
+                self._same(-num, den, digits)
+
+    @pytest.mark.parametrize("digits", [*range(1, 40), 10 ** 4])
+    def test_every_digit_count(self, digits):
+        rng = random.Random(digits)
+        for _ in range(5):
+            self._same(rng.getrandbits(300) - (1 << 299),
+                       rng.getrandbits(150) | 1, digits)
+        self._same(1, 3, digits)
+        self._same(2, 3, digits)
+        self._same(10 ** 60, 7, digits)
+
+    def test_past_the_default_exponent_range(self):
+        # the decimal division overflowed or flushed to 0 here; the
+        # integer division keeps the correctly rounded value
+        assert str(_rounded(2 * 10 ** 1_100_000 + 1, 3, 5)) \
+            == "6.6667E+1099999"
+        assert str(_rounded(-2, 3 * 10 ** 1_100_000, 5)) \
+            == "-6.6667E-1100001"
+
+
 class TestSettlementProduct:
     def test_single_bug(self):
         for m in range(6):
@@ -750,31 +856,47 @@ class TestCoherentExpectation:
         (1, 20, "2.0000000000000000000", "0"),
         ((0, 1), 10, "0", "-2.000000000"),
         (Fraction(1, 3), 12, "0.0411522633745", "0"),
-    ], ids=["exact-real", "exact-imaginary", "rounded"])
+        (1, MAX_DIGITS, Fraction(2), "0"),
+        (Fraction(1, 3), MAX_DIGITS, Fraction(10, 243), "0"),
+    ], ids=["exact-real", "exact-imaginary", "rounded", "exact-max-digits",
+            "rounded-max-digits"])
     def test_exact_values_print_every_digit(self, z, digits, real, imag):
         # an exact quotient keeps every requested digit, as a rounded one
-        # does; only 0 prints short
+        # does; only 0 prints short.  At MAX_DIGITS the quotient is
+        # converted by halves, and every digit is checked against a
+        # division at that precision
         out = coherent_expectation(StringType((1, 2), (1, 1)), z, digits)
+        if isinstance(real, Fraction):
+            with localcontext() as ctx:
+                ctx.prec = digits
+                assert out.real == (Decimal(real.numerator)
+                                    / Decimal(real.denominator))
+            real = str(out.real)
         assert (str(out.real), str(out.imag)) == (real, imag)
         assert len(out.real.as_tuple().digits) == digits or out.real == 0
 
     def test_large_excess_answers_in_time_and_exactly(self):
         # (a+)^(d+1) a has excess d and B(x) = x, so z = 2 gives 2^(d+2)
-        # and z = 3i gives (-i)^d 3^(d+2) = -i 3^(d+2) at d = 20 001, and
-        # z = (3 + 4i)/5 on the unit circle a value of modulus 1.  One
-        # Fraction multiply per unit of d took 5 s at d = 8 000 on that z;
-        # a child process with a timeout fails the test instead of hanging
+        # and z = 3i gives (-i)^d 3^(d+2) = -i 3^(d+2) at d = 20 001,
+        # z = (3 + 4i)/5 on the unit circle a value of modulus 1, and the
+        # binary floats of z = 0.1 + 0.7i one of squared modulus
+        # (|z|^2)^(d+2), its parts about 1.1 Mbit over 1.1 Mbit.  One
+        # Fraction multiply per unit of d took 5 s at d = 8 000 on the
+        # unit-circle z, and converting the float z's parts to decimal
+        # before dividing took 10 s; a child process with a timeout fails
+        # the test instead of hanging
         d = 20_001
         code = ("from fractions import Fraction\n"
                 "from bosonorder import StringType, coherent_expectation\n"
                 f"t = StringType(({d + 1},), (1,))\n"
-                "for z in (2, (0, 3), (Fraction(3, 5), Fraction(4, 5))):\n"
+                "for z in (2, (0, 3), (Fraction(3, 5), Fraction(4, 5)),\n"
+                "          0.1 + 0.7j):\n"
                 "    out = coherent_expectation(t, z, 40)\n"
                 "    print(out.real, out.imag)\n")
         root = Path(__file__).resolve().parents[1]
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
-            timeout=20, env=dict(os.environ, PYTHONPATH=str(root / "src")))
+            timeout=5, env=dict(os.environ, PYTHONPATH=str(root / "src")))
         assert (proc.returncode, proc.stderr) == (0, "")
         got = list(map(Decimal, proc.stdout.split()))
         with localcontext() as ctx:
@@ -784,6 +906,13 @@ class TestCoherentExpectation:
         assert [len(v.as_tuple().digits) for v in got[:4]] == [40, 1, 1, 40]
         modulus = Fraction(got[4]) ** 2 + Fraction(got[5]) ** 2
         assert abs(modulus - 1) < Fraction(1, 10 ** 38)
+        square = Fraction(0.1) ** 2 + Fraction(0.7) ** 2
+        with localcontext() as ctx:
+            ctx.prec = 60
+            expected = (Decimal(square.numerator)
+                        / Decimal(square.denominator)) ** (d + 2)
+        modulus = Fraction(got[6]) ** 2 + Fraction(got[7]) ** 2
+        assert abs(modulus / Fraction(expected) - 1) < Fraction(1, 10 ** 38)
 
     def test_power_matches_one_multiply_per_unit(self):
         # conj(z)^d multiplied in d times, as before squaring, at d <= 300
