@@ -3,11 +3,12 @@ that verifies the routes and the colony counts against each other.
 
 The routes are independent on purpose: rewriting, the recurrence, the
 closed form and colony enumeration each reach the same table another way.
+Selfcheck's one colony walk runs through the enumeration route's own code.
 """
 
 from __future__ import annotations
 
-import math
+from collections.abc import Iterator
 from fractions import Fraction
 
 from . import combinat
@@ -42,24 +43,21 @@ class CheckResult:
         self.detail = detail
 
 
-def _walk_colonies(t: StringType) -> tuple[list[int], tuple[int, int] | None]:
-    # One walk over every colony, read from the walk's own state: the
-    # histogram of free legs, and the first colony whose empty cells,
-    # counted from the cells its feet hold, differ from excess plus free
-    # legs, as (empty cells, free legs).  union[f] is the union of the cells
+def _walk_colonies(t: StringType, bad: list) -> Iterator[tuple[int, int, int]]:
+    # One walk over every colony: each yield of the walk is passed on, for
+    # the enumeration route's tally, then its colonies are read from the
+    # walk's own state.  The first colony whose empty cells, counted from
+    # the cells its feet hold, differ from excess plus free legs goes into
+    # bad[0] as (empty cells, free legs).  union[f] is the union of the cells
     # held by feet 0..f-1, rebuilt from the first foot that moved; the last
     # two feet's cells join union[stop] one colony at a time
     stop = t.total_s - 2
     held = [0] * t.total_s
     changed = [0]
     union = [0] * (t.total_s + 1)
-    hist = [0] * (t.total_s + 2)
-    bad = None
     total_r, excess = t.total_r, t.excess
     for ground, near, far in combinat._walk(t, held, changed):
-        hist[ground + 2] += 1
-        hist[ground + 1] += (a := near.bit_count()) + (b := far.bit_count())
-        hist[ground] += a * (b - 1)
+        yield ground, near, far
         f = changed[0]
         cells = union[f]
         while f < stop:
@@ -73,14 +71,13 @@ def _walk_colonies(t: StringType) -> tuple[list[int], tuple[int, int] | None]:
             xs ^= x
             hx, legs = cells | x >> 1, ground + (x == 1)
             if (empty := total_r - hx.bit_count()) != excess + legs + 1:
-                bad = bad or (empty, legs + 1)
+                bad[0] = bad[0] or (empty, legs + 1)
             free = far & ~(x >> 1)
             while free:
                 y = free & -free
                 free ^= y
                 if (empty := total_r - (hx | y).bit_count()) != excess + legs:
-                    bad = bad or (empty, legs)
-    return hist, bad
+                    bad[0] = bad[0] or (empty, legs)
 
 
 def run_selfcheck(t: StringType,
@@ -96,12 +93,14 @@ def run_selfcheck(t: StringType,
     prod_j (X+d_{j-1})_(s_j) = sum_k S(k) (X)_k have degree at most sum(s),
     so the closed form, which interpolates it on x = 0..sum(s), proves it
     in the table check, and the settlement check, on m = 0..sum(s), proves
-    it for the colonies walked.  One walk over the colonies gives the
-    enumeration route's table and checks 2 and 3.
+    it for the colonies walked.  One walk over the colonies serves checks
+    1-3: the enumeration route's own tally turns its yields into h, and
+    enumerate_settlements' own sum turns h into settlement counts.
     TooLarge is raised before any route runs if the type exceeds the cap.
     """
     combinat._require_under_cap(t, enum_cap)
-    hist, bad = _walk_colonies(t)
+    bad = [None]
+    walked = combinat._tally(t, _walk_colonies(t, bad))
     results = []
 
     def check(name: str, failure, passed: str = "") -> None:
@@ -110,7 +109,6 @@ def run_selfcheck(t: StringType,
                        else CheckResult(name, "pass", passed))
 
     # the walk above is the enumeration route's: its table comes from there
-    walked = {k: v for k, v in enumerate(hist) if v}
     tables = {}
     for name, route in TABLE_ROUTES.items():
         try:
@@ -125,14 +123,13 @@ def run_selfcheck(t: StringType,
           f"{len(tables)} methods on table {table}")
 
     check("empty cells equal excess plus free legs",
-          bad and f"{bad[0]} cells vs {t.excess} + {bad[1]}")
+          bad[0] and f"{bad[0][0]} cells vs {t.excess} + {bad[0][1]}")
 
     # the product's counts for m = 0..sum(s), as one window of p
     products = _settlement_products(t, 0, t.total_s + 1)
     bad_counts = [(m, enumerated, product)
                   for m, product in enumerate(products)
-                  if (enumerated := sum(v * math.perm(m, k)
-                                        for k, v in enumerate(hist) if v))
+                  if (enumerated := combinat._settlement_sum(walked, m))
                   != product]
     check("settlement counts agree",
           bad_counts and f"(m, enumerated, product) = {bad_counts}",

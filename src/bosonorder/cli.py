@@ -4,7 +4,7 @@ Subcommands cover every computation path (ordering, coefficient tables,
 numeric series, enumeration) plus a selfcheck that cross-verifies them on
 one input type.  Exit codes: 0 success, 1 computational error, failed
 selfcheck or stdout closed by its reader, 2 usage or parse error or an
-unwritable --out.  Colony listings stream, so their memory stays flat.
+unwritable --out or stdout.  Colony listings stream, so memory stays flat.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 import os
 import re
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import islice
 from json.encoder import encode_basestring_ascii
@@ -251,16 +252,10 @@ def _type_payload(t: StringType):
 def _format_normal_form(form: NormalForm) -> str:
     parts = []
     for i, j, c in form.monomials():
-        factors = []
-        if i:
-            factors.append("ad" if i == 1 else f"ad^{i}")
-        if j:
-            factors.append("a" if j == 1 else f"a^{j}")
-        if factors:
-            term = " ".join(factors)
-            parts.append(term if c == 1 else f"{_number_text(c)} {term}")
-        else:
-            parts.append(_number_text(c))
+        term = word_to_text(BosonWord.from_runs(
+            run for run in ((CREATION, i), (ANNIHILATION, j)) if run[1]))
+        parts.append(term if c == 1 and term
+                     else f"{_number_text(c)} {term}".rstrip())
     return " + ".join(parts) if parts else "0"
 
 
@@ -469,23 +464,21 @@ def main(argv: list[str] | None = None) -> int:
     if isinstance(result, dict):
         result = json.dumps(result, indent=2)
     chunks = (result,) if isinstance(result, str) else result
-    if not args.out:
-        try:
-            _write(sys.stdout, chunks)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader left: send the rest to devnull, so the flush at exit
-            # cannot fail again, and exit 1 as Python does on SIGPIPE
+    try:
+        with (open(args.out, "w", encoding="utf-8") if args.out
+              else nullcontext(sys.stdout)) as fh:
+            _write(fh, chunks)
+            fh.flush()
+    except OSError as exc:
+        if not args.out:
+            # send the rest to devnull, so the flush at exit cannot fail
+            # again; exit 1 if the reader left, as Python does on SIGPIPE
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-            return 1
-        return code
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _write(fh, chunks)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc.strerror}",
+            if isinstance(exc, BrokenPipeError):
+                return 1
+        print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror}",
               file=sys.stderr)
         return 2
     return code

@@ -8,7 +8,7 @@ outputs stay byte-stable.
 Colonies come from one iterative depth-first walk over integer cell ids
 with a bitmask of occupied cells.  It does not recurse, so no type is too
 deep for it.  One step per placement of all feet but the last two hands
-over the cells those two may take as masks near within far: the histogram
+over the cells those two may take as masks near within far: one tally
 counts the pair from the masks' bit counts, the listing and selfcheck
 take one colony at a time.  Reading only occupied cells, never the excess
 or S(k), the walk stays independent of the recurrence.
@@ -204,18 +204,28 @@ def enumerate_colonies(t: StringType,
     return _colony_stream(t)
 
 
+def _tally(t: StringType, walk: Iterable) -> dict[int, int]:
+    # the free-leg histogram from the yields of a walk over t's colonies;
+    # one spare entry: a feetless type adds 0 at ground -2
+    counts = [0] * (t.total_s + 2)
+    for ground, near, far in walk:
+        counts[ground + 2] += 1
+        counts[ground + 1] += (a := near.bit_count()) + (b := far.bit_count())
+        counts[ground] += a * (b - 1)
+    return {k: v for k, v in enumerate(counts) if v}
+
+
+def _settlement_sum(hist: dict[int, int], m: int) -> int:
+    # sum_k h_k (m)_k, the m-settlements of the colonies h counts
+    return sum(v * math.perm(m, k) for k, v in hist.items())
+
+
 def count_colonies_by_free_legs(t: StringType,
                                 enum_cap: int = DEFAULT_ENUM_CAP) -> dict[int, int]:
     """Histogram of colonies by free-leg count: per placement of all feet
     but the last two, the pair counted from its cell masks near within far."""
     _require_under_cap(t, enum_cap)
-    # one spare entry: a feetless type yields ground -2 and adds 0 there
-    counts = [0] * (t.total_s + 2)
-    for ground, near, far in _walk(t, [0] * t.total_s, [0]):
-        counts[ground + 2] += 1
-        counts[ground + 1] += (a := near.bit_count()) + (b := far.bit_count())
-        counts[ground] += a * (b - 1)
-    return {k: v for k, v in enumerate(counts) if v}
+    return _tally(t, _walk(t, [0] * t.total_s, [0]))
 
 
 def enumerate_settlements(t: StringType, m: int,
@@ -225,8 +235,7 @@ def enumerate_settlements(t: StringType, m: int,
     m is, so only the colony count is held to the cap."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    return sum(v * math.perm(m, k)
-               for k, v in count_colonies_by_free_legs(t, enum_cap).items())
+    return _settlement_sum(count_colonies_by_free_legs(t, enum_cap), m)
 
 
 class IncreasingForest(_Value):

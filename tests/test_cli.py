@@ -18,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosonorder import (ANNIHILATION, CREATION, ApproxValue, BosonWord,
-                        LengthMismatch, NormalForm, ParseError, StirlingTable,
-                        StringType, TooLarge, normal_order,
+                        LengthMismatch, NegativeExcess, NormalForm, ParseError,
+                        StirlingTable, StringType, TooLarge, normal_order,
                         stirling_recurrence, type_from_word)
 from bosonorder import check, cli, combinat, stirling
 from bosonorder.check import run_selfcheck
@@ -413,6 +413,79 @@ class TestSelfcheck:
         results = run_selfcheck(t)
         assert [r.status for r in results] == ["pass"] * 3 + ["fail"]
         assert results[-1].detail == f"{wrong} vs 5"
+
+
+def _tally_off_by_one(tally):
+    # one colony too many at the lowest free-leg count
+    def mutant(t, walk):
+        hist = tally(t, walk)
+        low = min(hist)
+        return {**hist, low: hist[low] + 1}
+    return mutant
+
+
+# Private kernels of the routes, each with a seeded mutant (given the
+# kernel, it returns the mutated kernel), the outputs the mutant may change
+# and the selfcheck legs it must fail.  Outputs are the four table routes
+# and "settlements", enumerate_settlements at m = 0..sum(s)
+KERNELS = {
+    "_tally": (_tally_off_by_one, {"enumerate", "settlements"},
+               {"stirling tables agree", "settlement counts agree"}),
+    "_settlement_sum": (lambda total: lambda hist, m: total(hist, m) + 1,
+                        {"settlements"}, {"settlement counts agree"}),
+}
+
+# small types of both prefix signs, one with a negative excess
+KERNEL_TYPES = [StringType((2, 1, 3), (1, 2, 2)),
+                StringType((1, 1, 3), (1, 3, 1)),
+                StringType((1, 3), (2, 1)), StringType((2,), (1,)),
+                StringType.uniform(1, 1, 4), StringType((1, 1), (1, 3))]
+
+
+def _kernel_outputs(t):
+    outputs = {}
+    for name, route in check.TABLE_ROUTES.items():
+        try:
+            outputs[name] = route(t, combinat.DEFAULT_ENUM_CAP)
+        except NegativeExcess:
+            outputs[name] = None
+    outputs["settlements"] = [combinat.enumerate_settlements(t, m)
+                              for m in range(t.total_s + 1)]
+    return outputs
+
+
+class TestKernelMutants:
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_mutant_changes_its_outputs_and_fails_its_legs(self, kernel,
+                                                           monkeypatch):
+        mutate, changes, fails = KERNELS[kernel]
+        right = {t: _kernel_outputs(t) for t in KERNEL_TYPES}
+        monkeypatch.setattr(combinat, kernel,
+                            mutate(getattr(combinat, kernel)))
+        for t in KERNEL_TYPES:
+            wrong = _kernel_outputs(t)
+            assert {name for name, out in wrong.items()
+                    if out != right[t][name]} == changes, t
+            results = run_selfcheck(t)
+            assert {r.name for r in results if r.status == "fail"} \
+                == fails, t
+            assert len(results) == 4
+
+    def test_tally_mutant_shows_in_the_enumerated_table(self, monkeypatch,
+                                                        capsys):
+        monkeypatch.setattr(combinat, "_tally",
+                            _tally_off_by_one(combinat._tally))
+        assert main(["stirling", "--method", "enumerate", "--r", "2,1,3",
+                     "--s", "1,2,2"]) == 0
+        assert capsys.readouterr().out == (
+            "d = 1\nS(2) = 13\nS(3) = 24\nS(4) = 10\nS(5) = 1\nbell = 48\n")
+        assert main(["selfcheck", "--r", "2,1,3", "--s", "1,2,2"]) == 1
+        assert [line.split(":")[0] for line in
+                capsys.readouterr().out.splitlines()] == [
+            "FAIL stirling tables agree",
+            "PASS empty cells equal excess plus free legs",
+            "FAIL settlement counts agree",
+            "PASS dobinski series gives the bell number"]
 
 
 def _readme_examples():
@@ -1146,6 +1219,20 @@ class TestStreamedListings:
         assert out == ""
         assert err == ("error: cannot write /dev/full: "
                        "No space left on device\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs a device that refuses every write")
+    def test_full_stdout_is_a_usage_error(self):
+        env = dict(os.environ)
+        env.pop("BOSON_ORDER_ENUM_CAP", None)
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "bosonorder", "colonies", *EIGHT_BUGS],
+                stdout=full, stderr=subprocess.PIPE, env=env)
+        err = proc.stderr.decode()
+        assert proc.returncode == 2
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert err == "error: cannot write stdout: No space left on device\n"
 
     def test_closed_pipe_exits_1_without_a_traceback(self):
         env = dict(os.environ)
