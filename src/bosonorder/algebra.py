@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Iterable, Iterator, Mapping
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, count, repeat
 from operator import add, attrgetter, index, mul, sub
 
 from .errors import NegativeExcess
@@ -35,10 +35,12 @@ ANNIHILATION = Letter.ANNIHILATION
 
 class _Value:
     """Base of the package's immutable values.  Each subclass names its
-    fields once, in ``__slots__``, and two hooks read them from there:
+    fields once, in ``__slots__``, and three hooks read them from there:
     ``__init_subclass__`` makes ``_key``, the attrgetter of the slots, unless
-    the class names its own, and ``_store(*values)`` writes the slots in
-    order past the frozen ``__setattr__``, as each ``__init__`` does.  Two
+    the class names its own; ``_store(*values)`` writes the slots in order
+    past the frozen ``__setattr__``, as each ``__init__`` does; and
+    ``_made(*values)`` builds a value from fields a kernel has already put
+    in canonical form, storing them without ``__init__``'s checks.  Two
     values are equal when they are of the same class with equal keys, and
     hash and print by them; setting or deleting an attribute raises
     AttributeError.  Values copy, deep-copy and pickle."""
@@ -52,6 +54,12 @@ class _Value:
     def _store(self, *values) -> None:
         for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _made(cls, *values):
+        value = object.__new__(cls)
+        value._store(*values)
+        return value
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -217,26 +225,34 @@ def _times_creations(lo: int, row: list[int], l: int) -> tuple[int, list[int]]:
     excess e + l.  Each term crosses as
     a^j (a+)^l = sum_p C(l,p) (j)_p (a+)^(l-p) a^(j-p), and every p is one
     vector pass: p = 0 is the row shifted, and the weights (j)_p of pass p
-    are those of pass p - 1 times j - p + 1.
+    are those of pass p - 1 times j - p + 1.  The row is taken over, not
+    copied: the caller drops it.
     """
     top = lo + len(row)  # one past the highest annihilation degree
     new_lo = max(lo - l, 0)
-    new = [0] * (lo - new_lo) + row
+    new = [0] * (lo - new_lo) + row if lo else row
     weighted, start = row, lo  # weighted[j - start] = row[j - lo] * (j)_p
     for p in range(1, min(l, top - 1) + 1):
         if start < p:  # (p - 1)_p = 0: that term has nothing left to cross
             weighted, start = weighted[1:], p
-        weighted = list(map(mul, weighted, range(start - p + 1, top - p + 1)))
         a = start - p - new_lo
-        b = a + len(weighted)
-        new[a:b] = map(add, new[a:b],
-                       map(mul, weighted, repeat(math.comb(l, p))))
+        b = a + top - start
+        terms = map(mul, weighted, range(start - p + 1, top - p + 1))
+        if p < l:  # at p = l, C(l,l) = 1 and no later pass reads weighted
+            weighted = list(terms)
+            terms = map(mul, weighted, repeat(math.comb(l, p)))
+        new[a:b] = map(add, new[a:b], terms)
     return new_lo, new
 
 
 def _from_row(excess: int, lo: int, row: list[int]) -> NormalForm:
+    # keys j - shift count from lo - shift, ascending; lo + excess, the
+    # lowest creation degree, is never negative, so neither is a key
     shift = max(-excess, 0)
-    return NormalForm(excess, {j - shift: c for j, c in enumerate(row, lo)})
+    if lo < shift:
+        raise AssertionError(f"degree {lo - shift} < 0 in a normal form")
+    return NormalForm._made(
+        excess, {k: c for k, c in zip(count(lo - shift), row) if c})
 
 
 def _rewrite_letterwise(word: BosonWord) -> dict[tuple[int, int], int]:
@@ -273,20 +289,22 @@ def normal_order(word: BosonWord, method: str = "blockwise") -> NormalForm:
     (a+)^(j + e) a^j with j = lo + i at the running excess e, so every
     term's degrees follow from its place.  An a^k run only moves the indices
     (lo and e); an (a+)^l run clears the block boundary with the crossing
-    formula, one vector pass over the row per crossing depth p.
+    formula, one vector pass over the row per crossing depth p.  The normal
+    form is made from the final row in one step, ``_from_row``: its keys
+    ascend by construction, so only the lowest degree is checked.
     ``method="letterwise"`` applies the commutation relation one letter pair
     at a time; it is exponential and exists only as an independent oracle.
     Both give the same normal form.
     """
     if method == "blockwise":
         excess, lo, row = 0, 0, [1]
-        for letter, count in word.runs:
+        for letter, length in word.runs:
             if letter is CREATION:
-                lo, row = _times_creations(lo, row, count)
-                excess += count
+                lo, row = _times_creations(lo, row, length)
+                excess += length
             else:
-                lo += count
-                excess -= count
+                lo += length
+                excess -= length
         return _from_row(excess, lo, row)
     if method == "letterwise":
         return _collapse(_rewrite_letterwise(word), word.excess)
@@ -295,10 +313,17 @@ def normal_order(word: BosonWord, method: str = "blockwise") -> NormalForm:
 
 def word_from_type(t: StringType) -> BosonWord:
     """The word (a+)^r_n a^s_n ... (a+)^r_1 a^s_1; factor 1 ends up rightmost.
-    Zero exponents (s_1, r_n) give no run."""
-    return BosonWord.from_runs(
-        run for ri, si in zip(reversed(t.r), reversed(t.s))
-        for run in ((CREATION, ri), (ANNIHILATION, si)) if run[1])
+    Zero exponents (s_1, r_n) give no run.  The type has checked every
+    exponent and only those two may be 0, so the runs alternate as built
+    and need no merging."""
+    runs = [None] * (2 * t.n)
+    runs[::2] = zip(repeat(CREATION), reversed(t.r))
+    runs[1::2] = zip(repeat(ANNIHILATION), reversed(t.s))
+    if not t.s[0]:
+        del runs[-1]
+    if not t.r[-1]:
+        del runs[0]
+    return BosonWord._made(tuple(runs))
 
 
 def type_from_word(word: BosonWord) -> StringType:

@@ -464,13 +464,15 @@ def main(argv: list[str] | None = None) -> int:
     if isinstance(result, dict):
         result = json.dumps(result, indent=2)
     chunks = (result,) if isinstance(result, str) else result
+    # an empty --out is a path that cannot be opened, not stdout
+    to_stdout = args.out is None
     try:
-        with (open(args.out, "w", encoding="utf-8") if args.out
-              else nullcontext(sys.stdout)) as fh:
+        with (nullcontext(sys.stdout) if to_stdout
+              else open(args.out, "w", encoding="utf-8")) as fh:
             _write(fh, chunks)
             fh.flush()
     except OSError as exc:
-        if not args.out:
+        if to_stdout:
             # send the rest to devnull, so the flush at exit cannot fail
             # again; exit 1 if the reader left, as Python does on SIGPIPE
             devnull = os.open(os.devnull, os.O_WRONLY)
@@ -478,8 +480,8 @@ def main(argv: list[str] | None = None) -> int:
             os.close(devnull)
             if isinstance(exc, BrokenPipeError):
                 return 1
-        print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror}",
-              file=sys.stderr)
+        where = "stdout" if to_stdout else args.out or '""'
+        print(f"error: cannot write {where}: {exc.strerror}", file=sys.stderr)
         return 2
     return code
 

@@ -153,7 +153,9 @@ def stirling_recurrence(t: StringType) -> StirlingTable:
     d + k counts free creators, so it is never negative for a nonzero S(k),
     for any type.  Zero entries at the low end are dropped after each leg,
     so the lowest entry is nonzero, and a negative d + lo there means that
-    invariant broke: AssertionError, never a silently clamped count.
+    invariant broke: AssertionError, never a silently clamped count.  The
+    table is made from the finished row in one step, ``_table_from_row``,
+    which checks the row's two ends and its signs once, not key by key.
     """
     row, lo = [1], 0
     for d, s in zip(t.prefix_excesses, t.s):
@@ -167,7 +169,19 @@ def stirling_recurrence(t: StringType) -> StirlingTable:
                 del row[0]
                 lo += 1
             d -= 1
-    return StirlingTable(t, dict(zip(count(lo), row)))
+    return _table_from_row(t, lo, row)
+
+
+def _table_from_row(t: StringType, lo: int, row: list[int]) -> StirlingTable:
+    # row[i] = S(lo + i), keys ascending by construction: the window is
+    # checked on the row's two ends, the signs with one min, and zeros
+    # are dropped.  A violation is a broken kernel: AssertionError
+    if lo < t.s[0] or lo + len(row) - 1 > t.total_s:
+        raise AssertionError(f"keys {lo}..{lo + len(row) - 1} outside the "
+                             f"window [{t.s[0]}, {t.total_s}]")
+    if min(row) < 0:
+        raise AssertionError("coefficients count colonies; got a negative")
+    return StirlingTable._made(t, {k: v for k, v in zip(count(lo), row) if v})
 
 
 def bell_number(t: StringType) -> int:

@@ -21,7 +21,7 @@ from bosonorder import (ANNIHILATION, CREATION, ApproxValue, BosonWord,
                         LengthMismatch, NegativeExcess, NormalForm, ParseError,
                         StirlingTable, StringType, TooLarge, normal_order,
                         stirling_recurrence, type_from_word)
-from bosonorder import check, cli, combinat, stirling
+from bosonorder import algebra, check, cli, combinat, stirling
 from bosonorder.check import run_selfcheck
 from bosonorder.cli import (MAX_DIGITS, MAX_EXPONENT_DIGITS, build_parser,
                             main, parse_type, parse_word, word_to_text)
@@ -424,15 +424,28 @@ def _tally_off_by_one(tally):
     return mutant
 
 
-# Private kernels of the routes, each with a seeded mutant (given the
-# kernel, it returns the mutated kernel), the outputs the mutant may change
-# and the selfcheck legs it must fail.  Outputs are the four table routes
-# and "settlements", enumerate_settlements at m = 0..sum(s)
+def _crossing_off_by_one(times_creations):
+    # one unit too many on the lowest term of every crossing
+    def mutant(lo, row, l):
+        lo, row = times_creations(lo, row, l)
+        return lo, [row[0] + 1, *row[1:]]
+    return mutant
+
+
+# Private kernels of the routes, each with its module, a seeded mutant
+# (given the kernel, it returns the mutated kernel), the outputs the mutant
+# may change and the selfcheck legs it must fail.  Outputs are the four
+# table routes and "settlements", enumerate_settlements at m = 0..sum(s).
+# On a type where a route refuses (rewriting, on a negative excess), its
+# kernel's mutant changes nothing and fails no leg
 KERNELS = {
-    "_tally": (_tally_off_by_one, {"enumerate", "settlements"},
+    "_tally": (combinat, _tally_off_by_one, {"enumerate", "settlements"},
                {"stirling tables agree", "settlement counts agree"}),
-    "_settlement_sum": (lambda total: lambda hist, m: total(hist, m) + 1,
+    "_settlement_sum": (combinat,
+                        lambda total: lambda hist, m: total(hist, m) + 1,
                         {"settlements"}, {"settlement counts agree"}),
+    "_times_creations": (algebra, _crossing_off_by_one, {"rewrite"},
+                         {"stirling tables agree"}),
 }
 
 # small types of both prefix signs, one with a negative excess
@@ -458,18 +471,22 @@ class TestKernelMutants:
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_mutant_changes_its_outputs_and_fails_its_legs(self, kernel,
                                                            monkeypatch):
-        mutate, changes, fails = KERNELS[kernel]
+        module, mutate, changes, fails = KERNELS[kernel]
         right = {t: _kernel_outputs(t) for t in KERNEL_TYPES}
-        monkeypatch.setattr(combinat, kernel,
-                            mutate(getattr(combinat, kernel)))
+        monkeypatch.setattr(module, kernel, mutate(getattr(module, kernel)))
+        refusals = 0
         for t in KERNEL_TYPES:
+            reached = {name for name in changes if right[t][name] is not None}
+            refusals += reached != changes
             wrong = _kernel_outputs(t)
             assert {name for name, out in wrong.items()
-                    if out != right[t][name]} == changes, t
+                    if out != right[t][name]} == reached, t
             results = run_selfcheck(t)
             assert {r.name for r in results if r.status == "fail"} \
-                == fails, t
+                == (fails if reached else set()), t
             assert len(results) == 4
+        # the sweep meets rewriting's refusal, on the negative-excess type
+        assert refusals == ("rewrite" in changes)
 
     def test_tally_mutant_shows_in_the_enumerated_table(self, monkeypatch,
                                                         capsys):
@@ -1210,6 +1227,13 @@ class TestStreamedListings:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+
+    def test_empty_out_is_a_usage_error(self, capsys):
+        # an empty path is refused, not taken for stdout
+        assert main(["bell", "--r", "1", "--s", "1", "--out", ""]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == 'error: cannot write "": No such file or directory\n'
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="needs a device that refuses every write")
