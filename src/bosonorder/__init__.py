@@ -10,8 +10,8 @@ from .combinat import (DEFAULT_ENUM_CAP, Colony, IncreasingForest,
                        enumerate_colonies, enumerate_settlements,
                        forest_to_colony, free_legs)
 from .errors import (BosonOrderError, LengthMismatch, NegativeExcess,
-                     NonCanonicalPrefix, NonzeroConstantTerm, NotUnary,
-                     OutOfRange, ParseError, PrecisionUnreachable, TooLarge)
+                     NonCanonicalPrefix, ParseError, PrecisionUnreachable,
+                     TooLarge)
 from .series import (EGF, PowerSeries, bell_r1_numeric, forest_egf,
                      series_exp, tree_series, tree_series_closed_form)
 from .stirling import (DEFAULT_MAX_TERMS, ApproxValue, BellPolynomial,
@@ -31,8 +31,7 @@ __all__ = [
     "enumerate_colonies", "enumerate_settlements", "forest_to_colony",
     "free_legs",
     "BosonOrderError", "LengthMismatch", "NegativeExcess",
-    "NonCanonicalPrefix", "NonzeroConstantTerm", "NotUnary", "OutOfRange",
-    "ParseError", "PrecisionUnreachable", "TooLarge",
+    "NonCanonicalPrefix", "ParseError", "PrecisionUnreachable", "TooLarge",
     "EGF", "PowerSeries", "bell_r1_numeric", "forest_egf",
     "series_exp", "tree_series", "tree_series_closed_form",
     "DEFAULT_MAX_TERMS", "ApproxValue", "BellPolynomial", "ComplexApproxValue",

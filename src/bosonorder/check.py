@@ -12,7 +12,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 
 from . import combinat
-from .algebra import (StringType, extract_stirling, normal_order,
+from .algebra import (StringType, _Value, extract_stirling, normal_order,
                       word_from_type)
 from .combinat import DEFAULT_ENUM_CAP, count_colonies_by_free_legs
 from .errors import NegativeExcess
@@ -32,15 +32,13 @@ TABLE_ROUTES = {
 }
 
 
-class CheckResult:
+class CheckResult(_Value):
     """One selfcheck line: what was checked, "pass" or "fail", and how."""
 
     __slots__ = ("name", "status", "detail")
 
     def __init__(self, name: str, status: str, detail: str = ""):
-        self.name = name
-        self.status = status
-        self.detail = detail
+        self._store(name, status, detail)
 
 
 def _walk_colonies(t: StringType, bad: list) -> Iterator[tuple[int, int, int]]:

@@ -19,8 +19,8 @@ from fractions import Fraction
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 
-from .algebra import (ANNIHILATION, CREATION, BosonWord, NormalForm,
-                      StringType, normal_order, type_from_word,
+from .algebra import (ANNIHILATION, CREATION, BosonWord, Letter,
+                      NormalForm, StringType, normal_order, type_from_word,
                       word_from_type)
 from .check import TABLE_ROUTES, run_selfcheck
 from .combinat import (DEFAULT_ENUM_CAP, colony_to_dot, colony_to_text,
@@ -36,6 +36,9 @@ _TOKEN = re.compile(r"(ad|a)(?:\^([0-9]+))?")
 # --digits above this is refused as a usage error before a 10^(digits+2)
 # tolerance or a Decimal context of that size is built
 MAX_DIGITS = 100_000
+
+# series --arity above this is refused before tree_series allocates its rows
+MAX_ARITY = 100_000
 
 # the exponents of one argument (a word, --r or --s) are read from at most
 # this many digits each and must sum to less than 10^MAX_EXPONENT_DIGITS,
@@ -92,8 +95,7 @@ def parse_word(text: str) -> BosonWord:
             raise ParseError(f"exponent must be positive in {token!r}",
                              _byte_offset(text, start))
         total += count
-        letter = CREATION if m.group(1) == "ad" else ANNIHILATION
-        runs.append((letter, count))
+        runs.append((Letter(m.group(1)), count))
     return BosonWord.from_runs(runs)
 
 
@@ -101,7 +103,7 @@ def word_to_text(word: BosonWord) -> str:
     """Run-length pretty-printer; parse_word inverts it exactly."""
     parts = []
     for letter, count in word.runs:
-        token = "ad" if letter is CREATION else "a"
+        token = letter.value
         parts.append(token if count == 1 else f"{token}^{count}")
     return " ".join(parts)
 
@@ -223,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
             _cmd_series, word=False)
     p.add_argument("--kind", default="tree",
                    choices=("tree", "tree-closed", "forest"))
-    p.add_argument("--arity", type=_count(2), required=True,
-                   help="at least 2 (arity 1 is the Bell case: see forests)")
+    p.add_argument("--arity", type=_count(2, MAX_ARITY), required=True,
+                   help=f"2 to {MAX_ARITY}; 1 is the Bell case: see forests")
     p.add_argument("--order", type=_count(0), default=10)
     add("selfcheck", "cross-verify all computation paths on one type",
         _cmd_selfcheck, enum_cap=True)
@@ -455,12 +457,9 @@ def main(argv: list[str] | None = None) -> int:
             args.enum_cap = _default_enum_cap()
         t = _resolve_input(args) if "word" in args else None
         result, code = args.handler(args, t)
-    except (ParseError, LengthMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BosonOrderError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ParseError, LengthMismatch)) else 1
     if isinstance(result, dict):
         result = json.dumps(result, indent=2)
     chunks = (result,) if isinstance(result, str) else result

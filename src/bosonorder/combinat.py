@@ -21,7 +21,7 @@ from collections.abc import Iterable, Iterator
 from itertools import accumulate, repeat
 
 from .algebra import StringType, _Value
-from .errors import NotUnary, TooLarge, _count_text
+from .errors import TooLarge, _count_text
 from .stirling import bell_number
 
 DEFAULT_ENUM_CAP = 10_000_000
@@ -278,7 +278,7 @@ def colony_to_forest(colony: Colony) -> IncreasingForest:
     internal vertices, cells become child slots, ground feet become roots."""
     t = colony.type
     if any(s != 1 for s in t.s):
-        raise NotUnary(f"every bug needs exactly one leg, got s={t.s}")
+        raise ValueError(f"every bug needs exactly one leg, got s={t.s}")
     return IncreasingForest(t.r, tuple(feet[0] for feet in colony.placement))
 
 

@@ -1,5 +1,6 @@
-"""Exception types shared by every module in the package, and the one way
-their messages show a count."""
+"""Exception types, and the one way their messages show a count.  A
+``BosonOrderError`` is a refusal that the CLI reports; a bad argument that
+the CLI never passes raises ``ValueError``."""
 
 
 def _count_text(n: int) -> str:
@@ -16,7 +17,7 @@ def _count_text(n: int) -> str:
 
 
 class BosonOrderError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class of the refusals the CLI reports."""
 
 
 class NegativeExcess(BosonOrderError):
@@ -27,11 +28,7 @@ class NegativeExcess(BosonOrderError):
 
 class NonCanonicalPrefix(BosonOrderError):
     """A route defined only on nonnegative prefix excesses (the single
-    closed-form coefficient) met a negative one."""
-
-
-class OutOfRange(BosonOrderError):
-    """Coefficient index outside the window where the closed form is defined."""
+    closed-form coefficient) met a negative one; the CLI never reports it."""
 
 
 class TooLarge(BosonOrderError):
@@ -40,14 +37,6 @@ class TooLarge(BosonOrderError):
 
 class PrecisionUnreachable(BosonOrderError):
     """Series summation hit its term cap before the tail bound was satisfied."""
-
-
-class NotUnary(BosonOrderError):
-    """Tree bijection applied to a colony whose bugs do not all have one leg."""
-
-
-class NonzeroConstantTerm(BosonOrderError):
-    """Exponential of a formal series whose constant term is not zero."""
 
 
 class LengthMismatch(BosonOrderError):

@@ -16,7 +16,6 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .algebra import _Value
-from .errors import NonzeroConstantTerm
 from .stirling import DEFAULT_MAX_TERMS, ApproxValue, _dobinski_sum
 
 EGF = "egf"
@@ -55,7 +54,7 @@ def series_exp(f: PowerSeries) -> PowerSeries:
     """exp of a series with zero constant term, via g' = f'g: in counts,
     g_(n+1) = sum_i C(n,i) f_(i+1) g_(n-i)."""
     if f.counts[0]:
-        raise NonzeroConstantTerm(f"constant term {f.counts[0]} is not zero")
+        raise ValueError(f"constant term {f.counts[0]} is not zero")
     derivative = f.counts[1:]
     g = [1]
     for n in range(f.order):

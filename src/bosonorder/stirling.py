@@ -29,7 +29,7 @@ from itertools import chain, count, repeat
 from operator import add, index, mul, sub
 
 from .algebra import StringType, _Value
-from .errors import (NegativeExcess, NonCanonicalPrefix, OutOfRange,
+from .errors import (NegativeExcess, NonCanonicalPrefix,
                      PrecisionUnreachable, _count_text)
 
 DEFAULT_MAX_TERMS = 10000
@@ -289,7 +289,7 @@ def stirling_closed_form(t: StringType, k: int) -> int:
         raise NonCanonicalPrefix(
             f"prefix excesses {t.prefix_excesses} contain a negative entry")
     if not t.s[0] <= k <= t.total_s:
-        raise OutOfRange(f"k={k} outside [{t.s[0]}, {t.total_s}]")
+        raise ValueError(f"k={k} outside [{t.s[0]}, {t.total_s}]")
     return _closed_form_row(t)[k]
 
 

@@ -17,14 +17,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bosonorder import (ANNIHILATION, CREATION, ApproxValue, BosonWord,
-                        LengthMismatch, NegativeExcess, NormalForm, ParseError,
-                        StirlingTable, StringType, TooLarge, normal_order,
-                        stirling_recurrence, type_from_word)
+import bosonorder
+from bosonorder import (ANNIHILATION, CREATION, ApproxValue, BosonOrderError,
+                        BosonWord, LengthMismatch, NegativeExcess, NormalForm,
+                        ParseError, StirlingTable, StringType, TooLarge,
+                        normal_order, stirling_recurrence, type_from_word)
 from bosonorder import algebra, check, cli, combinat, stirling
 from bosonorder.check import run_selfcheck
-from bosonorder.cli import (MAX_DIGITS, MAX_EXPONENT_DIGITS, build_parser,
-                            main, parse_type, parse_word, word_to_text)
+from bosonorder.cli import (MAX_ARITY, MAX_DIGITS, MAX_EXPONENT_DIGITS,
+                            build_parser, main, parse_type, parse_word,
+                            word_to_text)
 from oracles import apply_crossing
 
 SHOWCASE = StringType((3, 2, 1, 3), (2, 2, 2, 3))
@@ -432,20 +434,49 @@ def _crossing_off_by_one(times_creations):
     return mutant
 
 
-# Private kernels of the routes, each with its module, a seeded mutant
-# (given the kernel, it returns the mutated kernel), the outputs the mutant
-# may change and the selfcheck legs it must fail.  Outputs are the four
-# table routes and "settlements", enumerate_settlements at m = 0..sum(s).
-# On a type where a route refuses (rewriting, on a negative excess), its
-# kernel's mutant changes nothing and fails no leg
+def _walk_repeats_first_yield(walk):
+    # the first placement's colonies walked twice: every type has one, even
+    # a one-foot type, whose one yield has no cells in far to mutate
+    def mutant(t, held, changed):
+        yields = walk(t, held, changed)
+        first = next(yields)
+        yield first
+        yield first
+        yield from yields
+    return mutant
+
+
+def _recurrence_off_by_one(recurrence):
+    # one unit too many on the lowest entry of the table
+    def mutant(t):
+        values = recurrence(t).values
+        low = min(values)
+        return StirlingTable(t, {**values, low: values[low] + 1})
+    return mutant
+
+
+# Private kernels of the routes, each with the modules that read it, a
+# seeded mutant (given the kernel, it returns the mutated kernel), the
+# outputs the mutant may change and the selfcheck legs it must fail.
+# Outputs are the four table routes and "settlements",
+# enumerate_settlements at m = 0..sum(s).  On a type where a route refuses
+# (rewriting, on a negative excess), its kernel's mutant changes nothing
+# and fails no leg
 KERNELS = {
-    "_tally": (combinat, _tally_off_by_one, {"enumerate", "settlements"},
+    "_tally": ((combinat,), _tally_off_by_one, {"enumerate", "settlements"},
                {"stirling tables agree", "settlement counts agree"}),
-    "_settlement_sum": (combinat,
+    "_settlement_sum": ((combinat,),
                         lambda total: lambda hist, m: total(hist, m) + 1,
                         {"settlements"}, {"settlement counts agree"}),
-    "_times_creations": (algebra, _crossing_off_by_one, {"rewrite"},
+    "_times_creations": ((algebra,), _crossing_off_by_one, {"rewrite"},
                          {"stirling tables agree"}),
+    "_walk": ((combinat,), _walk_repeats_first_yield,
+              {"enumerate", "settlements"},
+              {"stirling tables agree", "settlement counts agree"}),
+    "stirling_recurrence": ((check, stirling), _recurrence_off_by_one,
+                            {"recurrence"},
+                            {"stirling tables agree",
+                             "dobinski series gives the bell number"}),
 }
 
 # small types of both prefix signs, one with a negative excess
@@ -471,9 +502,11 @@ class TestKernelMutants:
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_mutant_changes_its_outputs_and_fails_its_legs(self, kernel,
                                                            monkeypatch):
-        module, mutate, changes, fails = KERNELS[kernel]
+        modules, mutate, changes, fails = KERNELS[kernel]
         right = {t: _kernel_outputs(t) for t in KERNEL_TYPES}
-        monkeypatch.setattr(module, kernel, mutate(getattr(module, kernel)))
+        mutant = mutate(getattr(modules[0], kernel))
+        for module in modules:
+            monkeypatch.setattr(module, kernel, mutant)
         refusals = 0
         for t in KERNEL_TYPES:
             reached = {name for name in changes if right[t][name] is not None}
@@ -548,6 +581,12 @@ class TestReadme:
                 [sys.executable, "-c", code], capture_output=True, text=True,
                 env=dict(os.environ, PYTHONPATH=str(root / "src")))
             assert (proc.returncode, proc.stderr) == (0, "")
+
+
+# every exported exception class: BosonOrderError and its subclasses
+REFUSALS = sorted(name for name in bosonorder.__all__
+                  if isinstance(cls := getattr(bosonorder, name), type)
+                  and issubclass(cls, BosonOrderError))
 
 
 class TestMainInProcess:
@@ -678,6 +717,21 @@ class TestMainInProcess:
         assert main(["colonies", "--r", "3,2,1,3", "--s", "2,2,2,3",
                      "--enum-cap", "1000"]) == 1
 
+    @pytest.mark.parametrize("name", REFUSALS)
+    def test_every_refusal_prints_one_error_line(self, name, monkeypatch,
+                                                 capsys):
+        cls = getattr(bosonorder, name)
+        exc = cls("refused", 3) if cls is ParseError else cls("refused")
+
+        def refuse(args, t):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_bell", refuse)
+        code = 2 if cls in (ParseError, LengthMismatch) else 1
+        assert main(["bell", "--r", "1", "--s", "1"]) == code
+        line = "refused (byte 3)" if cls is ParseError else "refused"
+        assert capsys.readouterr() == ("", f"error: {line}\n")
+
     def test_settlements(self, capsys):
         assert main(["settlements", "--r", "1,1", "--s", "1,1",
                      "--m", "2"]) == 0
@@ -723,8 +777,11 @@ class TestMainInProcess:
         (["forests", "--arity", "0", "--n", "2"], "--arity"),
         (["forests", "--arity", "2", "--n", "-1"], "--n"),
         (["series", "--arity", "1"], "--arity"),
+        (["series", "--arity", str(MAX_ARITY + 1), "--order", "1"],
+         "--arity"),
         (["series", "--arity", "2", "--order", "-1"], "--order"),
-    ], ids=["m", "forests-arity", "n", "series-arity", "order"])
+    ], ids=["m", "forests-arity", "n", "series-arity", "series-arity-max",
+            "order"])
     def test_out_of_range_flags_are_usage_errors(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bosonorder import (DEFAULT_ENUM_CAP, Colony, IncreasingForest, NotUnary,
+from bosonorder import (DEFAULT_ENUM_CAP, Colony, IncreasingForest,
                         StringType, TooLarge, bell_number, colony_to_dot,
                         colony_to_forest, colony_to_text,
                         count_colonies_by_free_legs,
@@ -356,7 +356,8 @@ class TestForestBijection:
 
     def test_rejects_multi_leg(self):
         colony = Colony(StringType((1,), (2,)), ((None, None),))
-        with pytest.raises(NotUnary):
+        with pytest.raises(ValueError, match=r"^every bug needs exactly one "
+                                             r"leg, got s=\(2,\)$"):
             colony_to_forest(colony)
 
     def test_forest_validation(self):

@@ -4,9 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from bosonorder import (EGF, NonzeroConstantTerm, PowerSeries,
-                        PrecisionUnreachable, StringType, bell_number,
-                        bell_r1_numeric, forest_egf, series_exp,
+from bosonorder import (EGF, PowerSeries, PrecisionUnreachable, StringType,
+                        bell_number, bell_r1_numeric, forest_egf, series_exp,
                         stirling_recurrence, tree_series,
                         tree_series_closed_form)
 from oracles import bell_r1_terms
@@ -51,7 +50,8 @@ class TestExp:
                               Fraction(1, 24))
 
     def test_rejects_nonzero_constant(self):
-        with pytest.raises(NonzeroConstantTerm):
+        with pytest.raises(ValueError,
+                           match=r"^constant term 1 is not zero$"):
             series_exp(PowerSeries((1, 1)))
 
     def test_fragmented_permutations(self):

@@ -18,6 +18,7 @@ from bosonorder import (ANNIHILATION, CREATION, ApproxValue, BellPolynomial,
                         StirlingTable, StringType, normal_order,
                         stirling_recurrence, type_from_word, word_from_type)
 from bosonorder import algebra, stirling
+from bosonorder.check import CheckResult
 
 TWO_BUGS = StringType((1, 1), (1, 1))
 
@@ -37,6 +38,8 @@ FROZEN = {
     "IncreasingForest": (lambda: IncreasingForest((2, 2), (None, (1, 2))),
                          "parent"),
     "PowerSeries": (lambda: PowerSeries((1, 1, 3)), "counts"),
+    "CheckResult": (lambda: CheckResult("settlement counts agree", "pass",
+                                        "m = 0..2"), "status"),
 }
 
 # these hold a dict, so they compare by value but hashing raises TypeError
