@@ -43,17 +43,20 @@ class CheckResult(_Value):
 
 def _walk_colonies(t: StringType, bad: list) -> Iterator[tuple[int, int, int]]:
     # One walk over every colony: each yield of the walk is passed on, for
-    # the enumeration route's tally, then its colonies are read from the
-    # walk's own state.  The first colony whose empty cells, counted from
-    # the cells its feet hold, differ from excess plus free legs goes into
-    # bad[0] as (empty cells, free legs).  union[f] is the union of the cells
-    # held by feet 0..f-1, rebuilt from the first foot that moved; the last
-    # two feet's cells join union[stop] one colony at a time
+    # the enumeration route's tally, then its colonies are checked from the
+    # walk's own state.  A colony's empty cells, counted from the cells its
+    # feet hold, must equal excess plus free legs.  Feet 0..last-2 hold
+    # cells, c of them, and total_r - excess = sum(s) = stop + 2, so every
+    # colony of a yield passes if and only if c = stop - ground and neither
+    # mask meets cells.  The first failing colony goes into bad[0] as
+    # (empty cells, free legs): if c is off, the one with the last two feet
+    # on the ground, else the first with one on a held cell.  union[f] is the
+    # union of the cells held by feet 0..f-1, rebuilt from the first foot
+    # that moved
     stop = t.total_s - 2
     held = [0] * t.total_s
     changed = [0]
     union = [0] * (t.total_s + 1)
-    total_r, excess = t.total_r, t.excess
     for ground, near, far in combinat._walk(t, held, changed):
         yield ground, near, far
         f = changed[0]
@@ -62,20 +65,9 @@ def _walk_colonies(t: StringType, bad: list) -> Iterator[tuple[int, int, int]]:
             cells |= held[f]
             f += 1
             union[f] = cells
-        # foot last-1 steps through near shifted up one, bit 0 the ground
-        xs = near << 1 | 1
-        while xs:
-            x = xs & -xs
-            xs ^= x
-            hx, legs = cells | x >> 1, ground + (x == 1)
-            if (empty := total_r - hx.bit_count()) != excess + legs + 1:
-                bad[0] = bad[0] or (empty, legs + 1)
-            free = far & ~(x >> 1)
-            while free:
-                y = free & -free
-                free ^= y
-                if (empty := total_r - (hx | y).bit_count()) != excess + legs:
-                    bad[0] = bad[0] or (empty, legs)
+        off = (c := cells.bit_count()) != stop - ground
+        if not bad[0] and (off or (near | far) & cells):
+            bad[0] = (t.total_r - c, ground + 1 + off)
 
 
 def run_selfcheck(t: StringType,
@@ -85,7 +77,9 @@ def run_selfcheck(t: StringType,
     Checks: every route of TABLE_ROUTES gives the recurrence's table (one
     sits out only when it raises NegativeExcess, rewriting's refusal of a
     negative excess); every colony's empty cells equal excess plus free
-    legs; their free-leg histogram h gives sum_k h_k (m)_k settlements,
+    legs, proved once per yield of the walk: its colonies all pass if and
+    only if feet 0..last-2 hold sum(s) - 2 - ground cells and neither mask
+    meets them; their free-leg histogram h gives sum_k h_k (m)_k settlements,
     the product formula's count; the Dobinski series at x = 1 gives the
     table's Bell number to a relative error below 1e-25.  Both sides of
     prod_j (X+d_{j-1})_(s_j) = sum_k S(k) (X)_k have degree at most sum(s),

@@ -9,9 +9,10 @@ Colonies come from one iterative depth-first walk over integer cell ids
 with a bitmask of occupied cells.  It does not recurse, so no type is too
 deep for it.  One step per placement of all feet but the last two hands
 over the cells those two may take as masks near within far: one tally
-counts the pair from the masks' bit counts, the listing and selfcheck
-take one colony at a time.  Reading only occupied cells, never the excess
-or S(k), the walk stays independent of the recurrence.
+counts the pair from the masks' bit counts, selfcheck tests the held
+cells against both masks once, and the listing takes one colony at a
+time.  Reading only occupied cells, never the excess or S(k), the walk
+stays independent of the recurrence.
 """
 
 from __future__ import annotations

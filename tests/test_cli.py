@@ -371,6 +371,40 @@ class TestSelfcheck:
         assert [r.status for r in results] == ["pass", "fail", "pass", "pass"]
         assert results[1].detail == "3 cells vs 0 + 2"
 
+    def test_empty_cell_leg_matches_a_per_colony_reference(self,
+                                                          monkeypatch):
+        # selfcheck tests each yield of the walk once; the reference counts
+        # every colony's cells.  Walks are corrupted at random yields: a
+        # held cell put into near or far, a bit dropped from near, ground
+        # lowered by one.  Both sides see the same corruptions and must
+        # give the same status and detail
+        walk = combinat._walk
+        rng = random.Random(35)
+        kinds = set()
+        checked = 0
+        while checked < 200:
+            n = rng.randint(1, 6)
+            r = [rng.randint(1, 3) for _ in range(n)]
+            s = [rng.randint(1, 3) for _ in range(n)]
+            if rng.random() < 0.25:
+                s[0] = 0
+            if rng.random() < 0.25:
+                r[-1] = 0
+            t = StringType(r, s)
+            if bosonorder.bell_number(t) > 2000:
+                continue
+            checked += 1
+            seed = rng.random()
+            monkeypatch.setattr(combinat, "_walk",
+                                _corrupted_walk(walk, random.Random(seed)))
+            got = run_selfcheck(t)[1]
+            monkeypatch.setattr(combinat, "_walk",
+                                _corrupted_walk(walk, random.Random(seed)))
+            status, detail, kind = _per_colony_empty_cells(t)
+            assert (got.status, got.detail) == (status, detail), t
+            kinds.add(kind)
+        assert kinds == {None, "count", "mask"}
+
     def test_refuses_over_the_cap_before_any_route(self, monkeypatch):
         # the cap is checked first: rewriting and the closed form (seconds
         # on this type) never run, and the walk never starts
@@ -415,6 +449,54 @@ class TestSelfcheck:
         results = run_selfcheck(t)
         assert [r.status for r in results] == ["pass"] * 3 + ["fail"]
         assert results[-1].detail == f"{wrong} vs 5"
+
+
+def _corrupted_walk(walk, rng):
+    # the walk with about one yield in ten corrupted, chosen by rng
+    def corrupted(t, held, changed):
+        for ground, near, far in walk(t, held, changed):
+            kind = rng.randrange(40)
+            cells = [bit for bit in held[:len(held) - 2] if bit]
+            if kind == 0 and cells:
+                near |= rng.choice(cells)
+            elif kind == 1 and cells:
+                far |= rng.choice(cells)
+            elif kind == 2 and near:
+                near &= near - 1
+            elif kind == 3:
+                ground -= 1
+            yield ground, near, far
+    return corrupted
+
+
+def _per_colony_empty_cells(t):
+    # the empty-cell leg one colony at a time: each colony's cells counted
+    # from every foot's cell, against excess plus free legs.  Returns the
+    # leg's status and detail, and which colony failed first: "count" for
+    # the pair's both-on-the-ground colony, "mask" for another, None
+    held = [0] * t.total_s
+    for ground, near, far in combinat._walk(t, held, [0]):
+        cells = 0
+        for bit in held[:len(held) - 2]:
+            cells |= bit
+        # foot last-1 steps through near shifted up one, bit 0 the ground
+        xs = near << 1 | 1
+        while xs:
+            x = xs & -xs
+            xs ^= x
+            hx, legs = cells | x >> 1, ground + (x == 1)
+            if (empty := t.total_r - hx.bit_count()) != t.excess + legs + 1:
+                return ("fail", f"{empty} cells vs {t.excess} + {legs + 1}",
+                        "count" if x == 1 else "mask")
+            free = far & ~(x >> 1)
+            while free:
+                y = free & -free
+                free ^= y
+                if (empty := t.total_r - (hx | y).bit_count()) \
+                        != t.excess + legs:
+                    return ("fail", f"{empty} cells vs {t.excess} + {legs}",
+                            "mask")
+    return "pass", "", None
 
 
 def _tally_off_by_one(tally):

@@ -225,3 +225,31 @@ class TestSingleLegReference:
             for n, row in enumerate(tables[1:], start=1):
                 assert {k: v for k, v in enumerate(row) if v} \
                     == stirling_recurrence(StringType.uniform(r, 1, n)).values
+
+
+class TestSpeciesColumns:
+    """A colony of uniform(r,1,n) is a forest of increasing r-ary trees,
+    one tree per free leg, so column k of the table has the EGF
+    (T_r - 1)^k / k!: S_{r,1}(n,k) = n! [x^n] (T_r - 1)^k / k!."""
+
+    ORDER = 30
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_columns_match_recurrence(self, r):
+        trees = (0,) + tree_series(r, self.ORDER).counts[1:]
+        # powers[k] holds the counts of (T_r - 1)^k, each power one
+        # binomial convolution with T_r - 1 past the one before
+        powers = [[1] + [0] * self.ORDER]
+        for k in range(1, self.ORDER + 1):
+            powers.append(product_counts(powers[-1], trees))
+            assert all(c % math.factorial(k) == 0 for c in powers[k])
+        for n in range(1, self.ORDER + 1):
+            columns = {k: powers[k][n] // math.factorial(k)
+                       for k in range(n + 1) if powers[k][n]}
+            assert columns \
+                == stirling_recurrence(StringType.uniform(r, 1, n)).values
+            if r == 2:
+                # the Lah numbers
+                assert columns == {
+                    k: math.comb(n - 1, k - 1) * math.factorial(n)
+                    // math.factorial(k) for k in range(1, n + 1)}
