@@ -299,6 +299,11 @@ def count_increasing_forests(r: int, n: int,
         raise ValueError("vertex count must be nonnegative")
     if n == 0:
         return 1
+    # after the first vertex each one is a root or takes one of at least one
+    # open slot, so at least 2^(n-1) forests: refused before the type is built
+    if n - 1 >= enum_cap.bit_length():
+        raise TooLarge(f"at least 2^{n - 1} forests exceed the cap of "
+                       f"{enum_cap}")
     _require_under_cap(StringType.uniform(r, 1, n), enum_cap, "forests")
     # a partial forest is (next vertex, number of open slots): which slots
     # are open never changes how many forests extend it

@@ -130,15 +130,6 @@ SERIES_FOREST_3_6 = """\
 """
 
 
-def run_cli(*argv, env_overrides=None):
-    env = dict(os.environ)
-    env.pop("BOSON_ORDER_ENUM_CAP", None)
-    if env_overrides:
-        env.update(env_overrides)
-    return subprocess.run([sys.executable, "-m", "bosonorder", *argv],
-                          capture_output=True, text=True, env=env)
-
-
 def imported_modules(*argv) -> set[str]:
     """The modules a python child imports running argv.  -S keeps site
     from preloading typing; -X importtime writes one stderr line per
@@ -1153,121 +1144,6 @@ class TestSubprocess:
         assert "bosonorder.check" in imported
         assert not imported & {"argparse", "bosonorder.cli"}
 
-    def test_selfcheck_passes(self):
-        proc = run_cli("selfcheck", "--r", "1,1,1", "--s", "1,1,1")
-        assert proc.returncode == 0
-        lines = proc.stdout.strip().split("\n")
-        assert len(lines) == 4
-        assert all(line.startswith("PASS") for line in lines)
-
-    def test_colonies_of_one_bug_with_many_feet(self):
-        proc = run_cli("colonies", "--r", "1", "--s", "5000")
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.endswith("total 1\n")
-
-    def test_json_byte_stable(self):
-        args = ("stirling", "--r", "3,2,1,3", "--s", "2,2,2,3",
-                "--format", "json")
-        assert run_cli(*args).stdout == run_cli(*args).stdout
-
-    def test_csv_golden(self):
-        proc = run_cli("stirling", "--r", "2,2", "--s", "1,1",
-                       "--format", "csv")
-        assert proc.stdout == "k,S_k\n1,2\n2,1\n"
-
-    def test_env_cap_honored(self):
-        proc = run_cli("colonies", "--r", "3,2,1,3", "--s", "2,2,2,3",
-                       env_overrides={"BOSON_ORDER_ENUM_CAP": "1000"})
-        assert proc.returncode == 1
-        assert "cap" in proc.stderr
-
-    def test_flag_overrides_env(self):
-        proc = run_cli("bell", "--r", "2,2", "--s", "1,1",
-                       "--method", "enumerate", "--enum-cap", "100",
-                       env_overrides={"BOSON_ORDER_ENUM_CAP": "1"})
-        assert proc.returncode == 0
-        assert proc.stdout == "3\n"
-
-    @pytest.mark.parametrize("argv", [
-        ("colonies",), ("settlements", "--m", "3"),
-        ("bell", "--method", "enumerate"),
-        ("stirling", "--method", "enumerate"), ("selfcheck",),
-    ], ids=lambda argv: argv[0])
-    def test_refusal_of_a_count_past_the_int_to_str_limit(self, argv):
-        # 9.99999e+4799 colonies: str() would refuse the count
-        proc = run_cli(*argv, "--r", f"{10**120},1", "--s", "1,40")
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert proc.stderr == ("error: 9.99999e+4799 colonies exceed the cap "
-                               "of 10000000\n")
-
-    def test_forest_refusal_past_the_int_to_str_limit(self):
-        proc = run_cli("forests", "--arity", str(10**120), "--n", "40")
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert proc.stderr == ("error: 2.03978e+4726 forests exceed the cap "
-                               "of 10000000\n")
-
-    def test_bad_env_cap(self):
-        proc = run_cli("colonies", "--r", "1", "--s", "1",
-                       env_overrides={"BOSON_ORDER_ENUM_CAP": "lots"})
-        assert proc.returncode == 2
-
-    @pytest.mark.parametrize("argv, env", [
-        (("colonies", "--r", "1,1", "--s", "1,1", "--enum-cap", "-5"), None),
-        (("colonies", "--r", "1,1", "--s", "1,1", "--enum-cap", "0"), None),
-        (("dobinski", "--r", "1", "--s", "1", "--max-terms", "0"), None),
-        (("dobinski", "--r", "1", "--s", "1", "--digits", "0"), None),
-        (("colonies", "--r", "1,1", "--s", "1,1"), {"BOSON_ORDER_ENUM_CAP": "0"}),
-        (("colonies", "--r", "1,1", "--s", "1,1"), {"BOSON_ORDER_ENUM_CAP": "-3"}),
-        # refused on every subcommand that takes --enum-cap, also where
-        # this request would not enumerate
-        (("bell", "--r", "1,1", "--s", "1,1"), {"BOSON_ORDER_ENUM_CAP": "lots"}),
-    ], ids=["enum-cap-negative", "enum-cap-zero", "max-terms-zero",
-            "digits-zero", "env-cap-zero", "env-cap-negative",
-            "env-cap-not-a-number-on-bell"])
-    def test_nonpositive_limits_are_usage_errors(self, argv, env):
-        proc = run_cli(*argv, env_overrides=env)
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert "positive" in proc.stderr
-
-    @pytest.mark.parametrize("sub", ["dobinski"])
-    def test_digits_above_limit_is_usage_error(self, sub):
-        proc = run_cli(sub, "--r", "1", "--s", "1",
-                       "--digits", str(MAX_DIGITS + 1))
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert f"at most {MAX_DIGITS}" in proc.stderr
-
-    def test_digits_at_limit_is_accepted(self):
-        # no feet, so B(x) = 1 exactly and no series is summed
-        proc = run_cli("dobinski", "--word", "ad^3", "--digits",
-                       str(MAX_DIGITS))
-        assert proc.returncode == 0
-        assert proc.stdout == "1." + "0" * (MAX_DIGITS - 1) + "\n"
-
-    def test_env_cap_ignored_without_enum_cap_flag(self):
-        proc = run_cli("order", "--word", "a ad",
-                       env_overrides={"BOSON_ORDER_ENUM_CAP": "lots"})
-        assert proc.returncode == 0 and proc.stdout == "1 + ad a\n"
-
-    def test_out_writes_file(self, tmp_path):
-        target = tmp_path / "table.csv"
-        proc = run_cli("stirling", "--r", "2,2", "--s", "1,1",
-                       "--format", "csv", "--out", str(target))
-        assert proc.returncode == 0 and proc.stdout == ""
-        assert target.read_text() == "k,S_k\n1,2\n2,1\n"
-
-    def test_order_rejects_csv(self):
-        proc = run_cli("order", "--word", "ad a", "--format", "csv")
-        assert proc.returncode == 2
-
-    def test_parse_error_reported_on_stderr(self):
-        proc = run_cli("stirling", "--word", "ad qq")
-        assert proc.returncode == 2
-        assert "byte 3" in proc.stderr
-
 
 def _listing_in_memory(t: StringType, form: str) -> str:
     """A colony listing built whole in memory, the way it was printed before
@@ -1382,31 +1258,3 @@ class TestStreamedListings:
         assert out == ""
         assert err == ("error: cannot write /dev/full: "
                        "No space left on device\n")
-
-    @pytest.mark.skipif(not os.path.exists("/dev/full"),
-                        reason="needs a device that refuses every write")
-    def test_full_stdout_is_a_usage_error(self):
-        env = dict(os.environ)
-        env.pop("BOSON_ORDER_ENUM_CAP", None)
-        with open("/dev/full", "wb") as full:
-            proc = subprocess.run(
-                [sys.executable, "-m", "bosonorder", "colonies", *EIGHT_BUGS],
-                stdout=full, stderr=subprocess.PIPE, env=env)
-        err = proc.stderr.decode()
-        assert proc.returncode == 2
-        assert "Traceback" not in err and "Exception ignored" not in err
-        assert err == "error: cannot write stdout: No space left on device\n"
-
-    def test_closed_pipe_exits_1_without_a_traceback(self):
-        env = dict(os.environ)
-        env.pop("BOSON_ORDER_ENUM_CAP", None)
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "bosonorder", "colonies", *EIGHT_BUGS],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-        assert proc.stdout.readline() == b"colony 1 (free legs 8)\n"
-        proc.stdout.close()
-        err = proc.stderr.read().decode()
-        proc.stderr.close()
-        assert proc.wait() == 1
-        assert "Traceback" not in err and "Exception ignored" not in err
-        assert err == ""
