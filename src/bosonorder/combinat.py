@@ -23,7 +23,7 @@ from itertools import accumulate, repeat
 
 from .algebra import StringType, _Value
 from .errors import TooLarge, _count_text
-from .stirling import bell_number
+from .stirling import _dobinski_peak, bell_number, settlement_product
 
 DEFAULT_ENUM_CAP = 10_000_000
 
@@ -64,9 +64,51 @@ class Colony(_Value):
         self._store(t, placement)
 
 
+# The colonies of a type number B, its Bell number.  Two bounds decide the
+# cap for most types without computing B, and only the rest count it.
+#
+# Upper: B <= prod_j (1 + R_j)^(s_j), R_j = r_1 + ... + r_(j-1).  A colony
+# is fixed by the target of each foot, and a foot of bug j stands on the
+# ground or on one of the R_j cells of the bugs before it: at most 1 + R_j
+# choices per foot.  A type whose product and sum(s) are both at most the
+# cap is accepted; sum(s) too, because the walk holds one entry per foot.
+#
+# Lower: B > p(m) / (3 m!) for every m >= 0 with p(m) > 0.  By Dobinski at
+# x = 1, B = e^-1 sum_(m>=0) p(m)/m!, where p(m) = sum_k S(k) (m)_k and
+# S(k) >= 0 count colonies, so no term is negative and each bounds e B
+# from below; e < 3.  So p(m) > 3 cap m! proves B > cap, and the refusal
+# names L = p(m) // (3 m!) < B.  m is the largest term's, placed in floats
+# (stirling._dobinski_peak); only this comparison decides, in integers.
+def _under_upper_bound(t: StringType, cap: int) -> bool:
+    # prod_j (1 + R_j)^(s_j) <= cap, exiting early.  A bug with no cells
+    # before it gives a factor 1, and (1 + R)^s >= 2^(s (bits(1 + R) - 1)),
+    # so a power that reaches cap's bit length is over it before it is
+    # raised: no power is built past twice cap's bits
+    bits, bound = cap.bit_length(), 1
+    for below, s in zip(accumulate(t.r, initial=0), t.s):
+        if below:
+            base = below + 1
+            if s * (base.bit_length() - 1) >= bits:
+                return False
+            bound *= base ** s
+            if bound > cap:
+                return False
+    return True
+
+
 def _require_under_cap(t: StringType, enum_cap: int,
                        what: str = "colonies") -> None:
-    # the type's colonies, predicted by its Bell number, against the cap
+    # the type's colonies against the cap: accepted under the upper bound,
+    # refused over the lower one, and counted by the recurrence otherwise
+    if t.total_s <= enum_cap and _under_upper_bound(t, enum_cap):
+        return
+    peak = _dobinski_peak(t)
+    if peak and peak[1] > math.log(3 * enum_cap):
+        m = peak[0]
+        floor = 3 * math.factorial(m)
+        if (p := settlement_product(t, m)) > enum_cap * floor:
+            raise TooLarge(f"more than {_count_text(p // floor)} {what} "
+                           f"exceed the cap of {enum_cap}")
     if (predicted := bell_number(t)) > enum_cap:
         raise TooLarge(f"{_count_text(predicted)} {what} exceed the cap of "
                        f"{enum_cap}")

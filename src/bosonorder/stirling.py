@@ -34,6 +34,12 @@ from .errors import (NegativeExcess, NonCanonicalPrefix,
 
 DEFAULT_MAX_TERMS = 10000
 
+# _dobinski_peak gives up past m = PEAK_M or a p(m) of PEAK_BITS bits: up to
+# there m! has at most 206 000 bits, and p(m) and m! are built and compared
+# in tens of milliseconds
+PEAK_M = 1 << 14
+PEAK_BITS = 1 << 20
+
 # Decimal(n) is quadratic in the digits of n; above this many bits
 # _exact_decimal converts by halves instead, in subquadratic time
 SPLIT_BITS = 1 << 14
@@ -316,6 +322,53 @@ def _dobinski_numerators(t: StringType) -> Iterator[int]:
         yield from _settlement_products(t, m, m + width)
         m += width
         width *= 2
+
+
+def _log_falling(x: int, s: int) -> float:
+    # ln (x)_s for ints x >= s >= 0, in floats.  Where lo = x - s is large
+    # the lgamma difference would cancel, so it is Stirling's series
+    # differenced, (lo + 1/2) ln(1 + s/lo) + s ln x - s, to O(s / lo^2)
+    lo = x - s
+    if lo < 1 << 32:
+        return math.lgamma(x + 1) - math.lgamma(lo + 1)
+    return s * math.log(x) + (lo + 0.5) * math.log1p(s / lo) - s
+
+
+def _dobinski_peak(t: StringType) -> tuple[int, float] | None:
+    # (m, ln(p(m)/m!)) at the largest term of the Dobinski sum at x = 1,
+    # found in floats; None where a value does not fit a float, or where m
+    # passes PEAK_M or p(m) passes PEAK_BITS bits.  From m0 = max_j (s_j -
+    # d_{j-1}) on, every factor of p is positive and the term ratio
+    # p(m+1) / ((m+1) p(m)) = prod_j (1 + s_j/(m+1+d_{j-1}-s_j)) / (m+1)
+    # falls as m grows: the terms rise to one peak, the first m from m0
+    # whose ratio is at most 1, found by doubling the step, then halving it
+    pairs = [(d, s) for d, s in zip(t.prefix_excesses, t.s) if s]
+    m0 = max([0] + [s - d for d, s in pairs])
+
+    def past_peak(m: int) -> bool:
+        return (sum(math.log1p(s / (m + 1 + d - s)) for d, s in pairs)
+                <= math.log(m + 1))
+
+    try:
+        below, above = m0 - 1, m0
+        while not past_peak(above):
+            if above >= PEAK_M:
+                return None
+            below, above = above, 2 * above - m0 + 1
+        while above - below > 1:
+            mid = (below + above) // 2
+            if past_peak(mid):
+                above = mid
+            else:
+                below = mid
+        if above > PEAK_M:
+            return None
+        log_p = sum(_log_falling(above + d, s) for d, s in pairs)
+    except OverflowError:
+        return None
+    if log_p > PEAK_BITS * math.log(2):
+        return None
+    return above, log_p - math.lgamma(above + 1)
 
 
 def dobinski_eval(t: StringType, x, target_digits: int,

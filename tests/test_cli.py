@@ -398,25 +398,30 @@ class TestSelfcheck:
 
     def test_refuses_over_the_cap_before_any_route(self, monkeypatch):
         # the cap is checked first: rewriting and the closed form (seconds
-        # on this type) never run, and the walk never starts
+        # on this type) never run, and the walk never starts.  Its largest
+        # Dobinski term, p(m)/m! at m = 1032 with p(m) = (m)_1000^2, refuses
+        # it without the recurrence
         def never(*args):
             raise AssertionError("a route ran on a type over the cap")
 
+        t = StringType((1000, 1000), (1000, 1000))
+        lower = math.perm(1032, 1000) ** 2 // (3 * math.factorial(1032))
         monkeypatch.setattr(check, "normal_order", never)
         monkeypatch.setattr(check, "closed_form_table", never)
         monkeypatch.setattr(combinat, "_walk", never)
+        monkeypatch.setattr(stirling, "stirling_recurrence", never)
         with pytest.raises(TooLarge) as exc:
-            run_selfcheck(StringType((1000, 1000), (1000, 1000)))
-        message = str(exc.value)
-        assert message.startswith("3663372254504244251780987358615642035612")
-        assert message.endswith("0001 colonies exceed the cap of 10000000")
-        assert len(message) == 2630
+            run_selfcheck(t)
+        assert str(exc.value) == (f"more than {lower} colonies exceed the "
+                                  f"cap of 10000000")
+        # below that bound, the recurrence counts the colonies exactly
+        monkeypatch.undo()
         with pytest.raises(TooLarge, match=r"^4213597 colonies exceed the "
-                                           r"cap of 10$"):
-            run_selfcheck(StringType.uniform(1, 1, 12), enum_cap=10)
+                                           r"cap of 4213596$"):
+            run_selfcheck(StringType.uniform(1, 1, 12), enum_cap=4213596)
 
     def test_runs_the_recurrence_at_most_twice(self, monkeypatch):
-        # once for the cap, once as a table route
+        # once as a table route, and once for the cap if no bound decides it
         calls = []
         recurrence = stirling.stirling_recurrence
 
@@ -426,7 +431,14 @@ class TestSelfcheck:
 
         monkeypatch.setattr(stirling, "stirling_recurrence", counted)
         monkeypatch.setattr(check, "stirling_recurrence", counted)
+        # colonies at most 1 * 2^3 * 3 = 24 by the upper bound: no count
         t = StringType((1, 1, 3), (1, 3, 1))
+        assert [r.status for r in run_selfcheck(t)] == ["pass"] * 4
+        assert calls == [t]
+        # 11! is over the cap, 678 570 colonies are not, and the largest
+        # Dobinski term over 3 is about 1.7e5: counted for the cap
+        calls.clear()
+        t = StringType.uniform(1, 1, 11)
         assert [r.status for r in run_selfcheck(t)] == ["pass"] * 4
         assert calls == [t, t]
 

@@ -16,7 +16,7 @@ from bosonorder import (DEFAULT_ENUM_CAP, Colony, IncreasingForest,
                         enumerate_settlements, falling_factorial,
                         forest_to_colony, free_legs, settlement_product,
                         stirling_recurrence)
-from bosonorder import combinat
+from bosonorder import combinat, stirling
 from bosonorder.check import run_selfcheck
 from oracles import count_surjective_settlements, empty_cells
 
@@ -47,14 +47,14 @@ def naive_placements(t):
 
 
 @st.composite
-def boundary_types(draw):
-    """Types of 1..5 factors with exponents 1..3, except the two boundary
-    ones, s_1 and r_n, drawn from 0..3."""
-    n = draw(st.integers(1, 5))
-    r = [draw(st.integers(1, 3)) for _ in range(n)]
-    s = [draw(st.integers(1, 3)) for _ in range(n)]
-    s[0] = draw(st.integers(0, 3))
-    r[-1] = draw(st.integers(0, 3))
+def boundary_types(draw, factors=5, top=3):
+    """Types of 1..factors factors with exponents 1..top, except the two
+    boundary ones, s_1 and r_n, drawn from 0..top."""
+    n = draw(st.integers(1, factors))
+    r = [draw(st.integers(1, top)) for _ in range(n)]
+    s = [draw(st.integers(1, top)) for _ in range(n)]
+    s[0] = draw(st.integers(0, top))
+    r[-1] = draw(st.integers(0, top))
     return StringType(r, s)
 
 
@@ -98,13 +98,16 @@ class TestColonies:
             enumerate_colonies(SHOWCASE, enum_cap=1000)
 
     def test_refusal_of_a_count_past_the_int_to_str_limit(self):
-        # str() refuses the count's 4 800 digits; the message gives its
-        # leading six digits in scientific notation, rounded down
+        # the Dobinski term at m = 1, p(1) = (10^120)_40 over 1!, bounds the
+        # count from below: str() refuses the bound's 4 800 digits, and the
+        # message gives its leading six in scientific notation, rounded down
         t = StringType((10**120, 1), (1, 40))
+        lower = math.perm(10**120, 40) // 3
         old_limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
-            digits = str(bell_number(t))
+            digits = str(lower)
+            assert lower < bell_number(t)
         finally:
             sys.set_int_max_str_digits(old_limit)
         assert len(digits) > 4300
@@ -115,8 +118,9 @@ class TestColonies:
             message = str(exc.value)
         finally:
             sys.set_int_max_str_digits(old_limit)
-        assert message == (f"{digits[0]}.{digits[1:6]}e+{len(digits) - 1} "
-                           f"colonies exceed the cap of {DEFAULT_ENUM_CAP}")
+        assert message == (f"more than {digits[0]}.{digits[1:6]}e+"
+                           f"{len(digits) - 1} colonies exceed the cap of "
+                           f"{DEFAULT_ENUM_CAP}")
 
     def test_free_leg_histogram(self, every_small_type):
         # the histogram counts the colonies of each placement of all feet
@@ -182,6 +186,129 @@ class TestColonies:
             lambda: sum(1 for _ in enumerate_colonies(t)))
         assert count == 2
         assert peak < 1_000_000
+
+
+def upper_bound(t):
+    """prod_j (1 + R_j)^(s_j): a foot of bug j stands on the ground or on
+    one of the R_j cells of the bugs before it."""
+    return math.prod((1 + below) ** s for below, s in
+                     zip(itertools.accumulate(t.r, initial=0), t.s))
+
+
+class TestCap:
+    # The cap is decided by the upper bound, the largest Dobinski term's
+    # lower bound, or the exact count, in that order: each bound must hold
+    # and each decision must be bell_number(t) > cap
+
+    def check(self, t, monkeypatch, deciders):
+        bell = bell_number(t)
+        upper = upper_bound(t)
+        assert bell <= upper
+        assert combinat._under_upper_bound(t, upper)
+        assert upper == 1 or not combinat._under_upper_bound(t, upper - 1)
+        peak = stirling._dobinski_peak(t)
+        ms = list(range(t.total_s + 3)) + ([peak[0]] if peak else [])
+        for m in ms:
+            assert (settlement_product(t, m) // (3 * math.factorial(m))
+                    < bell), (t, m)
+        counted = []
+        recurrence = stirling.stirling_recurrence
+        monkeypatch.setattr(stirling, "stirling_recurrence",
+                            lambda t: counted.append(t) or recurrence(t))
+        # far below the count, the lower bound decides some types too
+        for cap in {1, bell // 64, bell // 2, bell - 1, bell, bell + 1,
+                    2 * bell} - {0}:
+            counted.clear()
+            try:
+                combinat._require_under_cap(t, cap)
+                refused = ""
+            except TooLarge as exc:
+                refused = str(exc)
+            assert bool(refused) == (bell > cap), (t, cap)
+            deciders.add("count" if counted else
+                         "lower" if refused else "upper")
+            if refused.startswith("more than"):
+                assert not counted
+                lower = int(refused.split()[2])
+                assert cap <= lower < bell, (t, cap)
+            elif refused:
+                assert refused == (f"{bell} colonies exceed the cap of "
+                                   f"{cap}")
+        monkeypatch.undo()
+
+    def test_decisions_on_every_small_type(self, every_small_type,
+                                           monkeypatch):
+        deciders = set()
+        for t in every_small_type:
+            self.check(t, monkeypatch, deciders)
+        assert deciders == {"upper", "lower", "count"}
+
+    # prefix excesses of either sign, up to about 10^12 colonies
+    @given(boundary_types(factors=8, top=6))
+    @example(StringType((1, 3), (3, 1)))      # d_1 = -2
+    @example(StringType((6, 1, 6), (6, 6, 1)))  # d = 0, -5, 0
+    @example(StringType.uniform(1, 1, 8))
+    @settings(deadline=None, max_examples=200)
+    def test_decisions_on_types_of_both_signs(self, t):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.check(t, monkeypatch, set())
+
+    def test_many_feet_on_one_bug_go_to_the_count(self, monkeypatch):
+        # 10^11 feet pass the cap by sum(s) alone, so the upper bound
+        # declines, and the largest term sits at m = 10^11, past the peak
+        # search's limit: the recurrence is reached, with nothing huge
+        # allocated on the way
+        class Reached(Exception):
+            pass
+
+        def reached(t):
+            raise Reached
+
+        monkeypatch.setattr(stirling, "stirling_recurrence", reached)
+
+        def decide():
+            with pytest.raises(Reached):
+                combinat._require_under_cap(StringType((1,), (10**11,)),
+                                            DEFAULT_ENUM_CAP)
+
+        assert traced_peak(decide)[1] < 100_000
+
+    def test_no_power_is_raised_as_far_as_an_exponent(self):
+        # bug 1's feet stand on the ground, a factor 1 however many there
+        # are; a power past the cap's bit length is refused before it is
+        # raised
+        huge = 10**5000
+
+        def decide():
+            return [combinat._under_upper_bound(StringType((5, 1), (huge, 3)),
+                                                216),
+                    combinat._under_upper_bound(StringType((5, 1), (huge, 3)),
+                                                215),
+                    combinat._under_upper_bound(StringType((1, 1), (1, huge)),
+                                                DEFAULT_ENUM_CAP),
+                    combinat._under_upper_bound(
+                        StringType((huge, 1), (1, huge)), DEFAULT_ENUM_CAP)]
+
+        decided, peak = traced_peak(decide)
+        assert decided == [True, False, False, False]
+        assert peak < 100_000
+
+    def test_peak_search_gives_up_past_its_limit(self):
+        # one bug: p(m) = (m)_s, so the largest term, 1, sits at m = s
+        limit = stirling.PEAK_M
+        assert stirling._dobinski_peak(StringType((1,), (limit,))) \
+            == (limit, 0.0)
+        assert stirling._dobinski_peak(StringType((1,), (limit + 1,))) is None
+
+    def test_a_value_past_floats_is_counted(self):
+        # d_1 = 10^400 - 1 fits no float: the lower bound gives up and the
+        # recurrence counts the colonies for the refusal
+        t = StringType((10**400, 1), (1, 2))
+        assert stirling._dobinski_peak(t) is None
+        with pytest.raises(TooLarge) as exc:
+            enumerate_colonies(t)
+        assert str(exc.value) == (f"{bell_number(t)} colonies exceed the "
+                                  f"cap of {DEFAULT_ENUM_CAP}")
 
 
 class TestManyFeet:
