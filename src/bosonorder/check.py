@@ -9,15 +9,14 @@ Selfcheck's one colony walk runs through the enumeration route's own code.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from fractions import Fraction
 
-from . import combinat
+from . import combinat, stirling
 from .algebra import (StringType, _Value, extract_stirling, normal_order,
                       word_from_type)
 from .combinat import DEFAULT_ENUM_CAP, count_colonies_by_free_legs
 from .errors import NegativeExcess
-from .stirling import (DEFAULT_MAX_TERMS, _settlement_products,
-                       closed_form_table, dobinski_eval, stirling_recurrence)
+from .stirling import (DEFAULT_MAX_TERMS, closed_form_table, dobinski_eval,
+                       stirling_recurrence)
 
 # every route to the coefficient table of a type, in --method order: each
 # takes (type, enumeration cap) and returns {k: S(k)}, keyed by surviving
@@ -85,12 +84,15 @@ def run_selfcheck(t: StringType,
     prod_j (X+d_{j-1})_(s_j) = sum_k S(k) (X)_k have degree at most sum(s),
     so the closed form, which interpolates it on x = 0..sum(s), proves it
     in the table check, and the settlement check, on m = 0..sum(s), proves
-    it for the colonies walked.  One walk over the colonies serves checks
-    1-3: the enumeration route's own tally turns its yields into h, and
+    it for the colonies walked; both read the one window p(0..sum(s)),
+    built once.  One walk over the colonies serves checks 1-3: the
+    enumeration route's own tally turns its yields into h, and
     enumerate_settlements' own sum turns h into settlement counts.
-    TooLarge is raised before any route runs if the type exceeds the cap.
+    TooLarge is raised before any route runs if the type exceeds the cap
+    or the closed form's budget.
     """
     combinat._require_under_cap(t, enum_cap)
+    stirling._require_closed_form_budget(t)
     bad = [None]
     walked = combinat._tally(t, _walk_colonies(t, bad))
     results = []
@@ -117,8 +119,9 @@ def run_selfcheck(t: StringType,
     check("empty cells equal excess plus free legs",
           bad[0] and f"{bad[0][0]} cells vs {t.excess} + {bad[0][1]}")
 
-    # the product's counts for m = 0..sum(s), as one window of p
-    products = _settlement_products(t, 0, t.total_s + 1)
+    # the product's counts for m = 0..sum(s): the window of p that the
+    # closed form's table was built from, read from its cache
+    products = stirling._closed_form_row(t)[1]
     bad_counts = [(m, enumerated, product)
                   for m, product in enumerate(products)
                   if (enumerated := combinat._settlement_sum(walked, m))
@@ -130,8 +133,10 @@ def run_selfcheck(t: StringType,
     # the stop rule cannot fire before m = sum(s) + 1: count terms from there
     bell = sum(table.values())
     approx = dobinski_eval(t, 1, 30, t.total_s + DEFAULT_MAX_TERMS)
+    # |v - bell| 10^25 >= bell, in integers for v = n / d, d > 0
+    n, d = approx.value.as_integer_ratio()
     check("dobinski series gives the bell number",
-          abs(Fraction(approx.value) - bell) * 10 ** 25 >= bell
+          abs(n - bell * d) * 10 ** 25 >= bell * d
           and f"{approx.value} vs {bell}",
           f"bell {bell} to 1e-25 in {approx.terms_used} terms")
     return results

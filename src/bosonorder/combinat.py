@@ -11,8 +11,11 @@ deep for it.  One step per placement of all feet but the last two hands
 over the cells those two may take as masks near within far: one tally
 counts the pair from the masks' bit counts, selfcheck tests the held
 cells against both masks once, and the listing takes one colony at a
-time.  Reading only occupied cells, never the excess or S(k), the walk
-stays independent of the recurrence.
+time.  Foot last-2, the deepest foot the walk places, steps through the
+ground and its free cells in one inner loop, each a step, so only a
+deeper backtrack pays for the general back-up and descent.  Reading only
+occupied cells, never the excess or S(k), the walk stays independent of
+the recurrence.
 """
 
 from __future__ import annotations
@@ -133,6 +136,9 @@ def _walk(t: StringType, held: list[int],
     # with foot last on the ground, then on each bit of far left free, is
     # the lexicographic order of the flattened choices.  For f < last-1,
     # held[f] is foot f's choice and changed[0] the first foot that moved.
+    # Foot last-2, the deepest the walk places, takes its options in one
+    # inner loop: the ground, then each free cell, one yield each; only a
+    # deeper backtrack runs the general back-up and descent
     reach = [(1 << below) - 1 for below, s in
              zip(accumulate(t.r, initial=0), t.s) for _ in range(s)]
     stop = len(held) - 2
@@ -142,18 +148,34 @@ def _walk(t: StringType, held: list[int],
         yield stop, 0, reach[-1] if reach else 0
         return
     near, far = reach[stop], reach[stop + 1]
-    rest = [0] * stop
+    if not stop:
+        yield 0, near, far
+        return
+    last = stop - 1
+    options = reach[last]
+    rest = [0] * last
     occupied = ground = level = 0
     while True:
-        # descend on ground feet down to foot last-1
-        while level < stop:
+        # descend on ground feet down to foot last-2
+        while level < last:
             rest[level] = reach[level] & ~occupied
             held[level] = 0
             ground += 1
             level += 1
-        yield ground, near & ~occupied, far & ~occupied
-        # back up to the deepest level with an option left and take it
-        level = stop - 1
+        held[last] = 0
+        free_near, free_far = near & ~occupied, far & ~occupied
+        yield ground + 1, free_near, free_far
+        # reach never shrinks, so a free cell of foot last-2 is a bit of
+        # both free masks: taking it clears that bit
+        free = options & ~occupied
+        changed[0] = last
+        while free:
+            bit = free & -free
+            free ^= bit
+            held[last] = bit
+            yield ground, free_near ^ bit, free_far ^ bit
+        # back up to the deepest level above with an option left, take it
+        level = last - 1
         while level >= 0:
             bit = held[level]
             if bit:

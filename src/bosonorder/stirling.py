@@ -30,7 +30,7 @@ from operator import add, index, mul, sub
 
 from .algebra import StringType, _Value
 from .errors import (NegativeExcess, NonCanonicalPrefix,
-                     PrecisionUnreachable, _count_text)
+                     PrecisionUnreachable, TooLarge, _count_text)
 
 DEFAULT_MAX_TERMS = 10000
 
@@ -39,6 +39,10 @@ DEFAULT_MAX_TERMS = 10000
 # in tens of milliseconds
 PEAK_M = 1 << 14
 PEAK_BITS = 1 << 20
+
+# the closed form's table of p(0..sum(s)) takes (sum(s) + 1)^2 differences,
+# and a type past this many is refused (TooLarge) before p is built
+CLOSED_FORM_BUDGET = 10**7
 
 # Decimal(n) is quadratic in the digits of n; above this many bits
 # _exact_decimal converts by halves instead, in subquadratic time
@@ -268,17 +272,26 @@ def _over_factorial(total: int, k: int) -> int:
     return quotient
 
 
+def _require_closed_form_budget(t: StringType) -> None:
+    # checked before p is built; _count_text prints a count of any length
+    if (differences := (t.total_s + 1) ** 2) > CLOSED_FORM_BUDGET:
+        raise TooLarge(f"{_count_text(differences)} differences exceed the "
+                       f"closed-form budget of {CLOSED_FORM_BUDGET}")
+
+
 @functools.lru_cache(maxsize=1)
-def _closed_form_row(t: StringType) -> tuple[int, ...]:
-    # S(0..total_s) from one forward-difference table of p(0..total_s),
-    # its k-th pass leaving Delta^k p(0) in front.  One entry: the traffic
+def _closed_form_row(t: StringType) -> tuple[tuple[int, ...], ...]:
+    # (S(0..total_s), p(0..total_s)): the row from one forward-difference
+    # table of p, its k-th pass leaving Delta^k p(0) in front, and that p,
+    # which selfcheck's settlement leg reads too.  One entry: the traffic
     # that shares a row is calls on one type back to back
-    p = _settlement_products(t, 0, t.total_s + 1)
+    _require_closed_form_budget(t)
+    p = products = tuple(_settlement_products(t, 0, t.total_s + 1))
     row = []
     for k in range(t.total_s + 1):
         row.append(_over_factorial(p[0], k))
         p = list(map(sub, p[1:], p[:-1]))
-    return tuple(row)
+    return tuple(row), products
 
 
 def stirling_closed_form(t: StringType, k: int) -> int:
@@ -286,7 +299,9 @@ def stirling_closed_form(t: StringType, k: int) -> int:
     (1/k!) sum_m C(k,m)(-1)^(k-m) prod_j (m+d_{j-1})_(s_j), read off its
     type's one closed-form table, which consecutive calls on one type
     share.  A lone call with a small k on a large type pays for the whole
-    table (k = 5 on uniform(2,1,1000): about 0.3 s).  The identity holds
+    table (k = 5 on uniform(2,1,1000): about 0.3 s), and a type whose
+    table takes more than CLOSED_FORM_BUDGET differences, (sum(s) + 1)^2,
+    is refused (TooLarge) before p is built.  The identity holds
     for every type, as ``closed_form_table`` shows, but a negative prefix
     excess is refused (NonCanonicalPrefix) before any work: the benchmark
     still scores that refusal.
@@ -296,12 +311,13 @@ def stirling_closed_form(t: StringType, k: int) -> int:
             f"prefix excesses {t.prefix_excesses} contain a negative entry")
     if not t.s[0] <= k <= t.total_s:
         raise ValueError(f"k={k} outside [{t.s[0]}, {t.total_s}]")
-    return _closed_form_row(t)[k]
+    return _closed_form_row(t)[0][k]
 
 
 def closed_form_table(t: StringType) -> dict[int, int]:
-    """The closed form at every k, zeros omitted, for every type."""
-    return {k: v for k, v in enumerate(_closed_form_row(t)) if v}
+    """The closed form at every k, zeros omitted, for every type within
+    CLOSED_FORM_BUDGET differences (TooLarge past it)."""
+    return {k: v for k, v in enumerate(_closed_form_row(t)[0]) if v}
 
 
 def bell_polynomial(t: StringType) -> BellPolynomial:

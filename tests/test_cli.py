@@ -10,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -237,6 +238,12 @@ class TestParseType:
             parse_type("0,1", "1,1")
 
 
+# small types of both prefix signs, each with s_1 > 0
+SMALL_TYPES = [StringType.uniform(1, 1, 3), StringType((2, 1, 3), (1, 2, 2)),
+               StringType((1, 1, 3), (1, 3, 1))]
+SMALL_TYPE_IDS = ["ones", "positive", "negative-prefix"]
+
+
 class TestSelfcheck:
     def test_all_pass(self):
         results = run_selfcheck(StringType.uniform(1, 1, 3))
@@ -452,6 +459,66 @@ class TestSelfcheck:
         results = run_selfcheck(t)
         assert [r.status for r in results] == ["pass"] * 3 + ["fail"]
         assert results[-1].detail == f"{wrong} vs 5"
+
+    @pytest.mark.parametrize("t", SMALL_TYPES, ids=SMALL_TYPE_IDS)
+    def test_numeric_check_at_its_boundary(self, t, monkeypatch):
+        # |v - bell| 10^25 = bell exactly fails, and one unit of v's last
+        # place either side decides as the Fraction form does
+        bell = stirling_recurrence(t).bell()
+        right = check.dobinski_eval(t, 1, 30)
+        unit = Decimal(1).scaleb(-25)
+        above, below = Decimal(bell) * (1 + unit), Decimal(bell) * (1 - unit)
+        statuses = []
+        for value in (above - unit, above, above + unit,
+                      below - unit, below, below + unit):
+            monkeypatch.setattr(check, "dobinski_eval",
+                                lambda *args, value=value: ApproxValue(
+                                    value, 30, right.terms_used))
+            status = run_selfcheck(t)[-1].status
+            fails = abs(Fraction(value) - bell) * 10 ** 25 >= bell
+            assert status == ("fail" if fails else "pass"), value
+            statuses.append(status)
+        assert statuses == ["pass", "fail", "fail", "fail", "fail", "pass"]
+
+    @pytest.mark.parametrize("t", SMALL_TYPES, ids=SMALL_TYPE_IDS)
+    def test_builds_p_0_to_sum_s_once(self, t, monkeypatch):
+        # the closed form and the settlement leg read one window p(0..sum(s));
+        # the Dobinski leg's own windows start at s_1
+        stirling._closed_form_row.cache_clear()
+        builds = []
+        products = stirling._settlement_products
+
+        def counted(*args):
+            builds.append(args)
+            return products(*args)
+
+        # counted wherever it is looked up, check too if it binds the name
+        monkeypatch.setattr(stirling, "_settlement_products", counted)
+        monkeypatch.setattr(check, "_settlement_products", counted,
+                            raising=False)
+        assert [r.status for r in run_selfcheck(t)] == ["pass"] * 4
+        window = (t, 0, t.total_s + 1)
+        assert builds.count(window) == 1
+        others = [args for args in builds if args != window]
+        assert all(u is t and lo >= t.s[0] > 0 for u, lo, _ in others)
+
+    def test_budget_is_checked_before_any_route(self, monkeypatch):
+        # at a budget of 36 differences, sum(s) = 5 runs and sum(s) = 6 is
+        # refused with no route run and the walk never started
+        monkeypatch.setattr(stirling, "CLOSED_FORM_BUDGET", 36)
+        assert [r.status for r in run_selfcheck(
+            StringType((2, 3), (2, 3)))] == ["pass"] * 4
+
+        def never(*args):
+            raise AssertionError("a route ran past the closed-form budget")
+
+        monkeypatch.setattr(check, "normal_order", never)
+        monkeypatch.setattr(check, "stirling_recurrence", never)
+        monkeypatch.setattr(check, "closed_form_table", never)
+        monkeypatch.setattr(combinat, "_walk", never)
+        with pytest.raises(TooLarge, match="^49 differences exceed the "
+                                           "closed-form budget of 36$"):
+            run_selfcheck(StringType((3, 3), (3, 3)))
 
 
 def _corrupted_walk(walk, rng):

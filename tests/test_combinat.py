@@ -58,6 +58,57 @@ def boundary_types(draw, factors=5, top=3):
     return StringType(r, s)
 
 
+def reference_walk(t, held, changed):
+    """The walk as it stood before foot last-2 took its options in one inner
+    loop: every placement runs the general back-up and descent.  Kept as the
+    reference for the yield stream."""
+    reach = [(1 << below) - 1 for below, s in
+             zip(itertools.accumulate(t.r, initial=0), t.s) for _ in range(s)]
+    stop = len(held) - 2
+    changed[0] = 0
+    if stop < 0:
+        yield stop, 0, reach[-1] if reach else 0
+        return
+    near, far = reach[stop], reach[stop + 1]
+    rest = [0] * stop
+    occupied = ground = level = 0
+    while True:
+        while level < stop:
+            rest[level] = reach[level] & ~occupied
+            held[level] = 0
+            ground += 1
+            level += 1
+        yield ground, near & ~occupied, far & ~occupied
+        level = stop - 1
+        while level >= 0:
+            bit = held[level]
+            if bit:
+                occupied ^= bit
+            else:
+                ground -= 1
+            free = rest[level]
+            if free:
+                bit = free & -free
+                rest[level] = free ^ bit
+                held[level] = bit
+                occupied |= bit
+                changed[0] = level
+                level += 1
+                break
+            level -= 1
+        else:
+            return
+
+
+def walk_stream(walk, t):
+    """Everything a consumer may read at each yield of walk over t: the
+    yield, the choices of feet 0..last-2 and the first foot that moved."""
+    held, changed = [0] * t.total_s, [0]
+    stop = max(t.total_s - 2, 0)
+    return [(ground, near, far, tuple(held[:stop]), changed[0])
+            for ground, near, far in walk(t, held, changed)]
+
+
 def traced_peak(f):
     """f() and the peak of the memory traced while it ran, in bytes."""
     tracemalloc.start()
@@ -138,6 +189,8 @@ class TestColonies:
     @example(StringType((1, 1), (0, 1)))   # one foot
     @example(StringType((2, 1), (1, 1)))   # two feet in two bugs
     @example(StringType((2, 1), (0, 2)))   # two feet in one bug
+    @example(StringType((2, 1), (0, 3)))   # three feet in one bug
+    @example(StringType((1, 2, 1), (0, 1, 2)))  # three feet in two bugs
     @settings(deadline=None, max_examples=300)
     def test_walk_consumers_agree(self, t):
         # the histogram, the listing and selfcheck each read the one walk
@@ -152,6 +205,27 @@ class TestColonies:
         assert len({c.placement for c in colonies}) == bell_number(t)
         assert all(Colony(t, c.placement) == c for c in colonies)
         assert [r.status for r in run_selfcheck(t)] == ["pass"] * 4
+
+    def test_walk_stream_matches_the_reference(self, every_small_type):
+        # foot last-2's inner loop leaves every yield as it was: the same
+        # (ground, near, far), held[:stop] and changed[0], in the same order
+        yields = 0
+        for t in every_small_type:
+            stream = walk_stream(combinat._walk, t)
+            assert stream == walk_stream(reference_walk, t), t
+            yields += len(stream)
+        assert yields > 1000
+
+    @given(boundary_types())
+    @example(StringType((1, 3), (3, 1)))        # d_1 = -2
+    @example(StringType((1, 1, 2), (0, 3, 1)))  # s_1 = 0, d_2 = -1
+    @example(StringType((2, 1), (0, 3)))        # three feet in one bug
+    @example(StringType((1, 2, 1), (0, 1, 2)))  # three feet in two bugs
+    @settings(deadline=None, max_examples=300)
+    def test_walk_stream_matches_the_reference_on_both_signs(self, t):
+        assume(bell_number(t) <= 20000)
+        assert walk_stream(combinat._walk, t) \
+            == walk_stream(reference_walk, t)
 
     def test_near_lies_within_far(self, every_small_type):
         # the histogram counts |near| (|far| - 1) colonies with both of the

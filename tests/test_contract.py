@@ -54,6 +54,7 @@ ONES = ",".join("1" * 12)
 EIGHT_BUGS = "--r 1,1,1,1,1,1,1,1 --s 1,1,1,1,1,1,1,1"
 NINE_BUGS = "--r 1,1,1,1,1,1,1,1,1 --s 1,1,1,1,1,1,1,1,1"
 CAP = "exceed the cap of 10000000"
+BUDGET = "differences exceed the closed-form budget of 10000000"
 FULL = "error: cannot write stdout: No space left on device"
 
 CONTRACT = {
@@ -98,6 +99,14 @@ CONTRACT = {
     "forests-past-the-int-to-str-limit": Row(
         f"forests --arity {10**120} --n 40", 1,
         err=f"error: at least 2^39 forests {CAP}"),
+    # (sum(s) + 1)^2 differences, refused before p(0..sum(s)) is built: an
+    # OverflowError and a MemoryError traceback without the budget
+    "closed-form-past-an-index-size": Row(
+        f"stirling --method closed-form --r 1 --s {10**30}", 1,
+        err=f"error: {(10**30 + 1)**2} {BUDGET}", seconds=2, kb=400_000),
+    "closed-form-past-memory": Row(
+        f"stirling --method closed-form --r 1 --s {10**11}", 1,
+        err=f"error: {(10**11 + 1)**2} {BUDGET}", seconds=2, kb=400_000),
     "series-arity-past-its-bound": Row(
         "series --arity 100000000 --order 1", 2,
         err="argument --arity: must be at most 100000", seconds=30,

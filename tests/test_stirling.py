@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 from bosonorder import (ApproxValue, BellPolynomial, ComplexApproxValue,
                         NegativeExcess, NonCanonicalPrefix,
                         PrecisionUnreachable, StirlingTable, StringType,
-                        bell_number, bell_polynomial, bell_r1_numeric,
-                        closed_form_table, coherent_expectation,
+                        TooLarge, bell_number, bell_polynomial,
+                        bell_r1_numeric, closed_form_table,
+                        coherent_expectation,
                         count_colonies_by_free_legs, dobinski_eval,
                         enumerate_settlements, extract_stirling,
                         falling_factorial, normal_order, settlement_product,
@@ -285,6 +286,32 @@ class TestClosedForm:
                  for k in range(t.s[0], t.total_s + 1)}
         assert closed_form_table(t) == {k: v for k, v in table.items() if v}
         assert builds == [(t, 0, t.total_s + 1)]
+
+    def test_budget_refuses_before_p_is_built(self, monkeypatch):
+        # (sum(s) + 1)^2 differences: at a budget of 36, sum(s) = 5 is
+        # answered and sum(s) = 6 refused without building p
+        _closed_form_row.cache_clear()
+        monkeypatch.setattr(stirling, "CLOSED_FORM_BUDGET", 36)
+        inside = StringType((2, 3), (2, 3))
+        assert closed_form_table(inside) == stirling_recurrence(inside).values
+
+        def never(*args):
+            raise AssertionError("p was built past the budget")
+
+        monkeypatch.setattr(stirling, "_settlement_products", never)
+        over = StringType((3, 3), (3, 3))
+        message = "^49 differences exceed the closed-form budget of 36$"
+        with pytest.raises(TooLarge, match=message):
+            closed_form_table(over)
+        with pytest.raises(TooLarge, match=message):
+            stirling_closed_form(over, 4)
+
+    def test_budget_refusal_prints_a_count_past_the_int_to_str_limit(self):
+        # (10^3000 + 1)^2 has 6 001 digits: the refusal gives its leading six
+        with pytest.raises(TooLarge, match=r"^1\.00000e\+6000 differences "
+                                           r"exceed the closed-form budget "
+                                           r"of 10000000$"):
+            closed_form_table(StringType((1,), (10**3000,)))
 
     def test_alternating_types_do_not_cross(self):
         _closed_form_row.cache_clear()
