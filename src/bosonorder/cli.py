@@ -5,31 +5,29 @@ numeric series, enumeration) plus a selfcheck that cross-verifies them on
 one input type.  Exit codes: 0 success, 1 computational error, failed
 selfcheck or stdout closed by its reader, 2 usage or parse error or an
 unwritable --out or stdout.  Colony listings stream, so memory stays flat.
+
+A one-shot loads only what its subcommand runs: the top level imports the
+parser's needs and the algebra, and each handler imports the library
+module it calls, json where it writes a payload.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
 from contextlib import nullcontext
-from fractions import Fraction
 from itertools import islice
-from json.encoder import encode_basestring_ascii
 
 from .algebra import (ANNIHILATION, CREATION, BosonWord, Letter,
                       NormalForm, StringType, normal_order, type_from_word,
                       word_from_type)
-from .check import TABLE_ROUTES, run_selfcheck
-from .combinat import (DEFAULT_ENUM_CAP, colony_to_dot, colony_to_text,
-                       count_colonies_by_free_legs, count_increasing_forests,
-                       enumerate_colonies, enumerate_settlements, free_legs)
 from .errors import BosonOrderError, LengthMismatch, ParseError
-from .series import (forest_egf, tree_series, tree_series_closed_form)
-from .stirling import (DEFAULT_MAX_TERMS, _exact_decimal, dobinski_eval,
-                       settlement_product)
+
+# the keys of check.TABLE_ROUTES, in its order, for --method: the parser is
+# built before any route's module loads, and a test pins the two equal
+TABLE_METHODS = ("rewrite", "recurrence", "closed-form", "enumerate")
 
 _TOKEN = re.compile(r"(ad|a)(?:\^([0-9]+))?")
 
@@ -47,6 +45,10 @@ MAX_ARITY = 100_000
 # digit string is refused before int() spends quadratic time on it
 MAX_EXPONENT_DIGITS = 4300
 _EXPONENT_BOUND = 10 ** MAX_EXPONENT_DIGITS
+
+# an int of at most this many bits has at most 603 digits, under the
+# 640-digit floor of any int-to-str limit, so str() prints it
+STR_BITS = 2000
 
 
 def _byte_offset(text: str, index: int) -> int:
@@ -69,11 +71,14 @@ def _read_exponent(digits: str, total: int, text: str, index: int) -> int:
 def _number_text(v) -> str:
     # str(v) for an int or Fraction of any size: str() refuses ints longer
     # than the interpreter's int-to-str limit, the decimal module does not
-    if isinstance(v, Fraction):
+    if not isinstance(v, int):
         text = _number_text(v.numerator)
         if v.denominator == 1:
             return text
         return f"{text}/{_number_text(v.denominator)}"
+    if v.bit_length() <= STR_BITS:
+        return str(v)
+    from .stirling import _exact_decimal
     return str(_exact_decimal(v))
 
 
@@ -134,6 +139,7 @@ def parse_type(r_text: str, s_text: str) -> StringType:
 def _default_enum_cap() -> int:
     raw = os.environ.get("BOSON_ORDER_ENUM_CAP")
     if raw is None:
+        from .combinat import DEFAULT_ENUM_CAP
         return DEFAULT_ENUM_CAP
     try:
         cap = int(raw)
@@ -195,17 +201,19 @@ def build_parser() -> argparse.ArgumentParser:
     add("order", "normal order a word", _cmd_order)
     p = add("stirling", "coefficient table of a word or type", _cmd_stirling,
             enum_cap=True, formats=("plain", "json", "csv"))
-    p.add_argument("--method", default="auto", choices=("auto", *TABLE_ROUTES))
+    p.add_argument("--method", default="auto",
+                   choices=("auto", *TABLE_METHODS))
     p = add("bell", "sum of the coefficient table", _cmd_bell, enum_cap=True)
-    p.add_argument("--method", default="auto", choices=("auto", *TABLE_ROUTES))
+    p.add_argument("--method", default="auto",
+                   choices=("auto", *TABLE_METHODS))
     p = add("dobinski", "numeric series value of the Bell polynomial",
             _cmd_dobinski)
     p.add_argument("--x", default="1", help="nonnegative rational argument")
     p.add_argument("--digits", type=_count(1, MAX_DIGITS), default=50,
                    help="significant digits for numeric results "
                         f"(at most {MAX_DIGITS})")
-    p.add_argument("--max-terms", type=_count(1), default=DEFAULT_MAX_TERMS,
-                   dest="max_terms", help="series term cap before giving up")
+    p.add_argument("--max-terms", type=_count(1), dest="max_terms",
+                   help="series term cap before giving up")
     p = add("colonies", "enumerate colonies of a type", _cmd_colonies,
             enum_cap=True)
     p.add_argument("--dot", action="store_true",
@@ -275,6 +283,7 @@ def _cmd_order(args, t):
 
 
 def _stirling_values(args, t) -> tuple[dict[int, int], str]:
+    from .check import TABLE_ROUTES
     method = "recurrence" if args.method == "auto" else args.method
     return TABLE_ROUTES[method](t, args.enum_cap), method
 
@@ -326,6 +335,7 @@ def _cmd_dobinski(args, t):
     if size > MAX_DIGITS:
         raise ParseError(f"x may have at most {MAX_DIGITS} digits, counting "
                          "its decimal exponent", 0)
+    from fractions import Fraction
     try:
         x = Fraction(args.x)
     except (ValueError, ZeroDivisionError):
@@ -335,7 +345,9 @@ def _cmd_dobinski(args, t):
         raise ParseError(f"cannot read {quoted} as a rational number", 0)
     if x < 0:
         raise ParseError("x must be nonnegative", 0)
-    approx = dobinski_eval(t, x, args.digits, args.max_terms)
+    from .stirling import DEFAULT_MAX_TERMS, dobinski_eval
+    approx = dobinski_eval(t, x, args.digits, DEFAULT_MAX_TERMS
+                           if args.max_terms is None else args.max_terms)
     if args.format == "json":
         return {
             "type": _type_payload(t),
@@ -348,11 +360,14 @@ def _cmd_dobinski(args, t):
 
 
 def _cmd_colonies(args, t):
+    from .combinat import (colony_to_dot, count_colonies_by_free_legs,
+                           enumerate_colonies)
     # the cap guards run here, before the first chunk is printed
     colonies = enumerate_colonies(t, args.enum_cap)
     if args.dot:
         return _joined("", map(colony_to_dot, colonies), "\n\n", ""), 0
     if args.format == "json":
+        import json
         counts = count_colonies_by_free_legs(t, args.enum_cap)
         # json.dumps' own layout around the listing, whose one null marks
         # where the colonies go: every other value is a number or digits
@@ -362,7 +377,7 @@ def _cmd_colonies(args, t):
             "by_free_legs": {str(k): str(v) for k, v in sorted(counts.items())},
             "colonies": [None],
         }, indent=2).split("null")
-        return _joined(head, map(_colony_json, colonies), ",\n    ", tail), 0
+        return _joined(head, _colonies_json(colonies), ",\n    ", tail), 0
     return _colony_blocks(colonies), 0
 
 
@@ -374,16 +389,19 @@ def _joined(head: str, items, sep: str, tail: str):
     yield tail
 
 
-def _colony_json(colony) -> str:
-    # a colony's foot lines as json.dumps(indent=2) lays out a nested list
-    text = colony_to_text(colony)
-    if not text:
-        return "[]"
-    lines = ",\n      ".join(map(encode_basestring_ascii, text.split("\n")))
-    return f"[\n      {lines}\n    ]"
+def _colonies_json(colonies):
+    # each colony's foot lines as json.dumps(indent=2) lays out a nested list
+    from json.encoder import encode_basestring_ascii
+    from .combinat import colony_to_text
+    for colony in colonies:
+        text = colony_to_text(colony)
+        lines = ",\n      ".join(map(encode_basestring_ascii,
+                                       text.split("\n")))
+        yield f"[\n      {lines}\n    ]" if text else "[]"
 
 
 def _colony_blocks(colonies):
+    from .combinat import colony_to_text, free_legs
     n = 0
     for n, c in enumerate(colonies, start=1):
         yield (f"colony {n} (free legs {free_legs(c)})\n{colony_to_text(c)}"
@@ -392,6 +410,8 @@ def _colony_blocks(colonies):
 
 
 def _cmd_settlements(args, t):
+    from .combinat import enumerate_settlements
+    from .stirling import settlement_product
     if args.method == "product":
         count = settlement_product(t, args.m)
     else:
@@ -407,6 +427,7 @@ def _cmd_settlements(args, t):
 
 
 def _cmd_forests(args, t):
+    from .combinat import count_increasing_forests
     count = count_increasing_forests(args.arity, args.n, args.enum_cap)
     if args.format == "json":
         return {"arity": args.arity, "n": args.n, "count": str(count)}, 0
@@ -414,6 +435,7 @@ def _cmd_forests(args, t):
 
 
 def _cmd_series(args, t):
+    from .series import forest_egf, tree_series, tree_series_closed_form
     builder = {"tree": tree_series, "tree-closed": tree_series_closed_form,
                "forest": forest_egf}[args.kind]
     series = builder(args.arity, args.order)
@@ -433,6 +455,7 @@ def _cmd_series(args, t):
 
 
 def _cmd_selfcheck(args, t):
+    from .check import run_selfcheck
     results = run_selfcheck(t, args.enum_cap)
     code = 1 if any(r.status == "fail" for r in results) else 0
     if args.format == "json":
@@ -461,6 +484,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (ParseError, LengthMismatch)) else 1
     if isinstance(result, dict):
+        import json
         result = json.dumps(result, indent=2)
     chunks = (result,) if isinstance(result, str) else result
     # an empty --out is a path that cannot be opened, not stdout
@@ -497,3 +521,13 @@ def _write(fh, chunks) -> None:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+def __getattr__(name: str):
+    # perfbench/inproc.py reads run_selfcheck from this module: check loads
+    # on that first read, and the name is bound here
+    if name != "run_selfcheck":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .check import run_selfcheck
+    globals()[name] = run_selfcheck
+    return run_selfcheck

@@ -23,8 +23,6 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterable, Iterator, Mapping
-from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact
-from fractions import Fraction
 from itertools import chain, count, repeat
 from operator import add, index, mul, sub
 
@@ -47,8 +45,6 @@ CLOSED_FORM_BUDGET = 10**7
 # Decimal(n) is quadratic in the digits of n; above this many bits
 # _exact_decimal converts by halves instead, in subquadratic time
 SPLIT_BITS = 1 << 14
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX)
-_EXACT.traps[Inexact] = True
 
 
 def falling_factorial(l: int, p: int) -> int:
@@ -106,6 +102,9 @@ class BellPolynomial(_Value):
         for c in coeffs:
             scale *= v
             acc = acc * u + c * scale
+        if isinstance(x, int):
+            return acc
+        from fractions import Fraction
         return Fraction(acc, scale) if isinstance(x, Fraction) else acc
 
 
@@ -424,6 +423,7 @@ def dobinski_eval(t: StringType, x, target_digits: int,
     """
     if target_digits < 1:
         raise ValueError("target_digits must be positive")
+    from fractions import Fraction
     x = Fraction(x)
     if x < 0:
         raise ValueError("x must be nonnegative")
@@ -436,22 +436,33 @@ def dobinski_eval(t: StringType, x, target_digits: int,
                          t.total_s, x, target_digits, max_terms)
 
 
+@functools.cache
+def _exact_context():
+    # the decimal Context of unbounded precision and exponent that traps
+    # Inexact, so no operation in it can round; built on first use
+    from decimal import MAX_EMAX, MAX_PREC, Context, Inexact
+    context = Context(prec=MAX_PREC, Emax=MAX_EMAX)
+    context.traps[Inexact] = True
+    return context
+
+
 def _exact_decimal(n: int, bits: int = -1,
                    powers: dict[int, Decimal] | None = None) -> Decimal:
     # n exactly, the package's one int-to-Decimal conversion: split n at
     # 2^w, convert both halves and recombine with one multiply-add, which
     # libmpdec does by number-theoretic transform; powers caches each 2^w
+    exact = _exact_context()
     if powers is None:
         bits, powers = n.bit_length(), {}
     if bits <= SPLIT_BITS:
-        return Decimal(n)
+        return exact.create_decimal(n)
     w = bits >> 1
     high = n >> w
     if w not in powers:
-        powers[w] = _EXACT.power(2, w)
-    return _EXACT.add(_exact_decimal(n - (high << w), w, powers),
-                      _EXACT.multiply(_exact_decimal(high, bits - w, powers),
-                                      powers[w]))
+        powers[w] = exact.power(2, w)
+    return exact.add(_exact_decimal(n - (high << w), w, powers),
+                     exact.multiply(_exact_decimal(high, bits - w, powers),
+                                    powers[w]))
 
 
 def _rounded(num: int, den: int, digits: int) -> Decimal:
@@ -476,7 +487,8 @@ def _rounded(num: int, den: int, digits: int) -> Decimal:
         q += 1
         if q == top:
             q, e = q // 10, e + 1
-    return _exact_decimal(q if num > 0 else -q).scaleb(e, _EXACT)
+    return _exact_decimal(q if num > 0 else -q).scaleb(
+        e, _exact_context())
 
 
 def _dobinski_sum(products: Iterable[int], m0: int, total_s: int,
@@ -534,6 +546,7 @@ def settlement_product(t: StringType, m: int) -> int:
 
 
 def _gaussian_parts(z) -> tuple[Fraction, Fraction]:
+    from fractions import Fraction
     if isinstance(z, complex):
         return Fraction(z.real), Fraction(z.imag)
     if isinstance(z, tuple) and len(z) == 2:

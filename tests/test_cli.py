@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import importlib
 import itertools
 import json
 import math
@@ -13,6 +14,7 @@ import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 from hypothesis import given, settings
@@ -131,16 +133,18 @@ SERIES_FOREST_3_6 = """\
 """
 
 
-def imported_modules(*argv) -> set[str]:
-    """The modules a python child imports running argv.  -S keeps site
-    from preloading typing; -X importtime writes one stderr line per
-    module imported, so no timing is compared."""
-    src = Path(__file__).resolve().parent.parent / "src"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def imported_modules(*argv, code: int = 0) -> set[str]:
+    """The modules a python child imports running argv, which exits with
+    code.  -S keeps site from preloading typing; -X importtime writes one
+    stderr line per module imported, so no timing is compared."""
     proc = subprocess.run(
         [sys.executable, "-S", "-X", "importtime", *argv],
         capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=str(src)))
-    assert proc.returncode == 0, proc.stderr
+        env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == code, proc.stderr
     return {line.rsplit("|", 1)[1].strip()
             for line in proc.stderr.splitlines()
             if line.startswith("import time:")}
@@ -760,13 +764,22 @@ class TestMainInProcess:
 
     def test_methods_agree(self, capsys):
         tables = {}
-        for method in cli.TABLE_ROUTES:
+        for method in check.TABLE_ROUTES:
             assert main(["stirling", "--r", "2,2,2", "--s", "1,1,1",
                          "--method", method, "--format", "json"]) == 0
             payload = json.loads(capsys.readouterr().out)
             tables[method] = payload["stirling"]
             assert payload["method"] == method
         assert len(set(map(str, tables.values()))) == 1
+
+    @pytest.mark.parametrize("sub", ["stirling", "bell"])
+    def test_method_choices_are_the_route_table(self, sub):
+        # the parser names the routes without loading check
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        method = next(a for a in subparsers.choices[sub]._actions
+                      if a.dest == "method")
+        assert tuple(method.choices) == ("auto", *check.TABLE_ROUTES)
 
     def test_negative_excess_word_is_computational_error(self, capsys):
         assert main(["stirling", "--word", "a^2 ad", "--method",
@@ -1142,9 +1155,74 @@ def _digits(n):
     return str(n) + "".join(reversed(parts))
 
 
+def _least_falling(bound: int, s: int = 9) -> int:
+    # the least n with (n)_s >= bound
+    lo, hi = s, 2 * s
+    while math.perm(hi, s) < bound:
+        hi *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if math.perm(mid, s) >= bound else (mid + 1, hi)
+    return lo
+
+
+# n whose (n)_9 has 2 000 and 2 001 bits, either side of cli.STR_BITS;
+# 641 digits, just past the lowest int-to-str limit; and 4 300 and 4 301
+# digits, either side of the default one
+THRESHOLD_N = {
+    "2000-bits": _least_falling(1 << 2000) - 1,
+    "2001-bits": _least_falling(1 << 2000),
+    "641-digits": _least_falling(10 ** 640),
+    "4300-digits": _least_falling(10 ** 4300) - 1,
+    "4301-digits": _least_falling(10 ** 4300),
+}
+
+# requests whose answer holds (n)_9 from an input under 640 digits: the
+# top coefficient of a^9 ad^n, S(1) of the type r = (n, 1), s = (1, 9), and
+# the settlements of r = s = (9,) on n cells
+THRESHOLD_REQUESTS = {
+    "order": lambda n: ["order", "--word", f"a^9 ad^{n}"],
+    "stirling-json": lambda n: ["stirling", "--r", f"{n},1", "--s", "1,9",
+                                "--format", "json"],
+    "settlements-product": lambda n: ["settlements", "--r", "9", "--s", "9",
+                                      "--m", str(n), "--method", "product"],
+}
+
+
 class TestBigNumbers:
     """Answers longer than the 4300-digit int-to-str limit print in full;
     exponents past it are refused as parse errors with a byte offset."""
+
+    def test_threshold_values_straddle_both_limits(self):
+        sizes = [(v.bit_length(), len(_digits(v)))
+                 for v in (math.perm(n, 9) for n in THRESHOLD_N.values())]
+        assert [bits for bits, _ in sizes[:2]] == [2000, 2001]
+        assert [digits for _, digits in sizes[2:]] == [641, 4300, 4301]
+        assert all(len(str(n)) < 640 for n in THRESHOLD_N.values())
+
+    @pytest.mark.parametrize("n", THRESHOLD_N.values(), ids=THRESHOLD_N)
+    @pytest.mark.parametrize("request_", THRESHOLD_REQUESTS)
+    def test_print_threshold_keeps_the_bytes(self, request_, n, monkeypatch,
+                                             capsys):
+        # every int printed the one way the decimal module does, in
+        # process, against a child under each int-to-str limit: unset,
+        # the 640-digit floor, and none
+        argv = THRESHOLD_REQUESTS[request_](n)
+        monkeypatch.setattr(cli, "_number_text",
+                            lambda v: str(stirling._exact_decimal(v)))
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        assert str(stirling._exact_decimal(math.perm(n, 9))) in expected
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        for limit in (None, "640", "0"):
+            if limit is not None:
+                env["PYTHONINTMAXSTRDIGITS"] = limit
+            proc = subprocess.run(
+                [sys.executable, "-m", "bosonorder", *argv],
+                capture_output=True, text=True, env=env)
+            assert (proc.returncode, proc.stderr) == (0, ""), limit
+            assert proc.stdout == expected, limit
 
     def test_plain_and_json(self, capsys):
         expected = _digits(math.factorial(2000))
@@ -1207,14 +1285,47 @@ class TestBigNumbers:
         assert f"less than 10^{MAX_EXPONENT_DIGITS} (byte {offset})" in err
 
 
+# what each request loads of bosonorder's modules and of decimal,
+# fractions and json; FRONT is what every request needs.  fractions
+# imports decimal itself
+FRONT = {"bosonorder", "bosonorder.cli", "bosonorder.algebra",
+         "bosonorder.errors"}
+ROUTES = {"bosonorder.check", "bosonorder.combinat", "bosonorder.stirling"}
+WALK = {"bosonorder.combinat", "bosonorder.stirling"}
+NUMBERS = {"decimal", "fractions"}
+ONE_ONE = ("--r", "1,1", "--s", "1,1")
+STARTUP = {
+    "import-package": (("-c", "import bosonorder"), 0, {"bosonorder"}),
+    "import": (("-c", "import bosonorder.cli"), 0, FRONT),
+    "order": (("order", "--word", "a^2 ad^2"), 0, FRONT),
+    "order-json": (("order", "--word", "a^2 ad^2", "--format", "json"), 0,
+                   FRONT | {"json"}),
+    "parse-refusal": (("order", "--word", "b"), 2, FRONT),
+    "usage-error": (("order", "--bogus"), 2, FRONT),
+    "stirling": (("stirling", *ONE_ONE), 0, FRONT | ROUTES),
+    "bell": (("bell", *ONE_ONE), 0, FRONT | ROUTES),
+    "dobinski": (("dobinski", *ONE_ONE), 0,
+                 FRONT | {"bosonorder.stirling"} | NUMBERS),
+    "colonies": (("colonies", *ONE_ONE), 0, FRONT | WALK),
+    "settlements": (("settlements", *ONE_ONE, "--m", "3"), 0, FRONT | WALK),
+    "forests": (("forests", "--arity", "2", "--n", "3"), 0, FRONT | WALK),
+    "series": (("series", "--arity", "2"), 0,
+               FRONT | {"bosonorder.series", "bosonorder.stirling"} | NUMBERS),
+    "selfcheck": (("selfcheck", *ONE_ONE), 0, FRONT | ROUTES | NUMBERS),
+}
+
+
 class TestSubprocess:
-    @pytest.mark.parametrize("argv", [
-        ("-c", "import bosonorder.cli"),
-        ("-m", "bosonorder", "bell", "--r", "1,1", "--s", "1,1"),
-    ], ids=["import", "bell"])
-    def test_startup_skips_slow_modules(self, argv):
-        imported = imported_modules(*argv)
-        assert "bosonorder.cli" in imported
+    @pytest.mark.parametrize("argv, code, expected", STARTUP.values(),
+                             ids=STARTUP)
+    def test_startup_skips_slow_modules(self, argv, code, expected):
+        # bosonorder's modules, and decimal, fractions and json: each
+        # request loads exactly the ones its subcommand runs
+        if argv[0] != "-c":
+            argv = ("-m", "bosonorder", *argv)
+        imported = imported_modules(*argv, code=code)
+        assert {m for m in imported if m.split(".")[0] == "bosonorder"
+                or m in NUMBERS | {"json"}} == expected
         assert not imported & {"dataclasses", "inspect", "typing"}
 
     def test_checks_load_without_the_front_end(self):
@@ -1222,6 +1333,54 @@ class TestSubprocess:
         imported = imported_modules("-c", "import bosonorder.check")
         assert "bosonorder.check" in imported
         assert not imported & {"argparse", "bosonorder.cli"}
+
+
+class TestLazyExports:
+    """bosonorder's public names load on first read (PEP 562)."""
+
+    def test_each_name_comes_from_its_home_module(self):
+        for name in bosonorder.__all__:
+            home = importlib.import_module(
+                f"bosonorder.{bosonorder._HOME[name]}")
+            value = getattr(bosonorder, name)
+            assert value is getattr(home, name)
+            # bound on first read: later reads are plain attributes
+            assert vars(bosonorder)[name] is value
+            if isinstance(value, (type, FunctionType)):
+                assert value.__module__ == home.__name__
+
+    def test_star_import_binds_all(self):
+        namespace = {}
+        exec("from bosonorder import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(bosonorder.__all__)
+        assert len(bosonorder.__all__) == len(set(bosonorder.__all__)) == 50
+
+    def test_unknown_name_is_attribute_error(self):
+        assert set(bosonorder.__all__) <= set(dir(bosonorder))
+        with pytest.raises(AttributeError, match="'no_such_name'"):
+            bosonorder.no_such_name
+        with pytest.raises(AttributeError, match="'no_such_name'"):
+            cli.no_such_name
+
+    def test_cli_passes_on_run_selfcheck(self):
+        assert cli.run_selfcheck is check.run_selfcheck
+        assert vars(cli)["run_selfcheck"] is check.run_selfcheck
+
+    def test_import_binds_nothing_until_read(self):
+        code = """if True:
+            import sys
+            import bosonorder
+            names = set(bosonorder.__all__)
+            assert not names & set(vars(bosonorder))
+            assert names <= set(dir(bosonorder))
+            assert not [m for m in sys.modules if m.startswith("bosonorder.")]
+            word = bosonorder.BosonWord
+            assert vars(bosonorder)["BosonWord"] is word
+            assert "bosonorder.algebra" in sys.modules
+            assert "bosonorder.stirling" not in sys.modules
+        """
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env=dict(os.environ, PYTHONPATH=str(SRC)))
 
 
 def _listing_in_memory(t: StringType, form: str) -> str:

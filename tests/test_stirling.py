@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import random
@@ -1061,3 +1062,58 @@ class TestNegativePrefixSweep:
                 _assert_close(out.imag, exact[1], 30)
             checked += 1
         assert checked == 111
+
+
+class TestPinnedNumbers:
+    """Values as the package printed them when decimal and fractions were
+    imported with the stirling module: loading them only where a value
+    needs them changes no digit and no result type."""
+
+    @pytest.mark.parametrize("r, s, x, digits, value, terms", [
+        ((2, 1), (1, 1), Fraction(1, 2), 40,
+         "1.250000000000000000000000000000000000000", 31),
+        ((3, 2, 1), (1, 2, 1), 3, 30, "702.000000000000000000000000000", 45),
+        ((1,) * 5, (1,) * 5, Fraction(7, 3), 60,
+         "767.176954732510288065843621399176954732510288065843621399177", 65),
+        ((1, 3), (2, 1), 0, 12, "0", 1),
+    ])
+    def test_dobinski(self, r, s, x, digits, value, terms):
+        approx = dobinski_eval(StringType(r, s), x, digits)
+        assert (str(approx.value), approx.terms_used) == (value, terms)
+
+    @pytest.mark.parametrize("r, s, z, digits, real, imag, used", [
+        ((3, 1), (1, 1), complex(0.5, -1.25), 35,
+         "-11.448486328125000000000000000000000",
+         "10.903320312500000000000000000000000", 2),
+        ((3, 1), (1, 1), (Fraction(1, 3), Fraction(2, 7)), 30,
+         "0.0181404962922364181539701439919",
+         "-0.117215514503681471148730161179", 2),
+        ((2, 2), (1, 2), 2, 20, "272.00000000000000000", "0", 3),
+        ((2, 2), (1, 2), 0, 5, "0", "0", 3),
+    ])
+    def test_coherent(self, r, s, z, digits, real, imag, used):
+        out = coherent_expectation(StringType(r, s), z, digits)
+        assert (str(out.real), str(out.imag), out.coefficients_used) \
+            == (real, imag, used)
+
+    def test_split_conversions(self):
+        # thousands of digits, so _exact_decimal converts by halves
+        approx = dobinski_eval(StringType((2, 1), (1, 1)), Fraction(1, 3),
+                               6000)
+        text = str(approx.value)
+        assert (len(text), approx.terms_used) == (6002, 1818)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "918c48d9bfe616cdedded78a1611135f7c1ec2240f1fc2e9130cd0709f13d415")
+        out = coherent_expectation(StringType((3, 1), (1, 1)),
+                                   (Fraction(1, 3), Fraction(2, 7)), 5500)
+        assert hashlib.sha256(f"{out.real} {out.imag}".encode()).hexdigest() \
+            == "cc2c201ab04be93ffda5a92157bb7b1d38a01909b9c42fa285bb79630f573969"
+
+    def test_bell_polynomial_evaluate(self):
+        poly = bell_polynomial(StringType((2, 2), (1, 2)))
+        assert poly.coeffs == (0, 2, 4, 1)
+        for x, value in ((5, 235), (True, 7), (Fraction(5, 3),
+                                               Fraction(515, 27)),
+                         (Fraction(4), Fraction(136))):
+            got = poly.evaluate(x)
+            assert got == value and type(got) is type(value), x
