@@ -12,24 +12,23 @@ _EXPORTS = {
         "StringType", "extract_stirling", "normal_order", "type_from_word",
         "word_from_type"),
     "combinat": (
-        "DEFAULT_ENUM_CAP", "Colony", "IncreasingForest",
-        "colony_to_dot", "colony_to_forest", "colony_to_text",
-        "count_colonies_by_free_legs", "count_increasing_forests",
-        "enumerate_colonies", "enumerate_settlements", "forest_to_colony",
-        "free_legs"),
+        "Colony", "IncreasingForest", "colony_to_dot", "colony_to_forest",
+        "colony_to_text", "count_colonies_by_free_legs",
+        "count_increasing_forests", "enumerate_colonies",
+        "enumerate_settlements", "forest_to_colony", "free_legs"),
     "errors": (
-        "BosonOrderError", "LengthMismatch", "NegativeExcess",
-        "NonCanonicalPrefix", "ParseError", "PrecisionUnreachable",
-        "TooLarge"),
+        "DEFAULT_ENUM_CAP", "DEFAULT_MAX_TERMS", "BosonOrderError",
+        "LengthMismatch", "NegativeExcess", "NonCanonicalPrefix",
+        "ParseError", "PrecisionUnreachable", "TooLarge"),
     "series": (
         "EGF", "PowerSeries", "bell_r1_numeric", "forest_egf",
         "series_exp", "tree_series", "tree_series_closed_form"),
     "stirling": (
-        "DEFAULT_MAX_TERMS", "ApproxValue", "BellPolynomial",
-        "ComplexApproxValue", "StirlingTable", "bell_number",
-        "bell_polynomial", "closed_form_table", "coherent_expectation",
-        "dobinski_eval", "falling_factorial", "settlement_product",
-        "stirling_closed_form", "stirling_recurrence"),
+        "ApproxValue", "BellPolynomial", "ComplexApproxValue",
+        "StirlingTable", "bell_number", "bell_polynomial",
+        "closed_form_table", "coherent_expectation", "dobinski_eval",
+        "falling_factorial", "settlement_product", "stirling_closed_form",
+        "stirling_recurrence"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names}

@@ -6,9 +6,12 @@ one input type.  Exit codes: 0 success, 1 computational error, failed
 selfcheck or stdout closed by its reader, 2 usage or parse error or an
 unwritable --out or stdout.  Colony listings stream, so memory stays flat.
 
-A one-shot loads only what its subcommand runs: the top level imports the
-parser's needs and the algebra, and each handler imports the library
-module it calls, json where it writes a payload.
+A one-shot loads and builds only what its answer runs.  The top level
+imports the parser's needs, the algebra and the errors with the default
+limits; each handler imports the library module of the route it answers
+with, json where it writes a payload.  The parser holds all nine
+subcommands, so help and usage errors name every one, but gives flags only
+to the subcommands named in the arguments: argparse dispatches to no other.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from itertools import islice
 from .algebra import (ANNIHILATION, CREATION, BosonWord, Letter,
                       NormalForm, StringType, normal_order, type_from_word,
                       word_from_type)
-from .errors import BosonOrderError, LengthMismatch, ParseError
+from .errors import (DEFAULT_ENUM_CAP, BosonOrderError, LengthMismatch,
+                     ParseError)
 
 # the keys of check.TABLE_ROUTES, in its order, for --method: the parser is
 # built before any route's module loads, and a test pins the two equal
@@ -139,7 +143,6 @@ def parse_type(r_text: str, s_text: str) -> StringType:
 def _default_enum_cap() -> int:
     raw = os.environ.get("BOSON_ORDER_ENUM_CAP")
     if raw is None:
-        from .combinat import DEFAULT_ENUM_CAP
         return DEFAULT_ENUM_CAP
     try:
         cap = int(raw)
@@ -168,7 +171,15 @@ def _count(lo: int, hi: int | None = None):
     return count
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _no_flag(*args, **kwargs) -> None:
+    # stands in for add_argument on a subcommand that argv does not name
+    pass
+
+
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with the flags of those named in
+    argv: argparse parses a subcommand's flags only when argv names it."""
+    names = set(argv)
     parser = argparse.ArgumentParser(
         prog="bosonorder",
         description="Exact normal ordering and the combinatorics it counts.")
@@ -177,12 +188,15 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name: str, summary: str, handler, word: bool = True,
             enum_cap: bool = False, formats: tuple[str, ...] = ("plain", "json")):
         # a subcommand with the flags every one takes, and with the input
-        # and enumeration-cap flags where its handler reads them.  The
-        # handler takes the parsed flags and the input type (None without
-        # --word) and returns (result, exit code): the result is a JSON
-        # payload as a dict, plain, CSV or DOT text as a str, or an
+        # and enumeration-cap flags where its handler reads them; returns
+        # its add_argument for the rest, a no-op where argv does not name
+        # it.  The handler takes the parsed flags and the input type (None
+        # without --word) and returns (result, exit code): the result is a
+        # JSON payload as a dict, plain, CSV or DOT text as a str, or an
         # iterator of text chunks, and main writes it
         p = sub.add_parser(name, help=summary)
+        if name not in names:
+            return _no_flag
         p.set_defaults(parser=p, handler=handler)
         p.add_argument("--format", choices=formats, default="plain",
                        help="output format")
@@ -196,46 +210,43 @@ def build_parser() -> argparse.ArgumentParser:
         if enum_cap:
             p.add_argument("--enum-cap", type=_count(1), dest="enum_cap",
                            help="enumeration size cap")
-        return p
+        return p.add_argument
 
     add("order", "normal order a word", _cmd_order)
-    p = add("stirling", "coefficient table of a word or type", _cmd_stirling,
-            enum_cap=True, formats=("plain", "json", "csv"))
-    p.add_argument("--method", default="auto",
-                   choices=("auto", *TABLE_METHODS))
-    p = add("bell", "sum of the coefficient table", _cmd_bell, enum_cap=True)
-    p.add_argument("--method", default="auto",
-                   choices=("auto", *TABLE_METHODS))
-    p = add("dobinski", "numeric series value of the Bell polynomial",
-            _cmd_dobinski)
-    p.add_argument("--x", default="1", help="nonnegative rational argument")
-    p.add_argument("--digits", type=_count(1, MAX_DIGITS), default=50,
-                   help="significant digits for numeric results "
-                        f"(at most {MAX_DIGITS})")
-    p.add_argument("--max-terms", type=_count(1), dest="max_terms",
-                   help="series term cap before giving up")
-    p = add("colonies", "enumerate colonies of a type", _cmd_colonies,
-            enum_cap=True)
-    p.add_argument("--dot", action="store_true",
-                   help="emit DOT graphs instead of text placements")
-    p = add("settlements", "count settlements of a type", _cmd_settlements,
-            enum_cap=True)
-    p.add_argument("--m", type=_count(0), required=True,
-                   help="number of distinguishable ground cells")
-    p.add_argument("--method", default="enumerate",
-                   choices=("enumerate", "product"))
-    p = add("forests", "count increasing planar forests", _cmd_forests,
-            word=False, enum_cap=True)
-    p.add_argument("--arity", type=_count(1), required=True)
-    p.add_argument("--n", type=_count(0), required=True,
-                   help="number of internal vertices")
-    p = add("series", "tree/forest generating function coefficients",
-            _cmd_series, word=False)
-    p.add_argument("--kind", default="tree",
-                   choices=("tree", "tree-closed", "forest"))
-    p.add_argument("--arity", type=_count(2, MAX_ARITY), required=True,
-                   help=f"2 to {MAX_ARITY}; 1 is the Bell case: see forests")
-    p.add_argument("--order", type=_count(0), default=10)
+    flag = add("stirling", "coefficient table of a word or type",
+               _cmd_stirling, enum_cap=True, formats=("plain", "json", "csv"))
+    flag("--method", default="auto", choices=("auto", *TABLE_METHODS))
+    flag = add("bell", "sum of the coefficient table", _cmd_bell,
+               enum_cap=True)
+    flag("--method", default="auto", choices=("auto", *TABLE_METHODS))
+    flag = add("dobinski", "numeric series value of the Bell polynomial",
+               _cmd_dobinski)
+    flag("--x", default="1", help="nonnegative rational argument")
+    flag("--digits", type=_count(1, MAX_DIGITS), default=50,
+         help="significant digits for numeric results "
+              f"(at most {MAX_DIGITS})")
+    flag("--max-terms", type=_count(1), dest="max_terms",
+         help="series term cap before giving up")
+    flag = add("colonies", "enumerate colonies of a type", _cmd_colonies,
+               enum_cap=True)
+    flag("--dot", action="store_true",
+         help="emit DOT graphs instead of text placements")
+    flag = add("settlements", "count settlements of a type",
+               _cmd_settlements, enum_cap=True)
+    flag("--m", type=_count(0), required=True,
+         help="number of distinguishable ground cells")
+    flag("--method", default="enumerate", choices=("enumerate", "product"))
+    flag = add("forests", "count increasing planar forests", _cmd_forests,
+               word=False, enum_cap=True)
+    flag("--arity", type=_count(1), required=True)
+    flag("--n", type=_count(0), required=True,
+         help="number of internal vertices")
+    flag = add("series", "tree/forest generating function coefficients",
+               _cmd_series, word=False)
+    flag("--kind", default="tree", choices=("tree", "tree-closed", "forest"))
+    flag("--arity", type=_count(2, MAX_ARITY), required=True,
+         help=f"2 to {MAX_ARITY}; 1 is the Bell case: see forests")
+    flag("--order", type=_count(0), default=10)
     add("selfcheck", "cross-verify all computation paths on one type",
         _cmd_selfcheck, enum_cap=True)
     return parser
@@ -283,9 +294,13 @@ def _cmd_order(args, t):
 
 
 def _stirling_values(args, t) -> tuple[dict[int, int], str]:
+    # auto is the recurrence, called here: check, which loads every
+    # route's module, loads only for the other methods
+    if args.method in ("auto", "recurrence"):
+        from .stirling import stirling_recurrence
+        return dict(stirling_recurrence(t).values), "recurrence"
     from .check import TABLE_ROUTES
-    method = "recurrence" if args.method == "auto" else args.method
-    return TABLE_ROUTES[method](t, args.enum_cap), method
+    return TABLE_ROUTES[args.method](t, args.enum_cap), args.method
 
 
 def _cmd_stirling(args, t):
@@ -410,11 +425,11 @@ def _colony_blocks(colonies):
 
 
 def _cmd_settlements(args, t):
-    from .combinat import enumerate_settlements
-    from .stirling import settlement_product
     if args.method == "product":
+        from .stirling import settlement_product
         count = settlement_product(t, args.m)
     else:
+        from .combinat import enumerate_settlements
         count = enumerate_settlements(t, args.m, args.enum_cap)
     if args.format == "json":
         return {
@@ -470,8 +485,9 @@ def _cmd_selfcheck(args, t):
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args, extra = parser.parse_known_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args, extra = build_parser(argv).parse_known_args(argv)
     if extra:
         # the usage line of the subcommand that was given the flag
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")

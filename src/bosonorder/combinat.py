@@ -25,10 +25,7 @@ from collections.abc import Iterable, Iterator
 from itertools import accumulate, repeat
 
 from .algebra import StringType, _Value
-from .errors import TooLarge, _count_text
-from .stirling import _dobinski_peak, bell_number, settlement_product
-
-DEFAULT_ENUM_CAP = 10_000_000
+from .errors import DEFAULT_ENUM_CAP, TooLarge, _count_text
 
 # a foot sits either on the ground (None) or in cell c of an earlier bug i,
 # both indices 1-based
@@ -102,9 +99,12 @@ def _under_upper_bound(t: StringType, cap: int) -> bool:
 def _require_under_cap(t: StringType, enum_cap: int,
                        what: str = "colonies") -> None:
     # the type's colonies against the cap: accepted under the upper bound,
-    # refused over the lower one, and counted by the recurrence otherwise
+    # refused over the lower one, and counted by the recurrence otherwise.
+    # stirling loads only past the upper bound, so a listing under it
+    # never compiles the recurrence's module
     if t.total_s <= enum_cap and _under_upper_bound(t, enum_cap):
         return
+    from .stirling import _dobinski_peak, bell_number, settlement_product
     peak = _dobinski_peak(t)
     if peak and peak[1] > math.log(3 * enum_cap):
         m = peak[0]

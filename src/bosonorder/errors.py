@@ -1,6 +1,7 @@
-"""Exception types, and the one way their messages show a count.  A
-``BosonOrderError`` is a refusal that the CLI reports; a bad argument that
-the CLI never passes raises ``ValueError``."""
+"""Exception types, the default limits behind two of them, and the one way
+their messages show a count.  A ``BosonOrderError`` is a refusal that the
+CLI reports; a bad argument that the CLI never passes raises
+``ValueError``."""
 
 
 def _count_text(n: int) -> str:
@@ -29,6 +30,13 @@ class NegativeExcess(BosonOrderError):
 class NonCanonicalPrefix(BosonOrderError):
     """A route defined only on nonnegative prefix excesses (the single
     closed-form coefficient) met a negative one; the CLI never reports it."""
+
+
+# the default caps of enumeration (TooLarge) and of series terms
+# (PrecisionUnreachable), defined here so the CLI reads them without
+# loading the modules that enforce them
+DEFAULT_ENUM_CAP = 10_000_000
+DEFAULT_MAX_TERMS = 10000
 
 
 class TooLarge(BosonOrderError):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .algebra import _Value
-from .stirling import DEFAULT_MAX_TERMS, ApproxValue, _dobinski_sum
+from .errors import DEFAULT_MAX_TERMS
 
 EGF = "egf"
 
@@ -132,5 +132,7 @@ def bell_r1_numeric(r: int, n: int, target_digits: int,
         raise ValueError("needs r >= 2")
     if n < 1:
         raise ValueError("needs n >= 1")
+    # stirling loads here, so the series alone never compile it
+    from .stirling import _dobinski_sum
     return _dobinski_sum(_bell_r1_numerators(r, n), 1, n, Fraction(1),
                          target_digits, max_terms)

@@ -27,10 +27,8 @@ from itertools import chain, count, repeat
 from operator import add, index, mul, sub
 
 from .algebra import StringType, _Value
-from .errors import (NegativeExcess, NonCanonicalPrefix,
+from .errors import (DEFAULT_MAX_TERMS, NegativeExcess, NonCanonicalPrefix,
                      PrecisionUnreachable, TooLarge, _count_text)
-
-DEFAULT_MAX_TERMS = 10000
 
 # _dobinski_peak gives up past m = PEAK_M or a p(m) of PEAK_BITS bits: up to
 # there m! has at most 206 000 bits, and p(m) and m! are built and compared

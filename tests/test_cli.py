@@ -34,6 +34,9 @@ from oracles import apply_crossing
 
 SHOWCASE = StringType((3, 2, 1, 3), (2, 2, 2, 3))
 
+SUBCOMMANDS = ("order", "stirling", "bell", "dobinski", "colonies",
+               "settlements", "forests", "series", "selfcheck")
+
 # a 30-factor type with nonnegative prefix excesses, so every table method
 # accepts it
 THIRTY_R = "3,2,3,1,3,3,1,2,1,2,2,3,1,1,2,1,3,1,1,1,1,3,3,2,3,2,3,1,2,1"
@@ -134,6 +137,33 @@ SERIES_FOREST_3_6 = """\
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# values an integer flag's type is tried on: below, at and above each bound
+TYPE_PROBES = ("-1", "0", "1", "2", str(MAX_ARITY), str(MAX_ARITY + 1),
+               str(MAX_DIGITS + 1), "x")
+
+
+def _type_outcome(convert, text: str):
+    try:
+        return convert(text)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _action_fields(action: argparse.Action) -> dict:
+    # every field of a flag but the parser holding it, its type as what it
+    # does with TYPE_PROBES
+    fields = {k: v for k, v in vars(action).items() if k != "container"}
+    if callable(fields["type"]):
+        fields["type"] = [_type_outcome(fields["type"], text)
+                          for text in TYPE_PROBES]
+    return fields
 
 
 def imported_modules(*argv, code: int = 0) -> set[str]:
@@ -775,9 +805,7 @@ class TestMainInProcess:
     @pytest.mark.parametrize("sub", ["stirling", "bell"])
     def test_method_choices_are_the_route_table(self, sub):
         # the parser names the routes without loading check
-        subparsers = next(a for a in build_parser()._actions
-                          if isinstance(a, argparse._SubParsersAction))
-        method = next(a for a in subparsers.choices[sub]._actions
+        method = next(a for a in _subparsers(build_parser([sub]))[sub]._actions
                       if a.dest == "method")
         assert tuple(method.choices) == ("auto", *check.TABLE_ROUTES)
 
@@ -1014,17 +1042,44 @@ class TestMainInProcess:
             "series": output | {"--kind", "--arity", "--order"},
             "selfcheck": word | {"--enum-cap"},
         }
-        subparsers = next(a for a in build_parser()._actions
-                          if isinstance(a, argparse._SubParsersAction))
         got = {name: {flag for action in sub._actions
                       for flag in action.option_strings} - {"-h", "--help"}
-               for name, sub in subparsers.choices.items()}
+               for name, sub in _subparsers(build_parser(SUBCOMMANDS)).items()}
         assert got == expected
         assert sum(map(len, got.values())) == 58
 
-    @pytest.mark.parametrize("sub", ["order", "stirling", "bell", "dobinski",
-                                     "colonies", "settlements", "forests",
-                                     "series", "selfcheck"])
+    @pytest.mark.parametrize("sub", SUBCOMMANDS)
+    def test_one_subcommands_parser_is_unchanged(self, sub):
+        # built for argv naming only sub, the parser has every subcommand,
+        # the same top-level help, and sub's flags as they are built for
+        # all nine; the other subcommands get no flags
+        every = build_parser(SUBCOMMANDS)
+        one = build_parser([sub])
+        assert one.format_help() == every.format_help() \
+            == build_parser([]).format_help()
+        subs, every_subs = _subparsers(one), _subparsers(every)
+        assert list(subs) == list(every_subs) == list(SUBCOMMANDS)
+        got, want = subs[sub], every_subs[sub]
+        assert got.format_help() == want.format_help()
+        assert list(map(_action_fields, got._actions)) \
+            == list(map(_action_fields, want._actions))
+        for p in (got, want):
+            assert p.get_default("parser") is p
+        assert got.get_default("handler") is want.get_default("handler")
+        assert {k for k in got._defaults} == {k for k in want._defaults} \
+            == {"parser", "handler"}
+        assert all(a.option_strings == ["-h", "--help"]
+                   for name, p in subs.items() if name != sub
+                   for a in p._actions)
+
+    def test_main_reads_sys_argv(self, monkeypatch, capsys):
+        # the installed entry point calls main() with no argument list
+        monkeypatch.setattr(sys, "argv", ["bosonorder", "bell", "--r", "2,2",
+                                          "--s", "1,1", "--method", "rewrite"])
+        assert main() == 0
+        assert capsys.readouterr().out == "3\n"
+
+    @pytest.mark.parametrize("sub", SUBCOMMANDS)
     def test_help_exits_zero(self, sub, capsys):
         with pytest.raises(SystemExit) as exc:
             main([sub, "--help"])
@@ -1291,7 +1346,8 @@ class TestBigNumbers:
 FRONT = {"bosonorder", "bosonorder.cli", "bosonorder.algebra",
          "bosonorder.errors"}
 ROUTES = {"bosonorder.check", "bosonorder.combinat", "bosonorder.stirling"}
-WALK = {"bosonorder.combinat", "bosonorder.stirling"}
+RECURRENCE = {"bosonorder.stirling"}
+WALK = {"bosonorder.combinat"}
 NUMBERS = {"decimal", "fractions"}
 ONE_ONE = ("--r", "1,1", "--s", "1,1")
 STARTUP = {
@@ -1302,15 +1358,23 @@ STARTUP = {
                    FRONT | {"json"}),
     "parse-refusal": (("order", "--word", "b"), 2, FRONT),
     "usage-error": (("order", "--bogus"), 2, FRONT),
-    "stirling": (("stirling", *ONE_ONE), 0, FRONT | ROUTES),
-    "bell": (("bell", *ONE_ONE), 0, FRONT | ROUTES),
-    "dobinski": (("dobinski", *ONE_ONE), 0,
-                 FRONT | {"bosonorder.stirling"} | NUMBERS),
+    "stirling": (("stirling", *ONE_ONE), 0, FRONT | RECURRENCE),
+    "bell": (("bell", *ONE_ONE), 0, FRONT | RECURRENCE),
+    "stirling-enumerate": (("stirling", *ONE_ONE, "--method", "enumerate"),
+                           0, FRONT | ROUTES),
+    "bell-refusal": (("bell", "--r", "1,0", "--s", "1,1"), 2, FRONT),
+    "dobinski": (("dobinski", *ONE_ONE), 0, FRONT | RECURRENCE | NUMBERS),
     "colonies": (("colonies", *ONE_ONE), 0, FRONT | WALK),
+    # past the upper bound the cap check counts with the recurrence
+    "colonies-past-cap": (("colonies", "--r", "3,2,1,3", "--s", "2,2,2,3",
+                           "--enum-cap", "1000"), 1,
+                          FRONT | WALK | RECURRENCE),
     "settlements": (("settlements", *ONE_ONE, "--m", "3"), 0, FRONT | WALK),
+    "settlements-product": (("settlements", *ONE_ONE, "--m", "3",
+                             "--method", "product"), 0, FRONT | RECURRENCE),
     "forests": (("forests", "--arity", "2", "--n", "3"), 0, FRONT | WALK),
     "series": (("series", "--arity", "2"), 0,
-               FRONT | {"bosonorder.series", "bosonorder.stirling"} | NUMBERS),
+               FRONT | {"bosonorder.series"} | NUMBERS),
     "selfcheck": (("selfcheck", *ONE_ONE), 0, FRONT | ROUTES | NUMBERS),
 }
 
