@@ -8,7 +8,12 @@ integers.  Words of constant excess i - j collapse further to a prefix
 Stirling coefficients come from.
 
 A word is stored as its runs (a+)^l and a^k, so it costs O(runs) whatever
-the exponents; ``BosonWord.letters`` is a view that expands them.
+the exponents; ``BosonWord.letters`` is a view that expands them.  Normal
+ordering folds the runs into one row of coefficients, and each creator run
+crosses it in ``_times_creations``: a short run (at most 3 creators, or at
+most as many as the row has entries) one creator per pass, a longer one by
+the crossing formula, whose passes number at most the row's top degree, not
+the run's length.
 """
 
 from __future__ import annotations
@@ -218,16 +223,46 @@ def _collapse(acc: dict[tuple[int, int], int], excess: int) -> NormalForm:
     return NormalForm(excess, coeffs)
 
 
+# the longest creator run that crosses one creator per pass on any row
+_SHORT_RUN = 3
+
+
 def _times_creations(lo: int, row: list[int], l: int) -> tuple[int, list[int]]:
     """Right-multiply a row by (a+)^l; returns the new (lo, row).
 
     The row holds (a+)^(j + e) a^j for j = lo, lo + 1, ...; the product has
-    excess e + l.  Each term crosses as
-    a^j (a+)^l = sum_p C(l,p) (j)_p (a+)^(l-p) a^(j-p), and every p is one
-    vector pass: p = 0 is the row shifted, and the weights (j)_p of pass p
-    are those of pass p - 1 times j - p + 1.  The row is taken over, not
-    copied: the caller drops it.
+    excess e + l.  How the run crosses depends on its length l and on the
+    row's width w = len(row):
+
+    - A short run, l <= _SHORT_RUN or l <= w, crosses one creator per pass.
+      By a^j a+ = a+ a^j + j a^(j-1), each pass builds one new list,
+      new[j] = row[j] + (j + 1) row[j + 1] over the degrees j; the row gains
+      a term while lo > 0.
+    - A long run keeps the crossing formula,
+      a^j (a+)^l = sum_p C(l,p) (j)_p (a+)^(l-p) a^(j-p), one vector pass
+      per crossing depth p: p = 0 is the row shifted, and the weights
+      (j)_p of pass p are those of pass p - 1 times j - p + 1.
+
+    Single passes take about l (w + l/2) steps of one multiply and one add.
+    The formula takes at most min(l, lo + w - 1) passes of w steps, each
+    with two multiplies and lists of its own, so it wins where l is well
+    above w: single passes are quadratic in l on a one-term row, as in
+    a^3000 (a+)^3000.  An in-process grid of both kernels set the rule:
+    single passes were faster up to l = 3 on a one-term row and up to about
+    l = w on wider ones.  The row is taken over, not copied: the caller
+    drops it.
     """
+    if l <= _SHORT_RUN or l <= len(row):
+        for _ in range(l):
+            edge = row[-1]
+            inner = map(add, row, map(mul, range(lo + 1, lo + len(row)),
+                                      row[1:]))
+            if lo:  # the new lowest degree, lo - 1, holds lo row[0] only
+                row = [lo * row[0], *inner, edge]
+                lo -= 1
+            else:
+                row = [*inner, edge]
+        return lo, row
     top = lo + len(row)  # one past the highest annihilation degree
     new_lo = max(lo - l, 0)
     new = [0] * (lo - new_lo) + row if lo else row
@@ -288,8 +323,11 @@ def normal_order(word: BosonWord, method: str = "blockwise") -> NormalForm:
     runs read so far as one row of coefficients, ``row[i]`` multiplying
     (a+)^(j + e) a^j with j = lo + i at the running excess e, so every
     term's degrees follow from its place.  An a^k run only moves the indices
-    (lo and e); an (a+)^l run clears the block boundary with the crossing
-    formula, one vector pass over the row per crossing depth p.  The normal
+    (lo and e); an (a+)^l run clears the block boundary in
+    ``_times_creations``, which picks its kernel per run: a short one (l <= 3
+    or l <= len(row)) crosses one creator per pass, a longer one keeps the
+    crossing formula, one vector pass per crossing depth p, as single
+    passes over a narrow row would be quadratic in l.  The normal
     form is made from the final row in one step, ``_from_row``: its keys
     ascend by construction, so only the lowest degree is checked.
     ``method="letterwise"`` applies the commutation relation one letter pair

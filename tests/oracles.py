@@ -7,10 +7,10 @@ from decimal import Context, Decimal
 from fractions import Fraction
 from itertools import count
 
-from bosonorder import (DEFAULT_ENUM_CAP, BellPolynomial, Colony,
-                        NonCanonicalPrefix, StringType,
-                        count_colonies_by_free_legs, falling_factorial,
-                        stirling_recurrence)
+from bosonorder import (ANNIHILATION, CREATION, DEFAULT_ENUM_CAP,
+                        BellPolynomial, BosonWord, Colony, NonCanonicalPrefix,
+                        StringType, count_colonies_by_free_legs,
+                        falling_factorial, stirling_recurrence)
 
 
 def bell_poly_recursion(prev: BellPolynomial, d_prev: int,
@@ -134,6 +134,15 @@ def apply_crossing(k: int, l: int) -> list[tuple[int, int]]:
     if k < 0 or l < 0:
         raise ValueError("exponents must be nonnegative")
     return [(p, math.comb(k, p) * math.perm(l, p)) for p in range(min(k, l) + 1)]
+
+
+def adjoint_word(word: BosonWord) -> BosonWord:
+    """The adjoint of a word: its letters in reverse order, a and a+
+    swapped.  The adjoint of (a+)^i a^j is (a+)^j a^i, so the adjoint's
+    normal form is the word's transposed: the same coefficients, the excess
+    negated."""
+    swap = {CREATION: ANNIHILATION, ANNIHILATION: CREATION}
+    return BosonWord(swap[letter] for letter in reversed(word.letters))
 
 
 def count_surjective_settlements(t: StringType, m: int,

@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosonorder import (ANNIHILATION, CREATION, BosonWord, NegativeExcess,
-                        NormalForm, StringType, extract_stirling,
+                        NormalForm, StringType, algebra, extract_stirling,
                         falling_factorial, normal_order, settlement_product,
                         stirling_recurrence, type_from_word, word_from_type)
-from oracles import apply_crossing
+from oracles import adjoint_word, apply_crossing
 
 AD, A = CREATION, ANNIHILATION
 
@@ -128,6 +128,26 @@ few_runs_st = st.builds(_alternating, st.sampled_from([AD, A]),
                         st.lists(st.integers(1, 64), min_size=1, max_size=5))
 
 
+def _transposed(form):
+    return NormalForm(-form.excess, form.coeffs)
+
+
+def _kernel_rows(width):
+    # zeros among big ints of both signs; small ints up to a zero top term
+    return ([0 if i % 3 == 1 else (-1) ** i * 3 ** (60 + i)
+             for i in range(width)],
+            [*range(1, width), 0])
+
+
+def _crossed_by_apply_crossing(lo, row, l):
+    # degree -> coefficient of the row times (a+)^l, term by term
+    out = {}
+    for j, c in enumerate(row, lo):
+        for p, weight in apply_crossing(j, l):
+            out[j - p] = out.get(j - p, 0) + c * weight
+    return {j: c for j, c in out.items() if c}
+
+
 class TestRowKernel:
     def test_matches_dict_fold_exhaustively(self):
         # every word of at most 14 letters
@@ -140,6 +160,33 @@ class TestRowKernel:
     @settings(deadline=None, max_examples=200)
     def test_matches_dict_fold_on_few_long_runs(self, w):
         assert normal_order(w) == _dict_fold(w)
+
+    def test_adjoint_is_the_transpose_exhaustively(self):
+        # every word of at most 12 letters: the adjoint's creator runs are
+        # the word's annihilator runs, so the kernel meets other lengths
+        for size in range(13):
+            for letters in itertools.product((AD, A), repeat=size):
+                w = BosonWord(letters)
+                assert normal_order(adjoint_word(w)) \
+                    == _transposed(normal_order(w))
+
+    @given(few_runs_st)
+    @settings(deadline=None, max_examples=200)
+    def test_adjoint_is_the_transpose_on_few_long_runs(self, w):
+        assert normal_order(adjoint_word(w)) == _transposed(normal_order(w))
+
+    @pytest.mark.parametrize("l", range(1, algebra._SHORT_RUN + 3))
+    def test_times_creations_matches_apply_crossing(self, l):
+        # both sides of the kernel's boundary: runs up to two past the
+        # short run, on rows narrower and wider than the run
+        for lo in sorted({0, 1, l - 1, l, l + 3}):
+            for width in range(1, l + 3):
+                for row in _kernel_rows(width):
+                    new_lo, new = algebra._times_creations(lo, list(row), l)
+                    assert new_lo == max(lo - l, 0), (lo, row)
+                    assert new_lo + len(new) == lo + width, (lo, row)
+                    assert {j: c for j, c in enumerate(new, new_lo) if c} \
+                        == _crossed_by_apply_crossing(lo, row, l), (lo, row)
 
 
 class TestNormalForm:

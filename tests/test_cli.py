@@ -665,11 +665,14 @@ KERNELS = {
                              "dobinski series gives the bell number"}),
 }
 
-# small types of both prefix signs, one with a negative excess
+# small types of both prefix signs, one with a negative excess; the
+# word of (5, 2), (2, 4) crosses a creator run of 2 one creator per pass
+# and one of 5 over a one-term row by the crossing formula
 KERNEL_TYPES = [StringType((2, 1, 3), (1, 2, 2)),
                 StringType((1, 1, 3), (1, 3, 1)),
                 StringType((1, 3), (2, 1)), StringType((2,), (1,)),
-                StringType.uniform(1, 1, 4), StringType((1, 1), (1, 3))]
+                StringType.uniform(1, 1, 4), StringType((1, 1), (1, 3)),
+                StringType((5, 2), (2, 4))]
 
 
 def _kernel_outputs(t):

@@ -126,6 +126,13 @@ CONTRACT = {
     "stirling-json-byte-stable": Row(
         "stirling --r 3,2,1,3 --s 2,2,2,3 --format json", out=(sha256,
         "41da7046d8af39ef7dfe5604079edfba51c2a4132c76de9abbdcd09cc52e61d1")),
+    # one run of 3 000 creators over a one-term row: a child took 0.65 s
+    # by the crossing formula and about 6 s crossing one creator per pass
+    # (Python 3.11 on a 2-CPU VM)
+    "rewrite-long-creator-run": Row(
+        "bell --method rewrite --word 'a^3000 ad^3000'", out=(sha256,
+        "91f9bf15323bb2056e09c6477bdf8fb250224e32798990c1a424d7a0ca3fb5d2"),
+        seconds=3),
     "stirling-csv": Row("stirling --r 2,2 --s 1,1 --format csv",
                         out="k,S_k\n1,2\n2,1\n"),
     **{f"{sub}-help": Row(f"{sub} --help",
