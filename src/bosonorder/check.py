@@ -1,20 +1,22 @@
 """Cross-checks: every route to a type's coefficient table, and a selfcheck
-that verifies the routes and the colony counts against each other.
+whose legs, one table run by one loop, check the routes and the colony
+counts against each other: a leg that raises fails, the rest still run.
 
 The routes are independent on purpose: rewriting, the recurrence, the
 closed form and colony enumeration each reach the same table another way.
-Selfcheck's one colony walk runs through the enumeration route's own code.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from contextlib import suppress
+from functools import cache
 
 from . import combinat, stirling
 from .algebra import (StringType, _Value, extract_stirling, normal_order,
                       word_from_type)
 from .combinat import DEFAULT_ENUM_CAP, count_colonies_by_free_legs
-from .errors import NegativeExcess
+from .errors import BosonOrderError, NegativeExcess
 from .stirling import (DEFAULT_MAX_TERMS, closed_form_table, dobinski_eval,
                        stirling_recurrence)
 
@@ -73,70 +75,78 @@ def run_selfcheck(t: StringType,
                   enum_cap: int = DEFAULT_ENUM_CAP) -> list[CheckResult]:
     """Cross-verify every computation path on one type, that of any word.
 
-    Checks: every route of TABLE_ROUTES gives the recurrence's table (one
-    sits out only when it raises NegativeExcess, rewriting's refusal of a
-    negative excess); every colony's empty cells equal excess plus free
-    legs, proved once per yield of the walk: its colonies all pass if and
-    only if feet 0..last-2 hold sum(s) - 2 - ground cells and neither mask
-    meets them; their free-leg histogram h gives sum_k h_k (m)_k settlements,
-    the product formula's count; the Dobinski series at x = 1 gives the
-    table's Bell number to a relative error below 1e-25.  Both sides of
-    prod_j (X+d_{j-1})_(s_j) = sum_k S(k) (X)_k have degree at most sum(s),
-    so the closed form, which interpolates it on x = 0..sum(s), proves it
-    in the table check, and the settlement check, on m = 0..sum(s), proves
-    it for the colonies walked; both read the one window p(0..sum(s)),
-    built once.  One walk over the colonies serves checks 1-3: the
-    enumeration route's own tally turns its yields into h, and
-    enumerate_settlements' own sum turns h into settlement counts.
-    TooLarge is raised before any route runs if the type exceeds the cap
-    or the closed form's budget.
+    Legs, in order: every route of TABLE_ROUTES gives the recurrence's table
+    (rewriting sits out a negative excess, which it refuses); every colony's
+    empty cells equal excess plus free legs, proved once per yield of the
+    walk: its colonies all pass if and only if feet 0..last-2 hold
+    sum(s) - 2 - ground cells and neither mask meets them; their free-leg
+    histogram h gives sum_k h_k (m)_k settlements, the product formula's
+    count; the Dobinski series at x = 1 gives the table's Bell number to a
+    relative error below 1e-25.  Both sides of prod_j (X+d_{j-1})_(s_j) =
+    sum_k S(k) (X)_k have degree at most sum(s), so the closed form, which
+    interpolates it on x = 0..sum(s), proves it in the table leg, and the
+    settlement leg, on m = 0..sum(s), proves it for the colonies walked;
+    both read the one window p(0..sum(s)), built once.  One walk serves
+    legs 1-3: the enumeration route's own tally turns its yields into h, and
+    enumerate_settlements' own sum turns h into settlement counts.  A leg
+    that raises fails, the exception its detail, and the rest still run.
+    Refusals (BosonOrderError) propagate: TooLarge comes before any route
+    runs if the type exceeds the cap or the closed form's budget.
     """
     combinat._require_under_cap(t, enum_cap)
     stirling._require_closed_form_budget(t)
     bad = [None]
-    walked = combinat._tally(t, _walk_colonies(t, bad))
+
+    @cache
+    def table_of(name):
+        # a route's table, None if it refuses a negative excess, built once
+        # (again if it raised); the walk is the enumeration route's
+        with suppress(NegativeExcess):
+            return (TABLE_ROUTES[name](t, enum_cap) if name != "enumerate"
+                    else combinat._tally(t, _walk_colonies(t, bad)))
+
+    def agree():
+        found = {name: vals for name in TABLE_ROUTES
+                 if (vals := table_of(name)) is not None}
+        table = found["recurrence"]
+        others = {name: vals for name, vals in found.items() if vals != table}
+        return (others and f"recurrence gives {table}, others {others}",
+                f"{len(found)} methods on table {table}")
+
+    def empty_cells():
+        table_of("enumerate")
+        return bad[0] and f"{bad[0][0]} cells vs {t.excess} + {bad[0][1]}", ""
+
+    def settlements():
+        # the product's counts p(0..sum(s)), from the closed form's cache
+        bad_counts = [(m, enumerated, product) for m, product
+                      in enumerate(stirling._closed_form_row(t)[1])
+                      if (enumerated := combinat._settlement_sum(
+                          table_of("enumerate"), m)) != product]
+        return (bad_counts and f"(m, enumerated, product) = {bad_counts}",
+                f"m = 0..{t.total_s}")
+
+    def dobinski():
+        # the stop rule cannot fire before m = sum(s) + 1: count terms from
+        # there.  |v - bell| 10^25 >= bell, in integers for v = n / d, d > 0
+        bell = sum(table_of("recurrence").values())
+        approx = dobinski_eval(t, 1, 30, t.total_s + DEFAULT_MAX_TERMS)
+        n, d = approx.value.as_integer_ratio()
+        return (abs(n - bell * d) * 10 ** 25 >= bell * d
+                and f"{approx.value} vs {bell}",
+                f"bell {bell} to 1e-25 in {approx.terms_used} terms")
+
     results = []
-
-    def check(name: str, failure, passed: str = "") -> None:
-        # failure is the detail of a failed check, falsy when it passed
-        results.append(CheckResult(name, "fail", failure) if failure
-                       else CheckResult(name, "pass", passed))
-
-    # the walk above is the enumeration route's: its table comes from there
-    tables = {}
-    for name, route in TABLE_ROUTES.items():
+    for name, leg in (("stirling tables agree", agree),
+                      ("empty cells equal excess plus free legs", empty_cells),
+                      ("settlement counts agree", settlements),
+                      ("dobinski series gives the bell number", dobinski)):
         try:
-            tables[name] = (walked if name == "enumerate"
-                            else route(t, enum_cap))
-        except NegativeExcess:
-            pass
-    table = tables["recurrence"]
-    mismatched = {name: vals for name, vals in tables.items() if vals != table}
-    check("stirling tables agree",
-          mismatched and f"recurrence gives {table}, others {mismatched}",
-          f"{len(tables)} methods on table {table}")
-
-    check("empty cells equal excess plus free legs",
-          bad[0] and f"{bad[0][0]} cells vs {t.excess} + {bad[0][1]}")
-
-    # the product's counts for m = 0..sum(s): the window of p that the
-    # closed form's table was built from, read from its cache
-    products = stirling._closed_form_row(t)[1]
-    bad_counts = [(m, enumerated, product)
-                  for m, product in enumerate(products)
-                  if (enumerated := combinat._settlement_sum(walked, m))
-                  != product]
-    check("settlement counts agree",
-          bad_counts and f"(m, enumerated, product) = {bad_counts}",
-          f"m = 0..{t.total_s}")
-
-    # the stop rule cannot fire before m = sum(s) + 1: count terms from there
-    bell = sum(table.values())
-    approx = dobinski_eval(t, 1, 30, t.total_s + DEFAULT_MAX_TERMS)
-    # |v - bell| 10^25 >= bell, in integers for v = n / d, d > 0
-    n, d = approx.value.as_integer_ratio()
-    check("dobinski series gives the bell number",
-          abs(n - bell * d) * 10 ** 25 >= bell * d
-          and f"{approx.value} vs {bell}",
-          f"bell {bell} to 1e-25 in {approx.terms_used} terms")
+            failure, passed = leg()
+        except BosonOrderError:
+            raise
+        except Exception as exc:
+            failure = f"{type(exc).__name__}: {exc}"
+        results.append(CheckResult(name, "fail" if failure else "pass",
+                                   failure or passed))
     return results

@@ -641,13 +641,22 @@ def _recurrence_off_by_one(recurrence):
     return mutant
 
 
+def _last_product_off_by_one(products):
+    # one unit too many on the last entry of every window of p
+    def mutant(t, lo, hi):
+        p = products(t, lo, hi)
+        return [*p[:-1], p[-1] + 1]
+    return mutant
+
+
 # Private kernels of the routes, each with the modules that read it, a
 # seeded mutant (given the kernel, it returns the mutated kernel), the
 # outputs the mutant may change and the selfcheck legs it must fail.
 # Outputs are the four table routes and "settlements",
 # enumerate_settlements at m = 0..sum(s).  On a type where a route refuses
 # (rewriting, on a negative excess), its kernel's mutant changes nothing
-# and fails no leg
+# and fails no leg.  p feeds the closed form, whose window the settlement
+# leg reads too, and through its own windows the Dobinski leg
 KERNELS = {
     "_tally": ((combinat,), _tally_off_by_one, {"enumerate", "settlements"},
                {"stirling tables agree", "settlement counts agree"}),
@@ -663,6 +672,11 @@ KERNELS = {
                             {"recurrence"},
                             {"stirling tables agree",
                              "dobinski series gives the bell number"}),
+    "_settlement_products": ((stirling,), _last_product_off_by_one,
+                             {"closed-form"},
+                             {"stirling tables agree",
+                              "settlement counts agree",
+                              "dobinski series gives the bell number"}),
 }
 
 # small types of both prefix signs, one with a negative excess; the
@@ -676,18 +690,30 @@ KERNEL_TYPES = [StringType((2, 1, 3), (1, 2, 2)),
 
 
 def _kernel_outputs(t):
+    # a route that raises gives None for a refused negative excess, else
+    # the exception's type and message
     outputs = {}
     for name, route in check.TABLE_ROUTES.items():
         try:
             outputs[name] = route(t, combinat.DEFAULT_ENUM_CAP)
         except NegativeExcess:
             outputs[name] = None
+        except Exception as exc:
+            outputs[name] = (type(exc), str(exc))
     outputs["settlements"] = [combinat.enumerate_settlements(t, m)
                               for m in range(t.total_s + 1)]
     return outputs
 
 
 class TestKernelMutants:
+    @pytest.fixture(autouse=True)
+    def _no_cached_closed_form(self):
+        # the closed form keeps one row: none built before a mutant may
+        # answer for it, and none built by a mutant may outlive it
+        stirling._closed_form_row.cache_clear()
+        yield
+        stirling._closed_form_row.cache_clear()
+
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_mutant_changes_its_outputs_and_fails_its_legs(self, kernel,
                                                            monkeypatch):
@@ -725,6 +751,33 @@ class TestKernelMutants:
             "PASS empty cells equal excess plus free legs",
             "FAIL settlement counts agree",
             "PASS dobinski series gives the bell number"]
+
+    def test_leg_that_raises_prints_fail_not_a_traceback(self, monkeypatch,
+                                                         capsys):
+        # p(3) one too many leaves Delta^3 p(0) = 7, not divisible by 3!:
+        # the closed form raises, in the table leg and again in the
+        # settlement leg, which reads its p; the other legs still run
+        monkeypatch.setattr(stirling, "_settlement_products",
+                            _last_product_off_by_one(
+                                stirling._settlement_products))
+        raised = "AssertionError: difference 7 not divisible by 3!"
+        argv = ["selfcheck", "--r", "1,2", "--s", "2,1"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == (
+            f"FAIL stirling tables agree: {raised}\n"
+            "PASS empty cells equal excess plus free legs\n"
+            f"FAIL settlement counts agree: {raised}\n"
+            "FAIL dobinski series gives the bell number: "
+            "2.00000000000000103427732360603 vs 2\n")
+        assert err == ""
+        assert main([*argv, "--format", "json"]) == 1
+        out, err = capsys.readouterr()
+        assert [(c["status"], c["detail"])
+                for c in json.loads(out)["checks"]] == [
+            ("fail", raised), ("pass", ""), ("fail", raised),
+            ("fail", "2.00000000000000103427732360603 vs 2")]
+        assert err == ""
 
 
 def _readme_examples():
