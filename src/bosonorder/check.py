@@ -9,8 +9,6 @@ closed form and colony enumeration each reach the same table another way.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from contextlib import suppress
-from functools import cache
 
 from . import combinat, stirling
 from .algebra import (StringType, _Value, extract_stirling, normal_order,
@@ -96,14 +94,19 @@ def run_selfcheck(t: StringType,
     combinat._require_under_cap(t, enum_cap)
     stirling._require_closed_form_budget(t)
     bad = [None]
+    tables = {}
 
-    @cache
     def table_of(name):
-        # a route's table, None if it refuses a negative excess, built once
-        # (again if it raised); the walk is the enumeration route's
-        with suppress(NegativeExcess):
-            return (TABLE_ROUTES[name](t, enum_cap) if name != "enumerate"
+        # a route's table, None if it refuses a negative excess, built on
+        # first read (again if it raised); the walk is the enumeration route's
+        if name not in tables:
+            try:
+                tables[name] = (
+                    TABLE_ROUTES[name](t, enum_cap) if name != "enumerate"
                     else combinat._tally(t, _walk_colonies(t, bad)))
+            except NegativeExcess:
+                tables[name] = None
+        return tables[name]
 
     def agree():
         found = {name: vals for name in TABLE_ROUTES

@@ -24,8 +24,9 @@ from hypothesis import strategies as st
 import bosonorder
 from bosonorder import (ANNIHILATION, CREATION, ApproxValue, BosonOrderError,
                         BosonWord, LengthMismatch, NegativeExcess, NormalForm,
-                        ParseError, StirlingTable, StringType, TooLarge,
-                        normal_order, stirling_recurrence, type_from_word)
+                        ParseError, PrecisionUnreachable, StirlingTable,
+                        StringType, TooLarge, normal_order,
+                        stirling_recurrence, type_from_word)
 from bosonorder import algebra, check, cli, combinat, stirling
 from bosonorder.check import run_selfcheck
 from bosonorder.cli import (MAX_ARITY, MAX_DIGITS, MAX_EXPONENT_DIGITS,
@@ -320,6 +321,16 @@ class TestSelfcheck:
         t = StringType.uniform(1, 1, 3)
         assert [r.status for r in run_selfcheck(t)] == ["pass"] * 4
         assert walks == [t]
+
+    def test_refusal_in_a_leg_propagates(self, monkeypatch):
+        # a leg that raises fails, but a refusal is the answer: it is raised,
+        # not printed as FAIL
+        def refuse(*args):
+            raise PrecisionUnreachable("term cap reached")
+
+        monkeypatch.setattr(check, "dobinski_eval", refuse)
+        with pytest.raises(PrecisionUnreachable, match="term cap reached"):
+            run_selfcheck(StringType.uniform(1, 1, 3))
 
     def test_settlement_check_reads_the_walked_colonies(self, monkeypatch):
         # the second yield, foot 2 on bug 1's cell, leaves foot 3 no cell

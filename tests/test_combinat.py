@@ -374,6 +374,25 @@ class TestCap:
             == (limit, 0.0)
         assert stirling._dobinski_peak(StringType((1,), (limit + 1,))) is None
 
+    def test_peak_search_gives_up_stepping_past_its_limit(self, monkeypatch):
+        # the terms still rise at m0 = 20 000 > PEAK_M, so the doubling
+        # search gives up and the exact count, 20 001 colonies, decides
+        t = StringType((1, 1), (1, 20000))
+        assert stirling._dobinski_peak(t) is None
+        counts = []
+        bell = stirling.bell_number
+        monkeypatch.setattr(stirling, "bell_number",
+                            lambda u: counts.append(bell(u)) or counts[-1])
+        combinat._require_under_cap(t, DEFAULT_ENUM_CAP)
+        assert counts == [20001]
+
+    def test_peak_search_gives_up_past_its_bit_limit(self):
+        # the peak, at a small m, has p(m) = m (m + 999 999)_100000 of about
+        # 2 * 10^6 bits, past PEAK_BITS.  The exact count that would then
+        # decide the cap runs without bound, so it is not called here
+        t = StringType((10**6, 1), (1, 10**5))
+        assert stirling._dobinski_peak(t) is None
+
     def test_a_value_past_floats_is_counted(self):
         # d_1 = 10^400 - 1 fits no float: the lower bound gives up and the
         # recurrence counts the colonies for the refusal

@@ -57,6 +57,27 @@ CAP = "exceed the cap of 10000000"
 BUDGET = "differences exceed the closed-form budget of 10000000"
 FULL = "error: cannot write stdout: No space left on device"
 
+# (r, s) repeated n times, and the stdout the closed form, rewriting and the
+# recurrence each print: the settlement products of the first two are long
+# merged runs, those of the third are not
+LONG = {("2", "1", 300):
+        "5b12adc351e10806103fec3d0826b96efcd80fb622163bf2e947d79879c7e45b",
+        ("2", "2", 150):
+        "e123b05388adf4cf8fe1838c42d3bce36d4a60071644c5f3661e8738711bf8ca",
+        ("2,3", "2,2", 50):
+        "67155bcd617e23b455e6a7cbb52d67df1ab6017e19fcbacf080c0397139affcf"}
+# types the walk lists, with the stdout enumeration and the recurrence each
+# print, which ends in the Bell number, and the walk's total: the last bug
+# of the first has three feet, that of the second one, so the walk's last
+# two feet sit in different bugs
+WALKED = {
+    ("2,2,2,2,2", "1,1,2,2,3"): (
+        "4331152bfef710cd1f0a9ac86cbddf57d18170314235a06412919e394a0e5bfb",
+        127343),
+    ("2,2,2,2,2,2", "1,2,2,1,2,1"): (
+        "38f49877ce7f2e395d90bbeede480a5b57369e5b5bfd644b728b7375fdbdf016",
+        88453)}
+
 CONTRACT = {
     "selfcheck-non-block-word": Row("selfcheck --word 'a^2 ad'",
                                     out=(passes, 4)),
@@ -135,6 +156,20 @@ CONTRACT = {
         seconds=3),
     "stirling-csv": Row("stirling --r 2,2 --s 1,1 --format csv",
                         out="k,S_k\n1,2\n2,1\n"),
+    **{f"{method}-r{r}-s{s}-x{n}": Row(
+        f"stirling --method {method} --r {','.join([r] * n)} "
+        f"--s {','.join([s] * n)}", out=(sha256, digest), seconds=20)
+       for (r, s, n), digest in LONG.items()
+       for method in ("closed-form", "rewrite", "recurrence")},
+    **{f"{method}-r{r}-s{s}": Row(
+        f"stirling --method {method} --r {r} --s {s}", out=(sha256, digest),
+        seconds=20)
+       for (r, s), (digest, _) in WALKED.items()
+       for method in ("enumerate", "recurrence")},
+    **{f"colonies-r{r}-s{s}": Row(
+        f"colonies --r {r} --s {s}", out=(last_line, f"total {total}"),
+        seconds=30)
+       for (r, s), (_, total) in WALKED.items()},
     **{f"{sub}-help": Row(f"{sub} --help",
                           out=(usage, f"usage: bosonorder {sub}"))
        for sub in ("order", "stirling", "bell", "dobinski", "colonies",
