@@ -97,16 +97,18 @@ def run_selfcheck(t: StringType,
     tables = {}
 
     def table_of(name):
-        # a route's table, None if it refuses a negative excess, built on
-        # first read (again if it raised); the walk is the enumeration route's
+        # a route's table, None if it refuses a negative excess, or what else
+        # it raised, raised at each read: the walk runs once at most
         if name not in tables:
             try:
                 tables[name] = (
                     TABLE_ROUTES[name](t, enum_cap) if name != "enumerate"
                     else combinat._tally(t, _walk_colonies(t, bad)))
-            except NegativeExcess:
-                tables[name] = None
-        return tables[name]
+            except Exception as exc:
+                tables[name] = None if isinstance(exc, NegativeExcess) else exc
+        if isinstance(table := tables[name], Exception):
+            raise table
+        return table
 
     def agree():
         found = {name: vals for name in TABLE_ROUTES

@@ -64,8 +64,8 @@ class Colony(_Value):
         self._store(t, placement)
 
 
-# The colonies of a type number B, its Bell number.  Two bounds decide the
-# cap for most types without computing B, and only the rest count it.
+# The colonies of a type number B, its Bell number.  Three tiers decide the
+# cap, each bounded before it runs; only the last counts B.
 #
 # Upper: B <= prod_j (1 + R_j)^(s_j), R_j = r_1 + ... + r_(j-1).  A colony
 # is fixed by the target of each foot, and a foot of bug j stands on the
@@ -76,9 +76,13 @@ class Colony(_Value):
 # Lower: B > p(m) / (3 m!) for every m >= 0 with p(m) > 0.  By Dobinski at
 # x = 1, B = e^-1 sum_(m>=0) p(m)/m!, where p(m) = sum_k S(k) (m)_k and
 # S(k) >= 0 count colonies, so no term is negative and each bounds e B
-# from below; e < 3.  So p(m) > 3 cap m! proves B > cap, and the refusal
-# names L = p(m) // (3 m!) < B.  m is the largest term's, placed in floats
-# (stirling._dobinski_peak); only this comparison decides, in integers.
+# from below; e < 3.  A proven float bound at the largest term refuses,
+# naming L = p(m) // (3 m!), checked in integers where p(m) and m! fit in
+# PEAK_BITS bits, else 10^k <= L.
+#
+# Count: bug j's legs leave at most min(R_j, S_j - s_1) feet on cells, S_j =
+# s_1 + ... + s_j, so the recurrence's row holds at most one entry more: its
+# sum_j s_j (min(R_j, S_j - s_1) + 1) steps refuse past CLOSED_FORM_BUDGET.
 def _under_upper_bound(t: StringType, cap: int) -> bool:
     # prod_j (1 + R_j)^(s_j) <= cap, exiting early.  A bug with no cells
     # before it gives a factor 1, and (1 + R)^s >= 2^(s (bits(1 + R) - 1)),
@@ -98,23 +102,27 @@ def _under_upper_bound(t: StringType, cap: int) -> bool:
 
 def _require_under_cap(t: StringType, enum_cap: int,
                        what: str = "colonies") -> None:
-    # the type's colonies against the cap: accepted under the upper bound,
-    # refused over the lower one, and counted by the recurrence otherwise.
-    # stirling loads only past the upper bound, so a listing under it
-    # never compiles the recurrence's module
+    # stirling loads only past the upper bound, never for a listing under it
     if t.total_s <= enum_cap and _under_upper_bound(t, enum_cap):
         return
-    from .stirling import _dobinski_peak, bell_number, settlement_product
-    peak = _dobinski_peak(t)
-    if peak and peak[1] > math.log(3 * enum_cap):
-        m = peak[0]
+    from .stirling import (CLOSED_FORM_BUDGET, PEAK_BITS, _dobinski_peak,
+                           bell_number, settlement_product)
+    over = f"{what} exceed the cap of {enum_cap}"
+    if (peak := _dobinski_peak(t)) and peak[1] > math.log(3 * enum_cap):
+        m, low = peak
+        if low + math.lgamma(m + 1) > PEAK_BITS * math.log(2):
+            k = int((low - math.log(3)) / math.log(10))
+            raise TooLarge(f"more than 10^{k} {over}")
         floor = 3 * math.factorial(m)
         if (p := settlement_product(t, m)) > enum_cap * floor:
-            raise TooLarge(f"more than {_count_text(p // floor)} {what} "
-                           f"exceed the cap of {enum_cap}")
+            raise TooLarge(f"more than {_count_text(p // floor)} {over}")
+    steps = sum(s * (min(below, feet - t.s[0]) + 1) for below, s, feet
+                in zip(accumulate(t.r, initial=0), t.s, accumulate(t.s)))
+    if steps > CLOSED_FORM_BUDGET:
+        raise TooLarge(f"cap undecided: {_count_text(steps)} steps to count "
+                       f"the {what} exceed the budget of {CLOSED_FORM_BUDGET}")
     if (predicted := bell_number(t)) > enum_cap:
-        raise TooLarge(f"{_count_text(predicted)} {what} exceed the cap of "
-                       f"{enum_cap}")
+        raise TooLarge(f"{_count_text(predicted)} {over}")
 
 
 def free_legs(colony: Colony) -> int:

@@ -30,14 +30,9 @@ from .algebra import StringType, _Value
 from .errors import (DEFAULT_MAX_TERMS, NegativeExcess, NonCanonicalPrefix,
                      PrecisionUnreachable, TooLarge, _count_text)
 
-# _dobinski_peak gives up past m = PEAK_M or a p(m) of PEAK_BITS bits: up to
-# there m! has at most 206 000 bits, and p(m) and m! are built and compared
-# in tens of milliseconds
-PEAK_M = 1 << 14
+# p(m) // (3 m!) is named exactly where p(m) and m! fit in PEAK_BITS bits;
+# past CLOSED_FORM_BUDGET differences or recurrence steps, a type is refused
 PEAK_BITS = 1 << 20
-
-# the closed form's table of p(0..sum(s)) takes (sum(s) + 1)^2 differences,
-# and a type past this many is refused (TooLarge) before p is built
 CLOSED_FORM_BUDGET = 10**7
 
 # Decimal(n) is quadratic in the digits of n; above this many bits
@@ -337,24 +332,21 @@ def _dobinski_numerators(t: StringType) -> Iterator[int]:
         width *= 2
 
 
-def _log_falling(x: int, s: int) -> float:
-    # ln (x)_s for ints x >= s >= 0, in floats.  Where lo = x - s is large
-    # the lgamma difference would cancel, so it is Stirling's series
-    # differenced, (lo + 1/2) ln(1 + s/lo) + s ln x - s, to O(s / lo^2)
-    lo = x - s
-    if lo < 1 << 32:
-        return math.lgamma(x + 1) - math.lgamma(lo + 1)
-    return s * math.log(x) + (lo + 0.5) * math.log1p(s / lo) - s
-
-
 def _dobinski_peak(t: StringType) -> tuple[int, float] | None:
-    # (m, ln(p(m)/m!)) at the largest term of the Dobinski sum at x = 1,
-    # found in floats; None where a value does not fit a float, or where m
-    # passes PEAK_M or p(m) passes PEAK_BITS bits.  From m0 = max_j (s_j -
-    # d_{j-1}) on, every factor of p is positive and the term ratio
-    # p(m+1) / ((m+1) p(m)) = prod_j (1 + s_j/(m+1+d_{j-1}-s_j)) / (m+1)
-    # falls as m grows: the terms rise to one peak, the first m from m0
-    # whose ratio is at most 1, found by doubling the step, then halving it
+    # (m, a proven lower bound on ln(p(m)/m!)) at the largest term of the
+    # Dobinski sum at x = 1, in floats; None only where a value does not
+    # fit a float.  From m0 = max_j (s_j - d_{j-1}) on, every factor of p is
+    # positive and the term ratio p(m+1) / ((m+1) p(m)) = prod_j (1 +
+    # s_j/(m+1+d_{j-1}-s_j)) / (m+1) falls as m grows: the terms rise to one
+    # peak, the first m from m0 whose ratio is at most 1, found by doubling
+    # the step, then halving it.  Robbins (1955): f(n) + 1/(12n+1) < ln n!
+    # < f(n) + 1/(12n), n >= 1, f(n) = (n + 1/2) ln n - n + ln(2 pi)/2.  So a
+    # factor (x)_s = (x)_s' of p, x = m + d, lo = max(x - s, 1), s' = x - lo,
+    # has ln (x)_s' > f(x) - f(lo) + 1/(12x+1) - 1/(12 lo), f(x) - f(lo) =
+    # s' ln x + (lo + 1/2) ln(1 + s'/lo) - s', and ln m! < f(n) + 1/(12n), n
+    # = max(m, 1).  The N terms are rounded within 2^-50 of themselves, their
+    # sum within (N-1) 2^-53 of their magnitudes: N 2^-48 of these covers
+    # that and a few roundings after.  A term past floats gives nan
     pairs = [(d, s) for d, s in zip(t.prefix_excesses, t.s) if s]
     m0 = max([0] + [s - d for d, s in pairs])
 
@@ -365,23 +357,21 @@ def _dobinski_peak(t: StringType) -> tuple[int, float] | None:
     try:
         below, above = m0 - 1, m0
         while not past_peak(above):
-            if above >= PEAK_M:
-                return None
             below, above = above, 2 * above - m0 + 1
         while above - below > 1:
             mid = (below + above) // 2
-            if past_peak(mid):
-                above = mid
-            else:
-                below = mid
-        if above > PEAK_M:
-            return None
-        log_p = sum(_log_falling(above + d, s) for d, s in pairs)
+            below, above = (below, mid) if past_peak(mid) else (mid, above)
+        n = max(above, 1)
+        terms = [n, -(n + 0.5) * math.log(n), -1 / (12 * n),
+                 -math.log(math.tau) / 2]
+        for d, s in pairs:
+            x, lo = above + d, max(above + d - s, 1)
+            s = x - lo
+            terms += [s * math.log(x), (lo + 0.5) * math.log1p(s / lo), -s,
+                      1 / (12 * x + 1), -1 / (12 * lo)]
+        return above, sum(terms) - len(terms) * 2**-48 * sum(map(abs, terms))
     except OverflowError:
         return None
-    if log_p > PEAK_BITS * math.log(2):
-        return None
-    return above, log_p - math.lgamma(above + 1)
 
 
 def dobinski_eval(t: StringType, x, target_digits: int,

@@ -769,6 +769,29 @@ class TestKernelMutants:
             ("fail", "2.00000000000000103427732360603 vs 2")]
         assert err == ""
 
+    def test_a_walk_that_raises_runs_once(self, monkeypatch, capsys):
+        # the three legs that read the walk each fail on its exception,
+        # kept from the one walk that raised; the Dobinski leg passes
+        starts = []
+
+        def raises_at_second_yield(t, held, changed):
+            starts.append(t)
+            walk = walk_of(t, held, changed)
+            yield next(walk)
+            raise RuntimeError("walk broke")
+
+        walk_of = combinat._walk
+        monkeypatch.setattr(combinat, "_walk", raises_at_second_yield)
+        assert main(["selfcheck", "--r", "2,1,3", "--s", "1,2,2"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "FAIL stirling tables agree: RuntimeError: walk broke",
+            "FAIL empty cells equal excess plus free legs: RuntimeError: "
+            "walk broke",
+            "FAIL settlement counts agree: RuntimeError: walk broke",
+            "PASS dobinski series gives the bell number: bell 47 to 1e-25 "
+            "in 33 terms"]
+        assert starts == [StringType((2, 1, 3), (1, 2, 2))]
+
 
 def _readme_examples():
     # (argv, stdout) for every "$ bosonorder ..." line of README.md whose

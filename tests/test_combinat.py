@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -18,6 +19,7 @@ from bosonorder import (DEFAULT_ENUM_CAP, Colony, IncreasingForest,
                         stirling_recurrence)
 from bosonorder import combinat, stirling
 from bosonorder.check import run_selfcheck
+from bosonorder.errors import _count_text
 from oracles import count_surjective_settlements, empty_cells
 
 SHOWCASE = StringType((3, 2, 1, 3), (2, 2, 2, 3))
@@ -269,10 +271,17 @@ def upper_bound(t):
                      zip(itertools.accumulate(t.r, initial=0), t.s))
 
 
+def recurrence_steps(t):
+    """sum_j s_j (min(R_j, S_j - s_1) + 1), from the type's prefix sums."""
+    return sum(s * (min(sum(t.r[:j]), sum(t.s[:j + 1]) - t.s[0]) + 1)
+               for j, s in enumerate(t.s))
+
+
 class TestCap:
     # The cap is decided by the upper bound, the largest Dobinski term's
-    # lower bound, or the exact count, in that order: each bound must hold
-    # and each decision must be bell_number(t) > cap
+    # lower bound, the exact count, or, past the budget, the count's cost,
+    # in that order: each bound must hold, each decision on the count must
+    # be bell_number(t) > cap, and a budget refusal comes only past it
 
     def check(self, t, monkeypatch, deciders):
         bell = bell_number(t)
@@ -285,29 +294,40 @@ class TestCap:
         for m in ms:
             assert (settlement_product(t, m) // (3 * math.factorial(m))
                     < bell), (t, m)
+        steps = recurrence_steps(t)
         counted = []
         recurrence = stirling.stirling_recurrence
         monkeypatch.setattr(stirling, "stirling_recurrence",
                             lambda t: counted.append(t) or recurrence(t))
-        # far below the count, the lower bound decides some types too
+        # far below the count, the lower bound decides some types too; a
+        # budget one step short of the count leaves it undecided
         for cap in {1, bell // 64, bell // 2, bell - 1, bell, bell + 1,
                     2 * bell} - {0}:
-            counted.clear()
-            try:
-                combinat._require_under_cap(t, cap)
-                refused = ""
-            except TooLarge as exc:
-                refused = str(exc)
-            assert bool(refused) == (bell > cap), (t, cap)
-            deciders.add("count" if counted else
-                         "lower" if refused else "upper")
-            if refused.startswith("more than"):
-                assert not counted
-                lower = int(refused.split()[2])
-                assert cap <= lower < bell, (t, cap)
-            elif refused:
-                assert refused == (f"{bell} colonies exceed the cap of "
-                                   f"{cap}")
+            for budget in stirling.CLOSED_FORM_BUDGET, steps - 1:
+                monkeypatch.setattr(stirling, "CLOSED_FORM_BUDGET", budget)
+                counted.clear()
+                try:
+                    combinat._require_under_cap(t, cap)
+                    refused = ""
+                except TooLarge as exc:
+                    refused = str(exc)
+                if refused.startswith("cap undecided"):
+                    assert not counted and steps > budget, (t, cap)
+                    assert refused == (f"cap undecided: {steps} steps to "
+                                       f"count the colonies exceed the "
+                                       f"budget of {budget}")
+                    deciders.add("budget")
+                    continue
+                assert bool(refused) == (bell > cap), (t, cap)
+                deciders.add("count" if counted else
+                             "lower" if refused else "upper")
+                if refused.startswith("more than"):
+                    assert not counted
+                    lower = int(refused.split()[2])
+                    assert cap <= lower < bell, (t, cap)
+                elif refused:
+                    assert refused == (f"{bell} colonies exceed the cap of "
+                                       f"{cap}")
         monkeypatch.undo()
 
     def test_decisions_on_every_small_type(self, every_small_type,
@@ -315,7 +335,7 @@ class TestCap:
         deciders = set()
         for t in every_small_type:
             self.check(t, monkeypatch, deciders)
-        assert deciders == {"upper", "lower", "count"}
+        assert deciders == {"upper", "lower", "count", "budget"}
 
     # prefix excesses of either sign, up to about 10^12 colonies
     @given(boundary_types(factors=8, top=6))
@@ -327,25 +347,43 @@ class TestCap:
         with pytest.MonkeyPatch.context() as monkeypatch:
             self.check(t, monkeypatch, set())
 
-    def test_many_feet_on_one_bug_go_to_the_count(self, monkeypatch):
+    def test_many_feet_on_one_bug_are_refused_by_the_budget(self,
+                                                            monkeypatch):
         # 10^11 feet pass the cap by sum(s) alone, so the upper bound
-        # declines, and the largest term sits at m = 10^11, past the peak
-        # search's limit: the recurrence is reached, with nothing huge
-        # allocated on the way
-        class Reached(Exception):
-            pass
+        # declines, and the one colony is far under the lower bound: the
+        # count's 10^11 recurrence steps are refused before the first, with
+        # nothing huge allocated on the way
+        def never(t):
+            raise AssertionError("the recurrence ran past its budget")
 
-        def reached(t):
-            raise Reached
-
-        monkeypatch.setattr(stirling, "stirling_recurrence", reached)
+        monkeypatch.setattr(stirling, "stirling_recurrence", never)
 
         def decide():
-            with pytest.raises(Reached):
+            with pytest.raises(TooLarge) as exc:
                 combinat._require_under_cap(StringType((1,), (10**11,)),
                                             DEFAULT_ENUM_CAP)
+            return str(exc.value)
 
-        assert traced_peak(decide)[1] < 100_000
+        refused, peak = traced_peak(decide)
+        assert refused == ("cap undecided: 100000000000 steps to count the "
+                           "colonies exceed the budget of 10000000")
+        assert peak < 100_000
+
+    def test_steps_bound_the_recurrence(self, every_small_type, monkeypatch):
+        # each leg multiplies the entries its row holds and one padded zero:
+        # less one per leg, the products count the entries held, which the
+        # estimate bounds
+        calls = []
+
+        def mul(a, b):
+            calls.append(1)
+            return a * b
+
+        monkeypatch.setattr(stirling, "mul", mul)
+        for t in every_small_type:
+            calls.clear()
+            stirling_recurrence(t)
+            assert len(calls) - t.total_s <= recurrence_steps(t), t
 
     def test_no_power_is_raised_as_far_as_an_exponent(self):
         # bug 1's feet stand on the ground, a factor 1 however many there
@@ -367,18 +405,19 @@ class TestCap:
         assert decided == [True, False, False, False]
         assert peak < 100_000
 
-    def test_peak_search_gives_up_past_its_limit(self):
-        # one bug: p(m) = (m)_s, so the largest term, 1, sits at m = s
-        limit = stirling.PEAK_M
-        assert stirling._dobinski_peak(StringType((1,), (limit,))) \
-            == (limit, 0.0)
-        assert stirling._dobinski_peak(StringType((1,), (limit + 1,))) is None
+    def test_peak_is_found_past_two_to_the_fourteen(self):
+        # one bug: p(m) = (m)_s, so the largest term, 1, sits at m = s, and
+        # its bound sits just below ln 1 = 0
+        m, low = stirling._dobinski_peak(StringType((1,), (2**14 + 1,)))
+        assert m == 2**14 + 1
+        assert -0.01 < low < 0
 
-    def test_peak_search_gives_up_stepping_past_its_limit(self, monkeypatch):
-        # the terms still rise at m0 = 20 000 > PEAK_M, so the doubling
-        # search gives up and the exact count, 20 001 colonies, decides
+    def test_terms_rising_past_two_to_the_fourteen_are_counted(
+            self, monkeypatch):
+        # the terms still rise at m0 = 20 000 > 2^14; the peak is found,
+        # far under the cap, and the count, 20 001 colonies, accepts
         t = StringType((1, 1), (1, 20000))
-        assert stirling._dobinski_peak(t) is None
+        assert stirling._dobinski_peak(t)[0] > 20000
         counts = []
         bell = stirling.bell_number
         monkeypatch.setattr(stirling, "bell_number",
@@ -386,12 +425,26 @@ class TestCap:
         combinat._require_under_cap(t, DEFAULT_ENUM_CAP)
         assert counts == [20001]
 
-    def test_peak_search_gives_up_past_its_bit_limit(self):
-        # the peak, at a small m, has p(m) = m (m + 999 999)_100000 of about
-        # 2 * 10^6 bits, past PEAK_BITS.  The exact count that would then
-        # decide the cap runs without bound, so it is not called here
-        t = StringType((10**6, 1), (1, 10**5))
-        assert stirling._dobinski_peak(t) is None
+    def test_a_peak_past_the_bit_limit_is_refused_in_floats(self,
+                                                            monkeypatch):
+        # the peak, at m = 1, has p(1) = (10^6)_100000 of about 2 * 10^6
+        # bits, past PEAK_BITS: the float bound refuses without building it
+        def never(*args):
+            raise AssertionError("an exact value was built")
+
+        monkeypatch.setattr(stirling, "settlement_product", never)
+        monkeypatch.setattr(stirling, "stirling_recurrence", never)
+
+        def decide():
+            with pytest.raises(TooLarge) as exc:
+                combinat._require_under_cap(
+                    StringType((10**6, 1), (1, 10**5)), DEFAULT_ENUM_CAP)
+            return str(exc.value)
+
+        refused, peak = traced_peak(decide)
+        assert refused == ("more than 10^597751 colonies exceed the cap of "
+                           "10000000")
+        assert peak < 100_000
 
     def test_a_value_past_floats_is_counted(self):
         # d_1 = 10^400 - 1 fits no float: the lower bound gives up and the
@@ -402,6 +455,59 @@ class TestCap:
             enumerate_colonies(t)
         assert str(exc.value) == (f"{bell_number(t)} colonies exceed the "
                                   f"cap of {DEFAULT_ENUM_CAP}")
+
+
+@st.composite
+def wide_types(draw):
+    """boundary_types whose creation exponents may instead be 2^32 to 2^40:
+    prefix excesses of either sign, and of 2^32 or more."""
+    t = draw(boundary_types(factors=6, top=6))
+    return StringType([draw(st.sampled_from([r, draw(st.integers(2**32,
+                                                                 2**40))]))
+                       for r in t.r], t.s)
+
+
+class TestPeakBound:
+    # the second value of _dobinski_peak is a proven lower bound on
+    # ln(p(m)/m!) at the peak's m, within a few thousandths of it
+
+    @given(wide_types())
+    @example(StringType((2**32, 1), (1, 3)))
+    @example(StringType((1, 3), (3, 1)))
+    @settings(deadline=None, max_examples=300)
+    def test_never_exceeds_the_exact_term(self, t):
+        m, low = stirling._dobinski_peak(t)
+        p, factorial = settlement_product(t, m), math.factorial(m)
+        exact = math.log(p) - math.log(factorial)
+        assert exact - 0.01 * (t.n + 1) < low <= exact, t
+        if low >= math.log(3):
+            k = int((low - math.log(3)) / math.log(10))
+            assert 10 ** k <= p // (3 * factorial), t
+
+    @pytest.mark.parametrize("r, s, cap", [
+        ((2000, 2000), (2000, 2000), DEFAULT_ENUM_CAP),
+        ((3000, 3000), (3000, 3000), DEFAULT_ENUM_CAP),
+        ((1000, 1000), (1000, 1000), DEFAULT_ENUM_CAP),
+        ((2000, 1), (1, 2000), DEFAULT_ENUM_CAP),
+        ((10**120, 1), (1, 40), DEFAULT_ENUM_CAP),
+        ((3, 2, 1, 3), (2, 2, 2, 3), 1000)])
+    def test_float_path_names_at_most_the_exact_bound(self, r, s, cap,
+                                                      monkeypatch):
+        # the pinned over-cap types: their exact refusal names L, and with
+        # PEAK_BITS too small for it the float path names 10^k <= L
+        t = StringType(r, s)
+        m = stirling._dobinski_peak(t)[0]
+        exact = settlement_product(t, m) // (3 * math.factorial(m))
+        with pytest.raises(TooLarge) as exc:
+            combinat._require_under_cap(t, cap)
+        assert str(exc.value) == (f"more than {_count_text(exact)} colonies "
+                                  f"exceed the cap of {cap}")
+        monkeypatch.setattr(stirling, "PEAK_BITS", 1)
+        with pytest.raises(TooLarge) as exc:
+            combinat._require_under_cap(t, cap)
+        k = int(re.fullmatch(rf"more than 10\^(\d+) colonies exceed the "
+                             rf"cap of {cap}", str(exc.value))[1])
+        assert 10 ** k <= exact < 10 ** (k + 2)
 
 
 class TestManyFeet:

@@ -55,6 +55,7 @@ EIGHT_BUGS = "--r 1,1,1,1,1,1,1,1 --s 1,1,1,1,1,1,1,1"
 NINE_BUGS = "--r 1,1,1,1,1,1,1,1,1 --s 1,1,1,1,1,1,1,1,1"
 CAP = "exceed the cap of 10000000"
 BUDGET = "differences exceed the closed-form budget of 10000000"
+STEPS = "steps to count the colonies exceed the budget of 10000000"
 FULL = "error: cannot write stdout: No space left on device"
 
 # (r, s) repeated n times, and the stdout the closed form, rewriting and the
@@ -106,6 +107,26 @@ CONTRACT = {
         err=f"error: more than 3.33333e+4799 colonies {CAP}")
        for argv in ("colonies", "settlements --m 3", "bell --method enumerate",
                     "stirling --method enumerate", "selfcheck")},
+    # the peak past 2^14, confirmed in integers, and a p(m) past PEAK_BITS,
+    # refused by the float bound: both ran unbounded before
+    "colonies-peak-past-two-to-the-fourteen": Row(
+        "colonies --r 10000,10000 --s 10000,20000", 1,
+        err=f"error: more than 4.26083e+41677 colonies {CAP}", seconds=2,
+        kb=400_000),
+    "colonies-peak-past-the-bit-limit": Row(
+        "colonies --r 1000000,1 --s 1,100000", 1,
+        err=f"error: more than 10^597751 colonies {CAP}", seconds=2,
+        kb=400_000),
+    # one colony, with more feet than the cap: no bound decides it, and its
+    # count is refused by the recurrence's budget before its first step
+    **{f"{argv.split()[0]}-one-colony-past-the-budget": Row(
+        argv, 1, err=f"error: cap undecided: {steps} {STEPS}", seconds=2,
+        kb=400_000)
+       for argv, steps in [
+           (f"colonies --r 1 --s {10**8}", 10**8),
+           (f"settlements --r 1 --s {10**12} --m 2", 10**12),
+           (f"stirling --method enumerate --r 1 --s {10**12}", 10**12),
+           (f"selfcheck --r 1 --s {10**12}", 10**12)]},
     "colonies-million-cell-bug": Row(
         "colonies --r 1,1000000 --s 1,1", out=(last_line, "total 2"),
         seconds=30, kb=400_000),
