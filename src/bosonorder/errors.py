@@ -22,9 +22,9 @@ class BosonOrderError(Exception):
 
 
 class NegativeExcess(BosonOrderError):
-    """Coefficient extraction or a coherent-state value was asked for on a
-    word with more annihilators than creators; the canonical (a+)^d prefix
-    does not exist there."""
+    """Coefficient extraction was asked for on a word with more
+    annihilators than creators; the canonical (a+)^d prefix does not exist
+    there."""
 
 
 class NonCanonicalPrefix(BosonOrderError):

@@ -27,7 +27,7 @@ from itertools import chain, count, repeat
 from operator import add, index, mul, sub
 
 from .algebra import StringType, _Value
-from .errors import (DEFAULT_MAX_TERMS, NegativeExcess, NonCanonicalPrefix,
+from .errors import (DEFAULT_MAX_TERMS, NonCanonicalPrefix,
                      PrecisionUnreachable, TooLarge, _count_text)
 
 # p(m) // (3 m!) is named exactly where p(m) and m! fit in PEAK_BITS bits;
@@ -545,29 +545,28 @@ def _gaussian_parts(z) -> tuple[Fraction, Fraction]:
 def coherent_expectation(t: StringType, z, target_digits: int) -> ComplexApproxValue:
     """Diagonal matrix element between coherent states of amplitude z.
 
-    Equals conj(z)^(d_n) times the Bell polynomial at |z|^2, for any
-    prefix excesses; a negative excess d_n is refused (NegativeExcess).
-    The input is taken apart into exact rational real/imaginary parts
-    (binary floats are rationals), evaluated exactly, and rounded once at
-    the end.
+    From the normal form sum_k S(k) (a+)^(k+d) a^k, d the excess, it is
+    conj(z)^d B(|z|^2) for d >= 0, B the Bell polynomial, and z^(-d)
+    sum_k S(k) |z|^(2(k+d)) for d < 0, whatever the prefix excesses.  z is
+    taken apart into exact rational parts (binary floats are rationals),
+    evaluated exactly, and rounded once at the end.
     """
     if target_digits < 1:
         raise ValueError("target_digits must be positive")
-    if t.excess < 0:
-        raise NegativeExcess(f"excess {t.excess} < 0: conj(z)^d needs d >= 0")
     zr, zi = _gaussian_parts(z)
-    poly = bell_polynomial(t)
-    b = poly.evaluate(zr * zr + zi * zi)
-    # conj(z) = (wr + i wi) / den, raised to the excess by squaring in
-    # integers, where Fractions would take a gcd at every step
+    poly, e = bell_polynomial(t), t.excess
+    # the phase conj(z)^e, or z^(-e), is (wr + i wi) / den raised to |e| by
+    # squaring in integers, where Fractions would take a gcd at every step
     den = math.lcm(zr.denominator, zi.denominator)
     wr, wi = int(zr * den), -int(zi * den)
-    re, im, e = 1, 0, t.excess
+    if e < 0:  # S(k) = 0 below -e (e + k counts free creators)
+        poly, wi, e = BellPolynomial(poly.coeffs[-e:]), -wi, -e
+    b = poly.evaluate(zr * zr + zi * zi)
+    re, im, den = 1, 0, den ** e * b.denominator
     while e:
         if e & 1:
             re, im = re * wr - im * wi, re * wi + im * wr
         wr, wi, e = wr * wr - wi * wi, 2 * wr * wi, e >> 1
-    den = den ** t.excess * b.denominator
     terms = sum(1 for c in poly.coeffs if c)
     return ComplexApproxValue(_rounded(re * b.numerator, den, target_digits),
                               _rounded(im * b.numerator, den, target_digits),

@@ -8,29 +8,13 @@ from bosonorder import StringType
 _CRITERION = re.compile(r"test_criterion_(\d+)")
 
 
-def all_small_types(max_n=3, max_entry=3, nonneg_prefixes_only=True):
-    """Every type with n factors and entries in 1..max_entry; by default only
-    those whose prefix excesses stay nonnegative (the closed form's domain)."""
-    types = []
-    for n in range(1, max_n + 1):
-        for r in itertools.product(range(1, max_entry + 1), repeat=n):
-            for s in itertools.product(range(1, max_entry + 1), repeat=n):
-                t = StringType(r, s)
-                if not nonneg_prefixes_only or t.has_nonnegative_prefixes():
-                    types.append(t)
-    return types
-
-
-@pytest.fixture(scope="session")
-def sweep_types():
-    return all_small_types()
-
-
 @pytest.fixture(scope="session")
 def every_small_type():
-    """All 819 types of at most 3 factors with exponents 1..3, negative
-    prefix excesses included."""
-    return all_small_types(nonneg_prefixes_only=False)
+    """All 819 types of at most 3 factors with exponents 1..3, whatever the
+    signs of their excess and prefix excesses."""
+    return [StringType(r, s) for n in (1, 2, 3)
+            for r in itertools.product((1, 2, 3), repeat=n)
+            for s in itertools.product((1, 2, 3), repeat=n)]
 
 
 def pytest_configure(config):

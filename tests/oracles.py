@@ -8,8 +8,8 @@ from fractions import Fraction
 from itertools import count
 
 from bosonorder import (ANNIHILATION, CREATION, DEFAULT_ENUM_CAP,
-                        BellPolynomial, BosonWord, Colony, NonCanonicalPrefix,
-                        StringType, count_colonies_by_free_legs,
+                        BellPolynomial, BosonWord, Colony, StringType,
+                        count_colonies_by_free_legs,
                         falling_factorial, stirling_recurrence)
 
 
@@ -19,28 +19,28 @@ def bell_poly_recursion(prev: BellPolynomial, d_prev: int,
 
     New polynomial = x^(s'-d) (D+1)^(s') x^d old, with d the excess before
     the new factor; the factor's creation exponent does not enter it.  This
-    is the recurrence's per-factor step in the monomial basis.
+    is the recurrence's per-factor step in the monomial basis.  Either
+    shift may be down, d or s'-d negative: the coefficients it drops must
+    be zero (AssertionError if not).
     """
-    if d_prev < 0:
-        raise NonCanonicalPrefix(f"excess before the new factor is {d_prev}")
     if s_next < 0:
         raise ValueError("s_next must be nonnegative")
-    c = [0] * d_prev + list(prev.coeffs)
+    c = _shifted(list(prev.coeffs), d_prev)
     for _ in range(s_next):
         # (D+1) maps coefficient vector f to f_i + (i+1) f_{i+1}
         c = [c[i] + ((i + 1) * c[i + 1] if i + 1 < len(c) else 0)
              for i in range(len(c))]
-    shift = s_next - d_prev
+    return BellPolynomial(tuple(_shifted(c, s_next - d_prev)))
+
+
+def _shifted(c: list[int], shift: int) -> list[int]:
+    # coefficients of x^shift times the polynomial c
     if shift >= 0:
-        c = [0] * shift + c
-    else:
-        # x^d old vanishes below degree d and each (D+1) lowers that by at
-        # most one, so the coefficients shifted out are zero
-        if any(c[:-shift]):
-            raise AssertionError(
-                f"shift by x^{shift} hits nonzero low-order coefficients")
-        c = c[-shift:]
-    return BellPolynomial(tuple(c))
+        return [0] * shift + c
+    if any(c[:-shift]):
+        raise AssertionError(
+            f"shift by x^{shift} hits nonzero low-order coefficients")
+    return c[-shift:]
 
 
 def _classical_stirling2(nmax: int) -> list[list[int]]:
@@ -143,6 +143,12 @@ def adjoint_word(word: BosonWord) -> BosonWord:
     negated."""
     swap = {CREATION: ANNIHILATION, ANNIHILATION: CREATION}
     return BosonWord(swap[letter] for letter in reversed(word.letters))
+
+
+def adjoint_type(t: StringType) -> StringType:
+    """The type of the adjoint word: the factors in reverse order, each
+    (a+)^r a^s turned into (a+)^s a^r.  Its excess is t's negated."""
+    return StringType(reversed(t.s), reversed(t.r))
 
 
 def count_surjective_settlements(t: StringType, m: int,

@@ -73,21 +73,21 @@ def test_criterion_02_classical_reduction():
     assert bells == [1, 2, 5, 15, 52, 203, 877, 4140]
 
 
-def test_criterion_03_empty_cell_count(sweep_types):
+def test_criterion_03_empty_cell_count(every_small_type):
     """every enumerated colony has exactly excess-plus-free-legs empty cells"""
-    for t in sweep_types:
+    for t in every_small_type:
         for colony in enumerate_colonies(t):
             assert empty_cells(colony) == t.excess + free_legs(colony), \
                 f"{t}: {colony.placement}"
 
 
-def test_criterion_04_settlement_counts(sweep_types):
+def test_criterion_04_settlement_counts(every_small_type):
     """settlement counts agree between enumeration, product, and table
 
     checked for m = 0..6 on the sweep and through m = 12 on the
     four-factor showcase type, whose 11 947 colonies are walked at every
     m"""
-    for t in sweep_types:
+    for t in every_small_type:
         table = stirling_recurrence(t).values
         for m in range(7):
             enumerated = enumerate_settlements(t, m)
@@ -108,22 +108,22 @@ def test_criterion_04_settlement_counts(sweep_types):
             f"m = {m}: {enumerated}, {product}, {expanded}"
 
 
-def test_criterion_05_surjective_settlements(sweep_types):
+def test_criterion_05_surjective_settlements(every_small_type):
     """surjective settlement counts equal table entry times factorial"""
-    for t in sweep_types:
+    for t in every_small_type:
         table = stirling_recurrence(t).values
         for m in range(t.total_s + 2):
             assert count_surjective_settlements(t, m) \
                 == table.get(m, 0) * math.factorial(m), f"{t}, m = {m}"
 
 
-def test_criterion_06_series_convergence(sweep_types):
+def test_criterion_06_series_convergence(every_small_type):
     """series evaluation at 30 digits is within 1e-25 of the exact value
 
     every sweep type at x = 1; partial sums are monotone because terms
     are nonnegative"""
     tol = Decimal("1e-25")
-    for t in sweep_types:
+    for t in every_small_type:
         exact = bell_polynomial(t).evaluate(1)
         approx = dobinski_eval(t, 1, 30)
         rel = abs(approx.value - exact) / exact
@@ -160,9 +160,9 @@ def test_criterion_08_tree_series_identity():
         assert tree_series(r, 12) == tree_series_closed_form(r, 12), r
 
 
-def test_criterion_09_coherent_state_values(sweep_types):
+def test_criterion_09_coherent_state_values(every_small_type):
     """coherent-state expectations hit the Bell number at 1 and zero at 0"""
-    for t in sweep_types:
+    for t in every_small_type:
         at_one = coherent_expectation(t, 1, 30)
         assert at_one.real == bell_number(t) and at_one.imag == 0, t
         at_zero = coherent_expectation(t, 0, 30)

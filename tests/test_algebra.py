@@ -218,8 +218,8 @@ class TestWordsAndTypes:
         assert len(w) == t.total_r + t.total_s == 18
         assert w.excess == 0
 
-    def test_type_round_trip(self, sweep_types):
-        for t in sweep_types:
+    def test_type_round_trip(self, every_small_type):
+        for t in every_small_type:
             assert type_from_word(word_from_type(t)) == t
 
     def test_type_from_ungrouped_word(self):

@@ -267,6 +267,11 @@ class TestSelfcheck:
         results = run_selfcheck(StringType.uniform(2, 1, 2))
         assert all(r.status == "pass" for r in results)
 
+    def test_every_small_type_passes(self, every_small_type):
+        for t in every_small_type:
+            statuses = {r.name: r.status for r in run_selfcheck(t)}
+            assert list(statuses.values()) == ["pass"] * 4, (t, statuses)
+
     def test_negative_prefix_runs_identity(self):
         # prefix excesses (0, 0, -2, 0): the closed form joins the table
         # check, whose agreement proves the falling-factorial identity

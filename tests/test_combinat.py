@@ -134,8 +134,8 @@ class TestColonies:
             ((None,), ((1, 1),)),
         ]
 
-    def test_count_matches_bell(self, sweep_types):
-        for t in sweep_types[::4]:
+    def test_count_matches_bell(self, every_small_type):
+        for t in every_small_type[::4]:
             assert sum(1 for _ in enumerate_colonies(t)) == bell_number(t)
 
     def test_thirteen_colonies(self):
@@ -560,8 +560,8 @@ class TestColonyValidation:
         assert free_legs(colony) == 5
         assert empty_cells(colony) == 5
 
-    def test_excess_plus_free_legs(self, sweep_types):
-        for t in sweep_types[::13]:
+    def test_excess_plus_free_legs(self, every_small_type):
+        for t in every_small_type[::13]:
             for colony in enumerate_colonies(t):
                 assert empty_cells(colony) == t.excess + free_legs(colony)
 
@@ -614,8 +614,8 @@ class TestSurjectiveSettlements:
         assert count_surjective_settlements(t, 11) \
             == math.comb(12, 2) * math.factorial(11)
 
-    def test_factorial_formula(self, sweep_types):
-        for t in sweep_types[::17]:
+    def test_factorial_formula(self, every_small_type):
+        for t in every_small_type[::17]:
             table = stirling_recurrence(t).values
             for m in range(t.total_s + 2):
                 assert count_surjective_settlements(t, m) \

@@ -15,24 +15,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosonorder import (ApproxValue, BellPolynomial, ComplexApproxValue,
-                        NegativeExcess, NonCanonicalPrefix,
-                        PrecisionUnreachable, StirlingTable, StringType,
-                        TooLarge, bell_number, bell_polynomial,
-                        bell_r1_numeric, closed_form_table,
-                        coherent_expectation,
-                        count_colonies_by_free_legs, dobinski_eval,
-                        enumerate_settlements, extract_stirling,
-                        falling_factorial, normal_order, settlement_product,
+                        NonCanonicalPrefix, PrecisionUnreachable,
+                        StirlingTable, StringType, TooLarge, bell_number,
+                        bell_polynomial, bell_r1_numeric, closed_form_table,
+                        coherent_expectation, count_colonies_by_free_legs,
+                        dobinski_eval, extract_stirling, falling_factorial,
+                        normal_order, settlement_product,
                         stirling_closed_form, stirling_recurrence,
-                        word_from_type)
-from bosonorder.check import run_selfcheck
+                        type_from_word, word_from_type)
 from bosonorder import stirling
 from bosonorder.cli import MAX_DIGITS
 from bosonorder.stirling import (SPLIT_BITS, _closed_form_row, _dobinski_sum,
                                 _over_factorial, _rounded, _runs,
                                 _settlement_products)
-from oracles import (bell_poly_recursion, bell_r1_terms,
-                     check_polynomial_identity, dobinski_terms,
+from oracles import (adjoint_type, adjoint_word, bell_poly_recursion,
+                     bell_r1_terms, check_polynomial_identity, dobinski_terms,
                      factor_by_factor_product, falling_factorial_expansion,
                      rounded_by_context)
 
@@ -128,8 +125,8 @@ class TestRecurrence:
                 assert dict(stirling_recurrence(StringType((r,), (s,))).values) \
                     == {s: 1}
 
-    def test_table_invariants(self, sweep_types):
-        for t in sweep_types:
+    def test_table_invariants(self, every_small_type):
+        for t in every_small_type:
             table = stirling_recurrence(t)
             keys = sorted(table.values)
             assert keys[0] >= t.s[0]
@@ -236,11 +233,12 @@ class TestClosedForm:
         r = tuple(data.draw(st.integers(1, 3)) for _ in range(n))
         s = tuple(data.draw(st.integers(1, 3)) for _ in range(n))
         t = StringType(r, s)
-        if not t.has_nonnegative_prefixes():
-            return
         table = stirling_recurrence(t).values
-        for k in range(t.s[0], t.total_s + 1):
-            assert stirling_closed_form(t, k) == table.get(k, 0)
+        assert closed_form_table(t) == table
+        # the single-k form refuses a negative prefix excess
+        if t.has_nonnegative_prefixes():
+            for k in range(t.s[0], t.total_s + 1):
+                assert stirling_closed_form(t, k) == table.get(k, 0)
 
     @pytest.mark.parametrize("t", CLOSED_FORM_TYPES,
                              ids=lambda t: f"n{t.n}r{sum(t.r)}")
@@ -357,8 +355,8 @@ class TestBellPolynomial:
         assert bell_polynomial(StringType.uniform(1, 1, 2)).coeffs == (0, 1, 1)
         assert bell_polynomial(StringType.uniform(2, 1, 2)).coeffs == (0, 2, 1)
 
-    def test_evaluate_at_one_is_bell(self, sweep_types):
-        for t in sweep_types[::5]:
+    def test_evaluate_at_one_is_bell(self, every_small_type):
+        for t in every_small_type[::5]:
             assert bell_polynomial(t).evaluate(1) == bell_number(t)
 
     def test_evaluate_exact_fraction(self):
@@ -399,17 +397,20 @@ class TestBellPolyRecursion:
         base = bell_polynomial(StringType((2,), (1,)))
         assert bell_poly_recursion(base, 1, 0) == base
 
-    def test_matches_direct_construction(self, sweep_types):
-        for t in sweep_types:
+    def test_matches_direct_construction(self, every_small_type):
+        for t in every_small_type:
             poly = bell_polynomial(StringType((t.r[0],), (t.s[0],)))
             ds = t.prefix_excesses
             for i in range(1, t.n):
                 poly = bell_poly_recursion(poly, ds[i], t.s[i])
             assert poly == bell_polynomial(t)
 
-    def test_rejects_negative_excess(self):
-        with pytest.raises(NonCanonicalPrefix):
-            bell_poly_recursion(BellPolynomial((0, 1)), -1, 1)
+    def test_downshift_at_negative_excess(self):
+        # x^(-1) drops a zero coefficient; x^(-1) 1 would drop a nonzero one
+        base = bell_polynomial(StringType((1,), (2,)))
+        assert bell_poly_recursion(base, -1, 1) == bell_polynomial(DIPPING)
+        with pytest.raises(AssertionError):
+            bell_poly_recursion(BellPolynomial((1,)), -1, 1)
 
     def test_downshift_cancels_prepended_zeros(self):
         # x^(-1) (D+1)^0 x^1 is the identity on constants
@@ -452,11 +453,12 @@ class TestDobinski:
             partial += term
             assert partial * inv_e_low < bell
 
-    def test_negative_prefix_matches_recurrence_and_enumeration(self):
-        # B(1) is the Bell number: from the recurrence and from the colonies
-        approx = dobinski_eval(DIPPING, 1, 10)
-        assert approx.value == bell_number(DIPPING) \
-            == sum(count_colonies_by_free_legs(DIPPING).values()) == 2
+    def test_within_one_ulp_on_every_small_type(self, every_small_type):
+        for t in every_small_type:
+            poly = bell_polynomial(t)
+            for x in (Fraction(1), Fraction(7, 3), Fraction(1, 5)):
+                _assert_within_one_ulp(dobinski_eval(t, x, 30).value,
+                                       poly.evaluate(x), 30)
 
     def test_rejects_negative_x(self):
         with pytest.raises(ValueError):
@@ -820,19 +822,10 @@ class TestPolynomialIdentity:
     def test_negative_argument(self):
         assert check_polynomial_identity(StringType.uniform(1, 1, 3), -2)
 
-    def test_negative_prefix_matches_expansion_and_enumeration(self):
-        assert check_polynomial_identity(DIPPING, 1)
-        # the same table, expanded from the product in the monomial basis
-        assert falling_factorial_expansion(DIPPING) \
-            == dict(stirling_recurrence(DIPPING).values)
-        # the same product, counted settlement by settlement
-        assert settlement_product(DIPPING, 1) \
-            == enumerate_settlements(DIPPING, 1)
-
-    def test_coefficient_level_expansion(self, sweep_types):
-        for t in sweep_types[::3]:
-            assert falling_factorial_expansion(t) \
-                == dict(stirling_recurrence(t).values)
+    def test_every_small_type(self, every_small_type):
+        for t in every_small_type:
+            assert all(check_polynomial_identity(t, x)
+                       for x in range(-3, 8)), t
 
 
 class TestCoherentExpectation:
@@ -840,8 +833,8 @@ class TestCoherentExpectation:
         out = coherent_expectation(StringType.uniform(1, 1, 3), 0, 10)
         assert out.real == 0 and out.imag == 0
 
-    def test_unit_amplitude_is_bell(self, sweep_types):
-        for t in sweep_types[::9]:
+    def test_unit_amplitude_is_bell(self, every_small_type):
+        for t in every_small_type[::9]:
             out = coherent_expectation(t, 1, 30)
             assert out.real == bell_number(t) and out.imag == 0
 
@@ -865,15 +858,34 @@ class TestCoherentExpectation:
         out = coherent_expectation(StringType.uniform(1, 1, 2), 1 + 0j, 15)
         assert out.real == 2 and out.imag == 0
 
-    def test_negative_prefix_matches_recurrence_and_enumeration(self):
-        out = coherent_expectation(DIPPING, 1, 10)
-        assert out.imag == 0
-        assert out.real == bell_number(DIPPING) \
-            == sum(count_colonies_by_free_legs(DIPPING).values())
+    def test_negative_excess(self):
+        # table {2: 2, 3: 1}, excess -1: 2 (a+) a^2 + (a+)^2 a^3 gives
+        # z (2 |z|^2 + |z|^4)
+        t = StringType((1, 1), (1, 2))
+        for z, real, imag in (((Fraction(3, 5), Fraction(4, 5)), "1.8", "2.4"),
+                              ((Fraction(1, 2), Fraction(1, 2)), "0.625",
+                               "0.625"),
+                              (0, "0", "0")):
+            out = coherent_expectation(t, z, 10)
+            assert (out.real, out.imag) == (Decimal(real), Decimal(imag))
 
-    def test_refuses_negative_excess(self):
-        with pytest.raises(NegativeExcess):
-            coherent_expectation(StringType((1, 1), (1, 2)), 1, 10)
+    def test_matches_normal_form_on_every_small_type(self, every_small_type):
+        # <z| word |z> from the rewritten normal form, monomial by monomial:
+        # (a+)^i a^j gives conj(z)^i z^j
+        for t in every_small_type:
+            form = normal_order(word_from_type(t))
+            for z in ((Fraction(3, 5), Fraction(4, 5)),
+                      (Fraction(-1, 2), Fraction(3, 2))):
+                conj = (z[0], -z[1])
+                exact = [Fraction(0), Fraction(0)]
+                for i, j, c in form.monomials():
+                    re, im = _gaussian_product(_gaussian_power(conj, i),
+                                               _gaussian_power(z, j))
+                    exact[0] += c * re
+                    exact[1] += c * im
+                out = coherent_expectation(t, z, 30)
+                _assert_close(out.real, exact[0], 30)
+                _assert_close(out.imag, exact[1], 30)
 
     def test_refuses_no_digits(self):
         with pytest.raises(ValueError) as exc:
@@ -997,71 +1009,22 @@ def _assert_close(value, exact, digits):
     assert abs(Fraction(value) - exact) <= abs(exact) / 10 ** (digits - 1)
 
 
-class TestNegativePrefixSweep:
-    """Every type of at most 3 factors with exponents 1..3 whose prefix
-    excesses dip below zero (439 of them): the routes that take a signed
-    settlement product agree with the recurrence and with enumeration."""
+class TestAdjointType:
+    """The adjoint word has the transposed normal form, so its type's table
+    and free-leg histogram are the type's with keys shifted by the excess,
+    and its coherent-state value is the conjugate."""
 
-    @pytest.fixture(scope="class")
-    def dipping_types(self, every_small_type):
-        types = [t for t in every_small_type
-                 if not t.has_nonnegative_prefixes()]
-        assert len(types) == 439
-        return types
-
-    def test_dobinski_within_one_ulp(self, dipping_types):
-        for t in dipping_types:
-            poly = bell_polynomial(t)
-            for x in (Fraction(1), Fraction(7, 3), Fraction(1, 5)):
-                _assert_within_one_ulp(dobinski_eval(t, x, 30).value,
-                                       poly.evaluate(x), 30)
-
-    def test_polynomial_identity_and_expansion(self, dipping_types):
-        for t in dipping_types:
-            assert falling_factorial_expansion(t) \
-                == dict(stirling_recurrence(t).values), t
-            assert all(check_polynomial_identity(t, x)
-                       for x in range(-3, 8)), t
-
-    def test_settlement_product_matches_enumeration(self, dipping_types):
-        for t in dipping_types:
-            for m in range(5):
-                assert settlement_product(t, m) \
-                    == enumerate_settlements(t, m), (t, m)
-
-    def test_selfcheck_passes_every_check(self, dipping_types):
-        for t in dipping_types:
-            statuses = {r.name: r.status for r in run_selfcheck(t)}
-            assert list(statuses.values()) == ["pass"] * 4, (t, statuses)
-
-    def test_signed_kernel_closed_form_matches_recurrence(self,
-                                                          dipping_types):
-        for t in dipping_types:
-            assert closed_form_table(t) \
-                == dict(stirling_recurrence(t).values), t
-
-    def test_coherent_matches_normal_form(self, dipping_types):
-        # <z| word |z> from the rewritten normal form, monomial by monomial:
-        # (a+)^i a^j gives conj(z)^i z^j
-        checked = 0
-        for t in dipping_types:
-            if t.excess < 0:
-                continue
-            form = normal_order(word_from_type(t))
+    def test_every_small_type(self, every_small_type):
+        for t in every_small_type:
+            u, d = adjoint_type(t), t.excess
+            assert type_from_word(adjoint_word(word_from_type(t))) == u
+            for table in (lambda v: stirling_recurrence(v).values,
+                          count_colonies_by_free_legs):
+                assert table(u) == {k + d: c for k, c in table(t).items()}, t
             for z in ((Fraction(3, 5), Fraction(4, 5)),
                       (Fraction(-1, 2), Fraction(3, 2))):
-                conj = (z[0], -z[1])
-                exact = [Fraction(0), Fraction(0)]
-                for i, j, c in form.monomials():
-                    re, im = _gaussian_product(_gaussian_power(conj, i),
-                                               _gaussian_power(z, j))
-                    exact[0] += c * re
-                    exact[1] += c * im
-                out = coherent_expectation(t, z, 30)
-                _assert_close(out.real, exact[0], 30)
-                _assert_close(out.imag, exact[1], 30)
-            checked += 1
-        assert checked == 111
+                out, adj = (coherent_expectation(v, z, 30) for v in (t, u))
+                assert (adj.real, adj.imag) == (out.real, -out.imag), (t, z)
 
 
 class TestPinnedNumbers:
