@@ -1,14 +1,19 @@
-"""The command line's contract as one table.  Each row runs a child
-``python -m bosonorder`` under a wall-time limit and, where it sets one, an
-address-space limit, and states its exit code, stdout and stderr.  The child
-imports the ``bosonorder`` its environment finds: ``src/`` under
-``PYTHONPATH=src``, or the installed package.
+"""The command line's contract as two tables of one row type, held by one
+checker.  A ``CONTRACT`` row runs a child ``python -m bosonorder``: the
+entry point itself is under test, and the row may set a wall-time limit,
+an address-space limit or a file for stdout.  The child imports the
+``bosonorder`` its environment finds: ``src/`` under ``PYTHONPATH=src``,
+or the installed package.  An ``IN_PROCESS`` row, like each README
+transcript that ``tests/test_cli.py`` makes a row of, needs none of that
+and calls ``cli.main`` in this process instead.
 
 On every row stderr holds no traceback, is empty on exit 0 and otherwise
-ends with an ``error:`` line: ours, then all of stderr, or argparse's.
+ends with an ``error:`` line: ours, then all of stderr, or argparse's,
+after the usage line of the parser that the error line names.
 """
 
 import hashlib
+import json
 import os
 import re
 import resource
@@ -19,7 +24,8 @@ from typing import NamedTuple
 
 import pytest
 
-from bosonorder.cli import MAX_DIGITS
+from bosonorder.cli import (MAX_ARITY, MAX_DIGITS, MAX_EXPONENT_DIGITS,
+                            main)
 
 
 def last_line(text: str) -> str:
@@ -43,7 +49,8 @@ class Row(NamedTuple):
     argv: str                   # split as a POSIX shell splits it
     code: int = 0
     out: object = ""            # all of stdout, or (view, view(stdout))
-    err: str = ""               # text the last line of stderr holds
+    err: str = ""               # text the last line of stderr holds; all
+                                # of it when err is an error line
     cap: str | None = None      # BOSON_ORDER_ENUM_CAP; unset when None
     seconds: float = 60
     kb: int | None = None       # address-space limit, as `ulimit -v` takes
@@ -156,9 +163,10 @@ CONTRACT = {
     "dobinski-tiny-x-json": Row(
         "dobinski --r 1 --s 1 --x 1e-5000 --format json", out=(sha256,
         "554f75178900cebe9153c682440d49f936ddbdee067777c3a4bce15618b32512")),
-    "dobinski-overlong-x": Row("dobinski --r 1 --s 1 --x 1e10000000", 2,
-                               err="x may have at most 100000 digits",
-                               seconds=5),
+    "dobinski-overlong-x": Row(
+        "dobinski --r 1 --s 1 --x 1e10000000", 2,
+        err=f"error: x may have at most {MAX_DIGITS} digits, counting its "
+            "decimal exponent (byte 0)", seconds=5),
     "digits-above-limit": Row(
         f"dobinski --r 1 --s 1 --digits {MAX_DIGITS + 1}", 2,
         err=f"at most {MAX_DIGITS}"),
@@ -195,8 +203,9 @@ CONTRACT = {
                           out=(usage, f"usage: bosonorder {sub}"))
        for sub in ("order", "stirling", "bell", "dobinski", "colonies",
                    "settlements", "forests", "series", "selfcheck")},
-    "order-digits": Row("order --word 'ad a' --digits 5", 2,
-                        err="unrecognized arguments: --digits 5"),
+    "order-digits": Row(
+        "order --word 'ad a' --digits 5", 2,
+        err="bosonorder order: error: unrecognized arguments: --digits 5"),
     "selfcheck-m-max": Row("selfcheck --r 1,1 --s 1,1 --m-max 4", 2,
                            err="unrecognized arguments: --m-max 4"),
     "order-rejects-csv": Row("order --word 'ad a' --format csv", 2,
@@ -233,6 +242,295 @@ CONTRACT = {
     ]},
 }
 
+# a 30-factor type with nonnegative prefix excesses, so every table method
+# accepts it
+THIRTY_R = "3,2,3,1,3,3,1,2,1,2,2,3,1,1,2,1,3,1,1,1,1,3,3,2,3,2,3,1,2,1"
+THIRTY_S = "1,2,2,1,2,1,2,2,1,2,2,2,1,1,1,2,1,1,2,2,1,1,2,2,2,2,2,1,1,1"
+
+SELFCHECK_111_JSON = """\
+{
+  "type": {
+    "r": [
+      1,
+      1,
+      1
+    ],
+    "s": [
+      1,
+      1,
+      1
+    ]
+  },
+  "checks": [
+    {
+      "name": "stirling tables agree",
+      "status": "pass",
+      "detail": "4 methods on table {1: 1, 2: 3, 3: 1}"
+    },
+    {
+      "name": "empty cells equal excess plus free legs",
+      "status": "pass",
+      "detail": ""
+    },
+    {
+      "name": "settlement counts agree",
+      "status": "pass",
+      "detail": "m = 0..3"
+    },
+    {
+      "name": "dobinski series gives the bell number",
+      "status": "pass",
+      "detail": "bell 5 to 1e-25 in 32 terms"
+    }
+  ]
+}
+"""
+
+SERIES_TREE_3_6 = """\
+{
+  "kind": "tree",
+  "arity": 3,
+  "order": 6,
+  "convention": "egf",
+  "coefficients": [
+    "1",
+    "1",
+    "3/2",
+    "5/2",
+    "35/8",
+    "63/8",
+    "231/16"
+  ],
+  "counts": [
+    "1",
+    "1",
+    "3",
+    "15",
+    "105",
+    "945",
+    "10395"
+  ]
+}
+"""
+
+SERIES_FOREST_3_6 = """\
+{
+  "kind": "forest",
+  "arity": 3,
+  "order": 6,
+  "convention": "egf",
+  "coefficients": [
+    "1",
+    "1",
+    "2",
+    "25/6",
+    "211/24",
+    "559/30",
+    "28471/720"
+  ],
+  "counts": [
+    "1",
+    "1",
+    "4",
+    "25",
+    "211",
+    "2236",
+    "28471"
+  ]
+}
+"""
+
+IN_PROCESS = {
+    "stirling-json-shape": Row(
+        "stirling --r 1,1 --s 1,1 --format json", out=(json.loads, {
+            "type": {"r": [1, 1], "s": [1, 1]}, "d": 0,
+            "stirling": {"1": "1", "2": "1"}, "bell": "2",
+            "method": "recurrence"})),
+    # auto takes the recurrence, keyed by surviving annihilators
+    "rewrite-refuses-negative-excess": Row(
+        "stirling --word 'a^2 ad' --method rewrite", 1,
+        err="error: excess -1 < 0: no creation prefix to factor out"),
+    "auto-answers-negative-excess": Row(
+        "stirling --word 'a^2 ad'",
+        out="d = -1\nS(1) = 2\nS(2) = 1\nbell = 3\n"),
+    # prefix excesses (0, -1, 1): the full closed-form table takes them
+    **{f"{method}-negative-prefix": Row(
+        f"stirling --r 1,3 --s 2,1 --method {method}",
+        out="d = 1\nS(2) = 1\nS(3) = 1\nbell = 2\n")
+       for method in ("closed-form", "recurrence")},
+    "order-ungrouped-word": Row("order --word 'a ad a ad'",
+                                out="1 + 3 ad a + ad^2 a^2\n"),
+    "stirling-ungrouped-word": Row(
+        "stirling --word 'a ad a ad'",
+        out="d = 0\nS(0) = 1\nS(1) = 3\nS(2) = 1\nbell = 5\n"),
+    "ungrouped-word-json-type-is-padded": Row(
+        "stirling --word 'a ad' --format json", out=(json.loads, {
+            "type": {"r": [1, 0], "s": [0, 1]}, "d": 0,
+            "stirling": {"0": "1", "1": "1"}, "bell": "2",
+            "method": "recurrence"})),
+    "bell-of-huge-exponent": Row("bell --r 3000000 --s 1", out="1\n"),
+    "dobinski-plain": Row("dobinski --r 1,1 --s 1,1 --x 1 --digits 10",
+                          out="2.000000000\n"),
+    "dobinski-unreadable-x": Row(
+        "dobinski --r 1 --s 1 --x nope", 2,
+        err="error: cannot read 'nope' as a rational number (byte 0)"),
+    "dobinski-negative-x": Row("dobinski --r 1 --s 1 --x -1", 2,
+                               err="error: x must be nonnegative (byte 0)"),
+    # a digit run past the int-to-str limit is unreadable: the error quotes
+    # the head of --x and its length, not the whole input
+    **{f"dobinski-long-unreadable-x-{name}": Row(
+        f"dobinski --r 1 --s 1 --x {x}", 2,
+        err=f"error: cannot read {x[:20] + '...'!r} ({len(x)} characters) "
+            "as a rational number (byte 0)")
+       for name, x in [("5000-ones", "1" * 5000),
+                       ("max-digits-ones", "1" * MAX_DIGITS),
+                       ("long-decimal", "0." + "0" * 4400 + "1"),
+                       ("max-digits-letters", "x" * MAX_DIGITS)]},
+    # refused before Fraction() builds 10^exponent or sums the series
+    **{f"dobinski-x-past-max-digits-{name}": Row(
+        f"dobinski --r 1 --s 1 --x {x}", 2,
+        err=f"error: x may have at most {MAX_DIGITS} digits, counting its "
+            "decimal exponent (byte 0)")
+       for name, x in [*((x, x) for x in ("1e100000", "1e-100000",
+                                          "1e-1000000", "1.5e+00_99999")),
+                       ("long-integer", "1" * (MAX_DIGITS + 1)),
+                       ("long-exponent", "1e" + "9" * 5000)]},
+    # 2 * 10^99999 terms are needed before the tail bound can hold: a
+    # refusal that prints the count in scientific notation
+    "dobinski-x-at-max-digits": Row(
+        "dobinski --r 1 --s 1 --x 1e99999", 1,
+        err="error: the tail bound needs at least 2.00000e+99999 terms, "
+            "over the cap of 10000"),
+    "dobinski-tiny-x-digits-json": Row(
+        "dobinski --r 1 --s 1 --x 1e-5000 --digits 5 --format json",
+        out=(json.loads, {"type": {"r": [1], "s": [1]},
+                          "x": "1/1" + "0" * 5000, "value": "1.0000E-5000",
+                          "precision_digits": 5, "terms_used": 1})),
+    "length-mismatch": Row("stirling --r 1,2 --s 1", 2,
+                           err="error: r has 2 entries but s has 1"),
+    "enum-cap-flag-refuses": Row(
+        "colonies --r 3,2,1,3 --s 2,2,2,3 --enum-cap 1000", 1,
+        err="error: more than 3000 colonies exceed the cap of 1000"),
+    "settlements-product": Row(
+        "settlements --r 1,1 --s 1,1 --m 2 --method product", out="4\n"),
+    # two colonies walked, 16 000 000 settlements counted
+    "settlements-wherever-the-colonies-fit": Row(
+        "settlements --r 1,1 --s 1,1 --m 4000", out="16000000\n"),
+    "forests-json": Row(
+        "forests --arity 3 --n 4 --format json",
+        out='{\n  "arity": 3,\n  "n": 4,\n  "count": "211"\n}\n'),
+    "selfcheck-json": Row("selfcheck --r 1,1,1 --s 1,1,1 --format json",
+                          out=SELFCHECK_111_JSON),
+    **{f"{name}-out-of-range": Row(argv, 2, err=f"argument {flag}: must be")
+       for name, argv, flag in [
+           ("settlements-m", "settlements --r 1 --s 1 --m -1", "--m"),
+           ("forests-arity", "forests --arity 0 --n 2", "--arity"),
+           ("forests-n", "forests --arity 2 --n -1", "--n"),
+           ("series-arity", "series --arity 1", "--arity"),
+           ("series-arity-max", f"series --arity {MAX_ARITY + 1} --order 1",
+            "--arity"),
+           ("series-order", "series --arity 2 --order -1", "--order")]},
+    "settlements-m-0": Row("settlements --r 1 --s 1 --m 0", out="0\n"),
+    "forests-arity-1-n-0": Row("forests --arity 1 --n 0", out="1\n"),
+    "series-arity-2-order-0": Row("series --arity 2 --order 0",
+                                  out="a_0 = 1 (count 1)\n"),
+    **{f"{argv.split()[0]}-takes-no-{flag[2:]}": Row(
+        f"{argv} {flag} {value}", 2,
+        err=f"bosonorder {argv.split()[0]}: error: unrecognized arguments: "
+            f"{flag} {value}")
+       for argv, flag, value in [
+           ("bell --r 1 --s 1", "--max-terms", 3),
+           ("series --arity 2", "--enum-cap", 3),
+           ("dobinski --r 1 --s 1", "--enum-cap", 3),
+           ("selfcheck --r 1 --s 1", "--x-samples", 8),
+           ("bell --r 1 --s 1", "--digits", MAX_DIGITS + 1),
+           ("series --arity 2", "--digits", MAX_DIGITS + 1)]},
+    # the usage line is the subcommand's, not the top-level one
+    **{f"{argv.split()[0]}-{name}": Row(
+        argv, 2, err=f"bosonorder {argv.split()[0]}: error: provide exactly "
+                     "one input: --word or --r together with --s")
+       for name, argv in [("word-and-type", "order --word ad --r 1"),
+                          ("word-and-type",
+                           "stirling --word 'ad a' --r 1 --s 1"),
+                          ("no-input", "selfcheck")]},
+    "r-without-s": Row(
+        "stirling --r 1,1", 2,
+        err="bosonorder stirling: error: --r and --s must be given together"),
+    "series-forest-counts": Row(
+        "series --kind forest --arity 2 --order 5 --format json",
+        out=(json.loads, {
+            "kind": "forest", "arity": 2, "order": 5, "convention": "egf",
+            "coefficients": ["1", "1", "3/2", "13/6", "73/24", "167/40"],
+            "counts": ["1", "1", "3", "13", "73", "501"]})),
+    **{f"series-{kind}-json": Row(
+        f"series --kind {kind} --arity 3 --order 6 --format json",
+        out=SERIES_FOREST_3_6 if kind == "forest"
+        else SERIES_TREE_3_6.replace('"tree"', f'"{kind}"'))
+       for kind in ("tree", "tree-closed", "forest")},
+    # SHA-256 of the stdout of `colonies` listings as first released: the
+    # canonical order and every serializer must stay byte-identical
+    **{f"colonies-golden-{name}": Row(f"colonies {argv}",
+                                      out=(sha256, digest))
+       for name, argv, digest in [
+           ("212-plain", "--r 2,1,2 --s 1,2,1",
+            "69bf591036cb8aa635ddcc7eb524ea39448e058132ef84752e162772e3430b22"),
+           ("212-json", "--r 2,1,2 --s 1,2,1 --format json",
+            "ac696e4118778e04ad29948c475f404122d843b1be6a5dd68fa5700616e3fd44"),
+           ("212-dot", "--r 2,1,2 --s 1,2,1 --dot",
+            "79a83259b6ec846f068cad29bd511aef23b1e86977fded0087c0f78cac8267f9"),
+           ("six-plain", "--r 1,1,1,1,1,1 --s 1,1,1,1,1,1",
+            "9d70636eb0f6319d9521ac0a549bf33932f66b929021a7ce0205426122d25d74"),
+           ("six-json", "--r 1,1,1,1,1,1 --s 1,1,1,1,1,1 --format json",
+            "33ee17501dd7bd7289df4496d8fa382f53893c73cdb15f693f1aad879288e387"),
+           ("six-dot", "--r 1,1,1,1,1,1 --s 1,1,1,1,1,1 --dot",
+            "6eeca738f8f57ac37283521ef2d8a52ca1ad1fbd55abf7272e81d8568283db01"),
+       ]},
+    # SHA-256 of the stdout of the table subcommands on one 30-factor type
+    # as recorded before the leg-by-leg and column-sliced kernels: the
+    # tables and their serializers must stay byte-identical
+    **{f"thirty-factor-golden-{name}": Row(
+        f"{argv} --r {THIRTY_R} --s {THIRTY_S}", out=(sha256, digest))
+       for name, argv, digest in [
+           ("recurrence-plain", "stirling --method recurrence",
+            "4607b6fc4fb33e4637b9b6c98eb146524bd59a6ffd766db0a7783c1873c297d1"),
+           ("recurrence-json", "stirling --method recurrence --format json",
+            "b9bf92c3d2a0abc8a58ed45a88814ed56e435e71a85ac010836b0893c8ca5a25"),
+           ("closed-form-plain", "stirling --method closed-form",
+            "4607b6fc4fb33e4637b9b6c98eb146524bd59a6ffd766db0a7783c1873c297d1"),
+           ("closed-form-json", "stirling --method closed-form --format json",
+            "d5b22d2b73202cae7bd3b99b7303b7646892f6a63a1c85161eed945230ded337"),
+           ("bell-plain", "bell",
+            "336cdee75194c8367e2d7c3ae68a1b63e14eb4df7cc482cea8e787698b22f6d0"),
+           ("bell-json", "bell --format json",
+            "7efd50dc83a3f29738f0d8066bad44fa977370124c0b6d9e743985cb313b10d2"),
+       ]},
+    # SHA-256 of the stdout of `order` as recorded while words were stored
+    # one letter at a time: merging repeated tokens on construction must
+    # print the same word and the same normal form
+    **{f"order-golden-{name}": Row(f"order {argv}", out=(sha256, digest))
+       for name, argv, digest in [
+           ("word-plain", "--word 'ad ad^2 a a^3 ad a^2 ad^4'",
+            "8b6ddb07b318c5569e86f7d0caab0f760527e1eadfcd016a94d3d6524ef2d89c"),
+           ("word-json", "--word 'ad ad^2 a a^3 ad a^2 ad^4' --format json",
+            "ff5948435b345b56877eca0656d0940b6d4a615db4ae18239cc6eeb3b53bd318"),
+           ("type-plain", "--r 3,1,2 --s 1,2,2",
+            "37d47a14123552511c0908c42fbdbcd7f82e64329ada63282a51ffcfbfec5ef7"),
+           ("type-json", "--r 3,1,2 --s 1,2,2 --format json",
+            "62652f12ef911d9cf72643ed21ff55840db5c7e2ee4dc09a8d203876c4a8e422"),
+       ]},
+    # exponents up to the int-to-str limit are read; longer ones are
+    # refused as parse errors with a byte offset
+    "longest-exponent": Row(f"order --word ad^{'9' * MAX_EXPONENT_DIGITS}",
+                            out=f"ad^{'9' * MAX_EXPONENT_DIGITS}\n"),
+    **{f"overlong-exponent-{name}": Row(
+        argv, 2, err=f"less than 10^{MAX_EXPONENT_DIGITS} (byte {offset})")
+       for name, argv, offset in [
+           ("long-token", f"order --word 'ad a^{'9' * 4301}'", 3),
+           ("word-sum", f"order --word 'ad^{'9' * 4300} ad'", 4304),
+           ("long-entry", f"bell --r 1,{'9' * 4301} --s 1,1", 2),
+           ("list-sum", f"bell --r 2,2 --s {'9' * 4300},1", 4301)]},
+}
+
 # ours, or argparse's, which names the program and subcommand
 ERROR_LINE = re.compile(r"(bosonorder( \w+)?: )?error: ")
 
@@ -258,6 +556,22 @@ def run(row: Row, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
         preexec_fn=limit_address_space if row.kb else None)
 
 
+def check(row: Row, code: int, out: str | None, err: str) -> None:
+    """Hold one run to its row and to the rules every row keeps."""
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert code == row.code, err
+    last = last_line(err)
+    assert ERROR_LINE.match(last) if row.code else err == "", err
+    if last.startswith("error: "):
+        assert err == last + "\n"
+    elif last:
+        assert err.startswith(f"usage: {last.partition(':')[0]} "), err
+    assert last == row.err if ERROR_LINE.match(row.err) else row.err in last
+    if out is not None:
+        view, want = row.out if isinstance(row.out, tuple) else (str, row.out)
+        assert view(out) == want
+
+
 @pytest.mark.parametrize("name", CONTRACT)
 def test_row(name):
     row = CONTRACT[name]
@@ -268,20 +582,25 @@ def test_row(name):
             proc = run(row, sink)
     else:
         pytest.skip(f"no {row.stdout}")
-    err = proc.stderr
-    assert "Traceback" not in err and "Exception ignored" not in err, err
-    assert proc.returncode == row.code, err
-    last = last_line(err)
-    if row.code:
-        assert ERROR_LINE.match(last), err
-    else:
-        assert err == ""
-    if last.startswith("error: "):
-        assert err == last + "\n"
-    assert row.err in last
-    if row.stdout is None:
-        view, want = row.out if isinstance(row.out, tuple) else (str, row.out)
-        assert view(proc.stdout) == want
+    check(row, proc.returncode, proc.stdout, proc.stderr)
+
+
+def run_in_process(row: Row, monkeypatch, capsys) -> None:
+    """Run row's argv through cli.main in this process and check it."""
+    assert (row.seconds, row.kb, row.stdout) == Row("")[5:], "needs a child"
+    monkeypatch.delenv("BOSON_ORDER_ENUM_CAP", raising=False)
+    if row.cap is not None:
+        monkeypatch.setenv("BOSON_ORDER_ENUM_CAP", row.cap)
+    try:
+        code = main(shlex.split(row.argv))
+    except SystemExit as exc:       # argparse's usage errors and --help
+        code = exc.code
+    check(row, code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("name", IN_PROCESS)
+def test_in_process(name, monkeypatch, capsys):
+    run_in_process(IN_PROCESS[name], monkeypatch, capsys)
 
 
 def test_out_writes_file(tmp_path):
